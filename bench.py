@@ -317,23 +317,8 @@ def run_bench(sf_dir: str, num_cpus: int, *, queries: bool = True) -> dict:
                 reps.append(time.perf_counter() - t0)
             timings[name] = round(min(reps), 3)
 
-        # ---- multi-node code paths on one node (VERDICT r3 #9): the 100-TB
-        # paths carry perf telemetry, not just correctness pins -------------
-        # slim per-bucket key-check exchange (the multi-node wire layout)
-        os.environ["FP_FORCE_SLIM_EXCHANGE"] = "1"
-        try:
-            best = float("inf")
-            for _ in range(2):
-                t0 = time.perf_counter()
-                run_check(
-                    fixture,
-                    cfg=CheckConfig(),
-                    manifest_path=os.path.join(fixture, "_manifest.parquet"),
-                )
-                best = min(best, time.perf_counter() - t0)
-            timings["check_all_slim_exchange"] = round(best, 3)
-        finally:
-            os.environ.pop("FP_FORCE_SLIM_EXCHANGE", None)
+        # ---- multi-node code path on one node (VERDICT r3 #9): the 100-TB
+        # path carries perf telemetry, not just a correctness pin -----------
         # distributed dedup branch (groupby shuffle + bucketed verify instead
         # of the small-input driver path)
         import fastpasta_ray.functions.dedup as _dedup
@@ -356,24 +341,9 @@ def run_bench(sf_dir: str, num_cpus: int, *, queries: bool = True) -> dict:
             timings["minhash_pairs_distributed"] = round(best, 3)
         finally:
             _dedup.GROUPED_SMALL_ROWS = _old_small
-        # Dataset-native key-check exchange (the cluster-idiomatic variant;
-        # VERDICT r4 #6: it carried no perf telemetry) — one lazy Dataset
-        # groupby instead of the raw-task exchange, same violations
-        # (equivalence pinned by test_key_checks_dataset_equivalent)
-        from fastpasta_ray.checks.key_checks import key_checks_dataset
-        from fastpasta_ray.sources.parquet import sequence_files
-
-        kc_files = sequence_files(fixture)
-        kc_manifest = os.path.join(fixture, "_manifest.parquet")
-        best = float("inf")
-        for _ in range(2):
-            t0 = time.perf_counter()
-            key_checks_dataset(kc_files, kc_manifest).to_pandas()
-            best = min(best, time.perf_counter() - t0)
-        timings["key_checks_dataset"] = round(best, 3)
 
     return {
-        "metric": "validated sequences/sec (full constraint + drift pass)",
+        "metric": "check_all wall seconds, best of reps (full constraint + drift pass)",
         "value": round(t_check, 3),
         "unit": "sec",
         "queries": timings,

@@ -7,7 +7,7 @@ Mirrors the reference's `fastpasta check all` lifecycle (SURVEY.md §3.1):
       running checks, stats sketches — ONE pass over the tokens payload,
       violations + per-partition stats partials out (stages/validate.py).
   pass 2 (scalars): key checks (dup / referential / empty) over a
-      column-pruned re-read of the scalar columns only, one hash-bucketed
+      column-pruned re-read of the scalar columns only, one hash-partitioned
       shuffle (checks/key_checks.py). The tokens payload never shuffles.
   finalize: merge stats partials (driver-side fold of mergeable sketches —
       the partial counts are one row per input file, tiny), drift gate vs a
@@ -94,18 +94,10 @@ def run_check(
     with_key_checks: bool = True,
     out_dir: str | None = None,
     resume: bool = False,
-    num_buckets: int | None = None,
 ) -> CheckResult:
     """Run the full validation pass over a fixture directory."""
     cfg = cfg or CheckConfig()
     files = sequence_files(input_dir)
-    if num_buckets is None:
-        # exchange width ∝ cluster size: enough buckets to keep every core
-        # busy in the reduce, few enough that per-shard object overhead
-        # stays negligible (measured r2: nb=32 beats 16/64/128 at 32 cpus)
-        from fastpasta_ray.sources.parquet import cluster_cpus
-
-        num_buckets = max(16, min(256, cluster_cpus()))
 
     committed: dict[str, dict] = {}
     if out_dir is not None:
@@ -157,7 +149,7 @@ def run_check(
 
         kv_t = _filter_codes(
             key_checks(
-                files, manifest_path, num_buckets=num_buckets,
+                files, manifest_path,
                 batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
             ),
             cfg.enabled_codes,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -82,9 +83,11 @@ class CheckpointStore:
         keeps every finished partition (the kill-resume test SIGKILLs the
         driver mid-pass and asserts this). Violations parquet first, then
         the atomic record: a crash between the two leaves the partition
-        uncommitted → it reruns (idempotent)."""
+        uncommitted → it reruns (idempotent). Temp names are per writer: a
+        killed driver's tasks may still commit while a resumed run does."""
+        suffix = f".{os.getpid()}.{uuid.uuid4().hex}.tmp"
         vp = os.path.join(self.violations_dir, f"{part}.parquet")
-        tmp = vp + ".tmp"
+        tmp = vp + suffix
         pq.write_table(violations, tmp)
         os.replace(tmp, vp)
         rec = {
@@ -97,7 +100,7 @@ class CheckpointStore:
             "status": "committed",
         }
         rp = os.path.join(self.commits_dir, f"{part}.json")
-        tmp = rp + ".tmp"
+        tmp = rp + suffix
         with open(tmp, "w") as f:
             json.dump(rec, f)
         os.replace(tmp, rp)

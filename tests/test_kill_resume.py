@@ -65,7 +65,7 @@ def test_sigkill_mid_run_then_resume(tmp_path):
     while time.time() < deadline:
         if p.poll() is not None:
             break  # finished before we could kill — still a valid (weaker) run
-        if os.path.isdir(commits) and len(os.listdir(commits)) >= 1:
+        if os.path.isdir(commits) and any(f.endswith(".json") for f in os.listdir(commits)):
             p.send_signal(signal.SIGKILL)
             killed = True
             break
@@ -84,7 +84,8 @@ def test_sigkill_mid_run_then_resume(tmp_path):
         clean.violations.sort_by([("part", "ascending"), ("row_index", "ascending")])
     )
     # commit records are intact lineage (every part committed exactly once)
-    recs = [json.load(open(os.path.join(commits, f))) for f in sorted(os.listdir(commits))]
+    recs = [json.load(open(os.path.join(commits, f)))  # records, not temp files
+            for f in sorted(os.listdir(commits)) if f.endswith(".json")]
     assert len(recs) == 12
     assert all(r["status"] == "committed" and r["row_count"] == 4000 for r in recs)
     if killed:

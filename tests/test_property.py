@@ -25,7 +25,7 @@ import os as _os
 settings.load_profile(_os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 from fastpasta_ray.checks.grammar import GrammarConfig, run_grammar_checks
-from fastpasta_ray.checks.key_checks import MANIFEST_LOC, _bucket_candidates
+from fastpasta_ray.checks.key_checks import _bucket_candidates
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.functions.dedup import _shingle_hashes_flat
 from fastpasta_ray.sketches import IntHistogram
@@ -103,7 +103,7 @@ def test_bucket_candidates_match_naive(rows):
             "n_tok": pa.array([r[2] for r in rows], type=pa.int64()),
         }
     )
-    out = _bucket_candidates(t)
+    out = _bucket_candidates(t, with_manifest=any(r[1] == -1 for r in rows))
     got = {
         1: set(),  # dup
         2: set(),  # orphan

@@ -289,21 +289,21 @@ def test_partition_ordinal_set_once_e444():
     ]
 
 
-def test_packed_reduce_task_count_regimes():
+def test_reduce_task_count_regimes():
     """The reduce sizing that fixed the 1->4 scaling drag (BASELINE r4):
     fixed-cost regime keeps few tasks; work-bound regime grants one task
     per ~750k exchanged rows up to the core count."""
-    from fastpasta_ray.checks.key_checks import _packed_reduce_task_count as n
+    from fastpasta_ray.checks.key_checks import _reduce_task_count as n
 
     # bench scale at 32 cpus: fixed costs dominate -> cpus//4 floor
-    assert n(32, 32, 2_560_000) == 8
+    assert n(32, 2_560_000) == 8
     # the measured drag case: 4 cpus, 4x fixture (~10.2M exchanged rows)
     # must use every core, not cpus//4 == 1
-    assert n(4, 32, 10_240_000) == 4
+    assert n(4, 10_240_000) == 4
     # tiny exchange at tiny cpu count still gets >= 1 task
-    assert n(1, 32, 1000) == 1
-    # task count never exceeds the bucket count
-    assert n(64, 8, 10**9) == 8
+    assert n(1, 1000) == 1
     # work-bound but fewer rows than cores allow: scales with rows
-    assert n(32, 32, 6_000_000) == 8  # floor wins (750k*8)
-    assert n(32, 32, 12_000_000) == 16
+    assert n(32, 6_000_000) == 8  # floor wins (750k*8)
+    assert n(32, 12_000_000) == 16
+    # never more tasks than cores
+    assert n(64, 10**9) == 64
