@@ -38,7 +38,7 @@ from fastpasta_ray.checks.key_checks import key_checks
 # they are cross-partition and recomputed every run)
 KEY_CODES = (S.E_DUP_DOCID, S.E_ORPHAN, S.E_MANIFEST_NTOK, S.E_EMPTY_DOC)
 from fastpasta_ray.sketches import PartStats
-from fastpasta_ray.sources.parquet import file_dataset, sequence_files
+from fastpasta_ray.sources.parquet import file_dataset, part_of, sequence_files
 from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
 
 
@@ -144,12 +144,18 @@ def run_check(
     stopped_early = (
         bool(ray.get(budget.exceeded.remote())) if budget is not None else False
     )
-    if with_key_checks and files:
+    # pass 2 skips the files pass 1 rejected with E14 (unreadable or wrong
+    # schema): they have no rows to key-check, and opening one would raise
+    rejected = set(
+        violations.filter(pc.equal(violations["code"], S.E_SCHEMA))["part"].to_pylist()
+    )
+    key_files = [f for f in files if part_of(f) not in rejected]
+    if with_key_checks and key_files:
         from fastpasta_ray.stages.validate import _filter_codes
 
         kv_t = _filter_codes(
             key_checks(
-                files, manifest_path,
+                key_files, manifest_path,
                 batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
             ),
             cfg.enabled_codes,

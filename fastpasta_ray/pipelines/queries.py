@@ -33,9 +33,12 @@ def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None):
     Ray's default block count (~2× CPUs regardless of input size) costs
     seconds of per-block overhead in downstream sorts/groupbys on small
     tables (measured: asof over 5 MB of events, 2.8 s at default blocks vs
-    0.5 s at 2 blocks). Default here: one block per ~16 MiB, clamped to
-    [2, 2×CPUs] — small tables stay cheap, big tables still fan out.
-    Compute-heavy callers override ``blocks`` explicitly."""
+    0.5 s at 2 blocks). Default here: one block per ~75k rows, at least 2 —
+    small tables stay cheap, big tables still fan out. Compute-heavy
+    callers pass ``blocks`` explicitly. Every count, default or explicit,
+    is capped at 2× the cluster's CPUs: beyond that a block is one more
+    queued task, not more parallelism (blocks=32 keeps its 32 tasks on 16+
+    CPUs, and reads 500 documents as 2 blocks, not 32, on 1 CPU)."""
     path = os.path.join(sf_dir, f"{table}.parquet")
     if blocks is None:
         try:
@@ -44,14 +47,14 @@ def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None):
             rows = _pq.ParquetFile(path).metadata.num_rows
         except Exception:
             rows = 0
-        from fastpasta_ray.sources.parquet import cluster_cpus
-
-        cpus = cluster_cpus()
         # ~75k rows per block (sweep: lineitem 600k rows is fastest at 8
         # blocks; 2 blocks pays serial sort, 64 blocks pays per-block
         # shuffle overhead — 5 MB of events at default blocking cost 2.3 s
         # of pure overhead in asof/sessionize)
-        blocks = int(max(2, min(2 * cpus, rows // 75_000 + 1)))
+        blocks = max(2, rows // 75_000 + 1)
+    from fastpasta_ray.sources.parquet import cluster_cpus
+
+    blocks = int(min(blocks, 2 * cluster_cpus()))
     return ray.data.read_parquet(
         path, columns=columns, override_num_blocks=blocks
     )
@@ -89,8 +92,8 @@ def _seed_centroids(ds, k: int = 8) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# G1: grouped sums/counters (TPC-H Q1 shape) — pre-aggregation inside
-# map_batches happens implicitly via Ray's partial groupby combine.
+# G1: grouped sums/counters (TPC-H Q1 shape) — per-batch partials folded
+# on the driver.
 # ---------------------------------------------------------------------------
 
 def q_lineitem_agg(sf_dir: str):
@@ -99,34 +102,23 @@ def q_lineitem_agg(sf_dir: str):
         "lineitem",
         ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount"],
     )
+    keys = ["l_returnflag", "l_linestatus"]
 
     def partial(b: pa.Table) -> pa.Table:
-        # map-side combiner (G1 partial→final): the shuffle carries ≤6
-        # group rows per batch instead of every lineitem row
         rev = pc.multiply(b["l_extendedprice"], pc.subtract(pa.scalar(1.0), b["l_discount"]))
         t = b.append_column("revenue", rev)
-        g = t.group_by(["l_returnflag", "l_linestatus"]).aggregate(
+        g = t.group_by(keys).aggregate(
             [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("revenue", "sum"), ("revenue", "count")]
         )
-        return g.rename_columns(
-            ["l_returnflag", "l_linestatus", "q_part", "bp_part", "dp_part", "n_part"]
-        )
+        return g.rename_columns(keys + ["q_part", "bp_part", "dp_part", "n_part"])
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        # the partials are <= 6 rows/block; coalesce below the group
-        # cardinality so the sort-based aggregate makes no empty (schema-
-        # less) output partitions (VERDICT r4 #5)
-        .repartition(2)
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("q_part", alias_name="sum_qty"),
-            Sum("bp_part", alias_name="sum_base_price"),
-            Sum("dp_part", alias_name="sum_disc_price"),
-            Sum("n_part", alias_name="count_order"),
-        )
+    # driver fold: one Arrow group_by over the ≤6-rows-per-batch partials;
+    # a Dataset groupby here paid an all-to-all shuffle for those few rows
+    parts = _to_table(ds.map_batches(partial, batch_format="pyarrow"))
+    t = parts.group_by(keys).aggregate(
+        [("q_part", "sum"), ("bp_part", "sum"), ("dp_part", "sum"), ("n_part", "sum")]
     )
-    t = _to_table(out)
+    t = t.rename_columns(keys + ["sum_qty", "sum_base_price", "sum_disc_price", "count_order"])
     t = t.set_column(
         t.column_names.index("count_order"), "count_order",
         pc.cast(t["count_order"], pa.int64()),
@@ -263,19 +255,16 @@ def q_customers_without_orders(sf_dir: str):
         )
     )
 
-    class AntiJoin:
-        def __init__(self):
-            self.keys = ray.get(custkeys)  # resolved once per actor
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ck = b["c_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.keys, ck)
-            pos = np.clip(pos, 0, len(self.keys) - 1)
-            present = self.keys[pos] == ck
-            return b.filter(pa.array(~present))
+    # a task-pool function, not an actor pool: a fixed pool holds its CPUs
+    # for the whole stage and starved the read on a 1-CPU cluster
+    def anti_join(b: pa.Table) -> pa.Table:
+        keys = ray.get(custkeys)  # zero-copy plasma read per task
+        ck = b["c_custkey"].to_numpy(zero_copy_only=False)
+        pos = np.clip(np.searchsorted(keys, ck), 0, len(keys) - 1)
+        return b.filter(pa.array(keys[pos] != ck))
 
     ds = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
-    t = _to_table(ds.map_batches(AntiJoin, batch_format="pyarrow", concurrency=2))
+    t = _to_table(ds.map_batches(anti_join, batch_format="pyarrow"))
     if t is None:
         return pa.table(
             {"c_custkey": pa.array([], type=pa.int64()), "c_name": pa.array([], type=pa.string())}
@@ -289,41 +278,34 @@ def q_customers_without_orders(sf_dir: str):
 
 def q_orders_by_segment(sf_dir: str):
     cust = _to_table(_rp(sf_dir, "customer", ["c_custkey", "c_mktsegment"]))
+    custkeys = cust["c_custkey"].to_numpy()
+    order = np.argsort(custkeys)
     lookup_ref = ray.put(
-        (cust["c_custkey"].to_numpy(), cust["c_mktsegment"].to_pylist())
+        (custkeys[order], np.asarray(cust["c_mktsegment"].to_pylist(), dtype=object)[order])
     )
 
-    class SegJoin:
-        def __init__(self):
-            keys, segs = ray.get(lookup_ref)
-            order = np.argsort(keys)
-            self.keys = keys[order]
-            self.segs = np.asarray(segs, dtype=object)[order]
-
-        def __call__(self, b: pa.Table) -> pa.Table:
-            ck = b["o_custkey"].to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(self.keys, ck)
-            seg = self.segs[np.clip(pos, 0, len(self.keys) - 1)]
-            seg = np.where(self.keys[np.clip(pos, 0, len(self.keys) - 1)] == ck, seg, None)
-            t = pa.table(
-                {
-                    "c_mktsegment": pa.array(seg.astype(object), type=pa.string()),
-                    "o_totalprice": b["o_totalprice"],
-                }
-            )
-            # map-side combiner: ≤5 segment rows per batch into the shuffle
-            g = t.group_by(["c_mktsegment"]).aggregate(
-                [("o_totalprice", "count"), ("o_totalprice", "sum")]
-            )
-            return g.rename_columns(["c_mktsegment", "n_part", "p_part"])
+    # task-pool function (see q_customers_without_orders)
+    def seg_join(b: pa.Table) -> pa.Table:
+        keys, segs = ray.get(lookup_ref)
+        ck = b["o_custkey"].to_numpy(zero_copy_only=False)
+        pos = np.clip(np.searchsorted(keys, ck), 0, len(keys) - 1)
+        seg = np.where(keys[pos] == ck, segs[pos], None)
+        t = pa.table(
+            {
+                "c_mktsegment": pa.array(seg.astype(object), type=pa.string()),
+                "o_totalprice": b["o_totalprice"],
+            }
+        )
+        # ≤5 segment rows per batch, folded on the driver
+        g = t.group_by(["c_mktsegment"]).aggregate(
+            [("o_totalprice", "count"), ("o_totalprice", "sum")]
+        )
+        return g.rename_columns(["c_mktsegment", "n_part", "p_part"])
 
     ds = _rp(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    out = (
-        ds.map_batches(SegJoin, batch_format="pyarrow", concurrency=2)
-        .groupby("c_mktsegment")
-        .aggregate(Sum("n_part", alias_name="n_orders"), Sum("p_part", alias_name="total_price"))
-    )
-    t = _to_table(out)
+    parts = _to_table(ds.map_batches(seg_join, batch_format="pyarrow"))
+    t = parts.group_by("c_mktsegment").aggregate([("n_part", "sum"), ("p_part", "sum")])
+    t = t.rename_columns(["c_mktsegment", "n_orders", "total_price"])
     t = t.set_column(
         t.column_names.index("n_orders"), "n_orders", pc.cast(t["n_orders"], pa.int64())
     )
@@ -508,11 +490,8 @@ def q_minhash_pairs(sf_dir: str):
     so LSH recall at this threshold is total)."""
     from fastpasta_ray.functions.dedup import minhash_lsh_pairs
 
-    # blocks=32: the r2 groupby per-block overhead that favored 8 is gone
-    # (the small-input path coalesces instead of grouping), and smaller
-    # signature tasks cap the damage of this box's per-core throttling
-    # (BASELINE.md: identical tasks measured 235 ms-3.07 s; a stage's wall
-    # is its unluckiest task, so less work per task = shorter tail)
+    # blocks=32: small signature tasks shorten a throttled core's straggler
+    # tail on many CPUs; _rp caps the count at 2× cluster CPUs
     ds = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=32)
     # as_table: the verified pairs are already driver-held; wrapping them in
     # a Dataset would cost one more streaming-executor launch to consume
@@ -526,7 +505,7 @@ def q_simhash_pairs(sf_dir: str):
     minhash_pairs at a stricter threshold."""
     from fastpasta_ray.functions.dedup import exact_jaccard_verify, simhash_near_dups
 
-    # blocks=32: straggler-tail cap, see q_minhash_pairs
+    # blocks=32: see q_minhash_pairs
     ds = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=32)
     cand = simhash_near_dups(ds, aggregate=False, as_table=True).select(
         ["doc_a", "doc_b"]
@@ -1823,10 +1802,9 @@ def q_contamination_check(sf_dir: str):
 
         return f
 
-    # bench side coalesced: ~1/101 docs survive, so most filtered blocks
-    # are empty and Ray's map_batches turns empty blocks into schema-less
-    # ones downstream (VERDICT r4 #5); the corpus side never coalesces
-    bench = ds.map_batches(_mod_filter(True), batch_format="pyarrow").repartition(2)
+    # the bench side is collected by benchmark_ngram_set, which skips the
+    # empty blocks the ~1/101 filter leaves, so it needs no coalesce
+    bench = ds.map_batches(_mod_filter(True), batch_format="pyarrow")
     corpus = ds.map_batches(_mod_filter(False), batch_format="pyarrow")
     out = contamination_check(corpus, bench, ngram_n=3)
     t = _to_table(out)
@@ -1872,12 +1850,7 @@ def q_contamination_check_dist(sf_dir: str):
 
         return f
 
-    # coalesce the (tiny) bench side: ~1/101 docs survive the filter, so
-    # most of its blocks are EMPTY — Ray's map_batches skips the UDF on
-    # empty blocks and emits schema-LESS empties, flipping the downstream
-    # stream schema (VERDICT r4 #5). The corpus side keeps ~99% of rows
-    # per block and never coalesces (it is the 100-TB side).
-    bench = ds.map_batches(_mod_filter(True), batch_format="pyarrow").repartition(2)
+    bench = ds.map_batches(_mod_filter(True), batch_format="pyarrow")
     corpus = ds.map_batches(_mod_filter(False), batch_format="pyarrow")
     out = contamination_check_distributed(corpus, bench, ngram_n=3)
     t = _to_table(out)
@@ -1975,40 +1948,38 @@ QUERIES["kmeans_assign"] = q_kmeans_assign
 
 def q_quantile_filter(sf_dir: str):
     """Quantile-threshold selection (the 'keep the top decile' curation
-    step): exact global p90 of n_chars from merged per-batch IntHistogram
-    partials (no sort, no shuffle — the mergeable-sketch path), then one
-    streaming filter pass with the broadcast threshold, per-source kept
-    counts merged on the driver. IntHistogram.quantile uses the same
+    step) in ONE pass: each batch emits its (source, n_chars) counts, the
+    driver merges them, takes the exact global p90 of n_chars from the
+    merged IntHistogram and sums each source's counts at or above it (no
+    sort, no shuffle, no second read). IntHistogram.quantile uses the same
     discrete (lower-interpolation) semantics as DuckDB quantile_disc, so
     the oracle is value-exact."""
-    import json as _json
-
     from fastpasta_ray.sketches import IntHistogram
 
     ds = _rp(sf_dir, "documents", ["source", "n_chars"])
+    keys = ["source", "n_chars"]
 
-    def hist_partial(b: pa.Table) -> pa.Table:
-        h = IntHistogram()
-        h.add(b["n_chars"].to_numpy(zero_copy_only=False))
-        return pa.table({"hist": pa.array([_json.dumps(h.to_json())])})
+    def partial(b: pa.Table) -> pa.Table:
+        g = b.group_by(keys).aggregate([([], "count_all")])
+        return g.rename_columns(keys + ["n"])
 
-    merged = IntHistogram()
-    for r in ds.map_batches(hist_partial, batch_format="pyarrow").take_all():
-        merged = merged.merge(IntHistogram.from_json(_json.loads(r["hist"])))
-    thr = merged.quantile(0.9)
-
-    def kept_counts(b: pa.Table) -> pa.Table:
-        f = b.filter(pc.greater_equal(b["n_chars"], thr))
-        g = f.group_by(["source"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "n"])
-
-    counts: dict[str, int] = {}
-    for r in ds.map_batches(kept_counts, batch_format="pyarrow").take_all():
-        counts[r["source"]] = counts.get(r["source"], 0) + int(r["n"])
-    srcs = sorted(counts)
+    parts = _to_table(ds.map_batches(partial, batch_format="pyarrow"))
+    # quantile_disc and the >= filter both skip NULL n_chars
+    t = parts.filter(pc.is_valid(parts["n_chars"])).group_by(keys).aggregate([("n", "sum")])
+    by_len = t.group_by("n_chars").aggregate([("n_sum", "sum")])
+    thr = IntHistogram(
+        dict(zip(by_len["n_chars"].to_pylist(), by_len["n_sum_sum"].to_pylist()))
+    ).quantile(0.9)
+    kept = (
+        t.filter(pc.greater_equal(t["n_chars"], thr))
+        .group_by("source")
+        .aggregate([("n_sum", "sum")])
+    )
+    counts = dict(zip(kept["source"].to_pylist(), kept["n_sum_sum"].to_pylist()))
+    srcs = sorted(counts, key=lambda s: (s is None, s or ""))
     return pa.table(
         {
-            "source": pa.array(srcs),
+            "source": pa.array(srcs, type=pa.string()),
             "n_kept": pa.array([counts[s] for s in srcs], type=pa.int64()),
             "threshold": pa.array([thr] * len(srcs), type=pa.int64()),
         }
@@ -2549,7 +2520,7 @@ def q_decontam_clean_count(sf_dir: str):
 
         return f
 
-    bench = ds.map_batches(_mod_filter(True), batch_format="pyarrow").repartition(2)
+    bench = ds.map_batches(_mod_filter(True), batch_format="pyarrow")
     corpus = ds.map_batches(_mod_filter(False), batch_format="pyarrow")
     clean = decontaminate(corpus, bench, ngram_n=3)
 

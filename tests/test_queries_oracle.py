@@ -50,13 +50,9 @@ def _as_df(res) -> pd.DataFrame:
     return res
 
 
-SQL_KEYS = sorted(entry_mod.oracle_sql())
-
-
-@pytest.mark.parametrize("name", SQL_KEYS)
-def test_query_matches_oracle(name):
-    q = entry_mod.queries()[name]
-    got = _normalize(_as_df(q(SF_DIR)))
+def assert_matches_oracle(name: str, res) -> None:
+    """Compare one query result to its DuckDB oracle on SF_DIR."""
+    got = _normalize(_as_df(res))
     con = _oracle_con()
     exp = _normalize(con.sql(entry_mod.oracle_sql()[name]).df())
     assert list(got.columns) == list(exp.columns), (
@@ -67,6 +63,14 @@ def test_query_matches_oracle(name):
     # land as float64 in pandas while the engine emits int64 — the values hash
     # differently even when numerically equal (VERDICT r1 "What's wrong" #1).
     pd.testing.assert_frame_equal(got, exp, check_dtype=True, check_exact=False, rtol=1e-6)
+
+
+SQL_KEYS = sorted(entry_mod.oracle_sql())
+
+
+@pytest.mark.parametrize("name", SQL_KEYS)
+def test_query_matches_oracle(name):
+    assert_matches_oracle(name, entry_mod.queries()[name](SF_DIR))
 
 
 ROWS_ONLY = sorted(set(entry_mod.queries()) - set(entry_mod.oracle_sql()))

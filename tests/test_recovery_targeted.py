@@ -210,3 +210,30 @@ def test_max_candidates_cut_keeps_whole_hash_runs(tmp_path, monkeypatch, caplog)
         schema=K.CANDIDATE_SCHEMA,
     )
     assert K._cap_candidates(run, 2)["cand"].to_pylist() == [K._C_DUPREF, K._C_DUP]
+
+
+def test_unreadable_partition_skipped_by_key_checks(tmp_path):
+    """A truncated partition file next to good ones with planted E80/E71:
+    pass 1 reports one E14 for it, pass 2 leaves it out (it used to open
+    it and raise ArrowInvalid), and the planted key violations are the
+    same as without the bad file."""
+    from fastpasta_ray.pipelines.check import run_check
+    from fastpasta_ray.sources.parquet import sequence_files
+
+    d, m = _dup_fixture(tmp_path)
+    good = sequence_files(d)
+    without = _rows(run_check(d, manifest_path=m).violations)
+    with open(good[0], "rb") as f:
+        raw = f.read()
+    # a copy of a good file cut in half: had pass 2 read it, its doc_ids
+    # would all come back as E80 duplicates
+    with open(os.path.join(d, "part-0002.parquet"), "wb") as f:
+        f.write(raw[: len(raw) // 2])
+    v = run_check(d, manifest_path=m).violations
+    e14 = [r for r in _rows(v) if r[2] == "E14"]
+    assert [r[0] for r in e14] == ["part-0002"]
+    assert "unreadable parquet file" in e14[0][4]
+    assert sorted(set(_rows(v)) - set(e14)) == without
+    key = {r[:3] for r in without if r[2] in {"E80", "E71", "E72", "E701"}}
+    assert key == _naive_violations(good, m)
+    assert {"E80", "E71"} <= {r[2] for r in key}
