@@ -22,7 +22,11 @@ Scale design (10^12 keys):
    hashes is a valid work unit and ``n_parts`` is sized to the work, not
    to a bucket count. A reducer fetches only its own shard from each map
    output, so on a cluster each byte crosses the wire once. Hash
-   partitioning is uniform regardless of source skew.
+   partitioning is uniform regardless of source skew. The sequence-side
+   maps are pass 1's validate tasks (stages/validate.py): they cut their
+   shards from the batches they already decoded and hashed, so a fresh run
+   reads each partition once; ``_map_seq_shard`` reads only the partitions
+   pass 1 did not reach in this run.
 3. **Late string materialization.** Violations are detected as (h, loc,
    code) candidates — tiny, capped at hash-run boundaries — then doc_id
    strings are recovered by a targeted ROW-GROUP read of ONLY the
@@ -249,8 +253,9 @@ def _keyed(doc_id) -> pa.Array:
 
 def _iter_tagged_seq(path: str, part_idx: int, batch_rows, filter_sources=None):
     """Scanner-based tagged read of one partition file's key columns:
-    yields (h, loc, n_tok) numpy arrays per batch. Same fast decode path
-    as the payload pass (pyarrow.dataset, 2× ParquetFile).
+    yields (h, loc, n_tok) numpy arrays per batch — the rows pass 1 cuts
+    into shards for the files it validates. Same fast decode path as the
+    payload pass (pyarrow.dataset, 2× ParquetFile).
     ``filter_sources`` scopes the exchange to matching rows (the global
     --filter-link analog, config.rs:75-103); filtering happens AFTER the
     positional index is attached so `loc` keeps naming original file
@@ -304,20 +309,33 @@ def _shards(h: np.ndarray, loc: np.ndarray, ntok: np.ndarray, n_parts: int):
     )
 
 
+def _shards_of(tagged, n_parts: int):
+    """``_shards`` over the concatenation of ``(h, loc, n_tok)`` batches."""
+    hs, locs, ntoks = [np.empty(0, np.uint64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for h, loc, ntok in tagged:
+        hs.append(h); locs.append(loc); ntoks.append(ntok)
+    return _shards(np.concatenate(hs), np.concatenate(locs), np.concatenate(ntoks), n_parts)
+
+
 @ray.remote
 def _map_seq_shard(
     paths: list[str], part_idxs: list[int], n_parts: int, batch_rows,
     filter_sources=None,
 ):
-    """Map side of the exchange: read a GROUP of partition files' scalar
-    columns, hash/tag, split into one shard per reduce task. Grouping
-    several files per task amortizes per-return plasma-object cost —
-    measured 0.7 s at 64 files × 32 returns."""
-    hs, locs, ntoks = [np.empty(0, np.uint64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    for path, part_idx in zip(paths, part_idxs):
-        for h, loc, ntok in _iter_tagged_seq(path, part_idx, batch_rows, filter_sources):
-            hs.append(h); locs.append(loc); ntoks.append(ntok)
-    return _shards(np.concatenate(hs), np.concatenate(locs), np.concatenate(ntoks), n_parts)
+    """Map side of the exchange for partitions pass 1 did not read in this
+    run (committed by an earlier run, or skipped by the global error
+    budget): read a GROUP of partition files' scalar columns, hash/tag,
+    split into one shard per reduce task. Grouping several files per task
+    amortizes per-return plasma-object cost — measured 0.7 s at 64 files ×
+    32 returns."""
+    return _shards_of(
+        (
+            tagged
+            for path, part_idx in zip(paths, part_idxs)
+            for tagged in _iter_tagged_seq(path, part_idx, batch_rows, filter_sources)
+        ),
+        n_parts,
+    )
 
 
 @ray.remote
@@ -418,6 +436,35 @@ def _cap_candidates(cands: pa.Table, cap: int) -> pa.Table:
     return cands.take(pa.array(order[:keep]))
 
 
+def plan_exchange(files: list[str], manifest_path: str | None) -> int:
+    """Reduce task count (= shards per map) of the exchange over ``files``
+    and the manifest, from their parquet footers. Fails loudly when a
+    sequence row's ``loc`` would not fit: a partition of 2^ROW_BITS rows
+    or more, or a part index of 2^(63 - ROW_BITS) or more, would merge the
+    keys of different rows. A footer that cannot be read counts 0 rows:
+    pass 1 rejects that file with E14 and it is never key-checked."""
+    rows = []
+    for f in files:
+        try:
+            rows.append(pq.ParquetFile(f).metadata.num_rows)
+        except (OSError, pa.ArrowException):
+            rows.append(0)
+    if max(rows, default=0) >= 1 << ROW_BITS:
+        raise ValueError(
+            f"key checks: a partition has {max(rows)} rows; row indexes must "
+            f"stay below 2^{ROW_BITS}"
+        )
+    if len(files) > 1 << (63 - ROW_BITS):
+        raise ValueError(
+            f"key checks: {len(files)} partitions; part indexes must stay "
+            f"below 2^{63 - ROW_BITS}"
+        )
+    est_exchange = sum(rows)
+    if manifest_path is not None:
+        est_exchange += pq.ParquetFile(manifest_path).metadata.num_rows
+    return _reduce_task_count(cluster_cpus(), est_exchange)
+
+
 def key_checks(
     files: list[str],
     manifest_path: str | None,
@@ -425,6 +472,9 @@ def key_checks(
     batch_rows: int = 8192,
     max_candidates: int = 1_000_000,
     filter_sources: tuple | None = None,
+    n_parts: int | None = None,
+    seq_shards: list | tuple = (),
+    in_shards: list | tuple = (),
 ) -> pa.Table:
     """All four key checks in ONE hash exchange + targeted recovery.
 
@@ -435,27 +485,33 @@ def key_checks(
     deliberately: the sort-based shuffle's per-block constant costs
     dominate at skinny-row sizes, while this exchange moves each byte
     exactly once. Returns the materialized violations table (small,
-    capped)."""
+    capped).
+
+    ``run_check`` feeds the sequence side from pass 1: ``seq_shards`` holds
+    one list of ``n_parts`` shard refs per pass-1 task, and ``in_shards``
+    the indexes of ``files`` those tasks read (or rejected). Only the other
+    files get a ``_map_seq_shard`` read here. A row's part index is its
+    position in ``files``."""
+    cpus = cluster_cpus()
+    if n_parts is None:
+        n_parts = plan_exchange(files, manifest_path)
+    read = set(in_shards)
+    todo = [i for i in range(len(files)) if i not in read]
     # group files per map task so task count ≈ CPU count: per-return plasma
     # objects dominate wall time when tasks are tiny (2048 returns at 64
     # files × 32 returns cost ~0.7 s of pure overhead); at cluster scale
     # the group size naturally grows with files-per-core
-    cpus = cluster_cpus()
-    group = max(1, (len(files) + cpus - 1) // cpus)
-    est_exchange = sum(pq.ParquetFile(f).metadata.num_rows for f in files)
-    if manifest_path is not None:
-        pf = pq.ParquetFile(manifest_path)
-        est_exchange += pf.metadata.num_rows
-    n_parts = _reduce_task_count(cpus, est_exchange)
-    maps = [
-        _map_seq_shard.options(num_returns=n_parts).remote(
-            files[s : s + group], list(range(s, min(s + group, len(files)))),
-            n_parts, batch_rows, filter_sources,
+    group = max(1, (len(todo) + cpus - 1) // cpus)
+    maps = list(seq_shards)
+    for s in range(0, len(todo), group):
+        idxs = todo[s : s + group]
+        maps.append(
+            _map_seq_shard.options(num_returns=n_parts).remote(
+                [files[i] for i in idxs], idxs, n_parts, batch_rows, filter_sources,
+            )
         )
-        for s in range(0, len(files), group)
-    ]
     if manifest_path is not None:
-        n_rg = pf.metadata.num_row_groups
+        n_rg = pq.ParquetFile(manifest_path).metadata.num_row_groups
         chunk = max(1, n_rg // max(cpus, 1))
         n_chunks = (n_rg + chunk - 1) // chunk
         # slice inside row groups when there are too few of them to keep

@@ -3,12 +3,18 @@ sequences fixture directory.
 
 Mirrors the reference's `fastpasta check all` lifecycle (SURVEY.md §3.1):
 
-  pass 1 (payload): per-file streaming validate — stateless sanity checks,
-      running checks, stats sketches — ONE pass over the tokens payload,
-      violations + per-partition stats partials out (stages/validate.py).
-  pass 2 (scalars): key checks (dup / referential / empty) over a
-      column-pruned re-read of the scalar columns only, one hash-partitioned
-      shuffle (checks/key_checks.py). The tokens payload never shuffles.
+  pass 1 (one read): per-file streaming validate in raw Ray tasks —
+      stateless sanity checks, running checks, stats sketches — ONE read of
+      each partition, violations + per-partition stats partials out
+      (stages/validate.py), plus the key-check exchange's map side: each
+      task also returns its ``(h, loc, n_tok)`` hash shards, one per reduce
+      task, cut from the batches it already decoded.
+  pass 2 (exchange): key checks (dup / referential / empty) reduce pass 1's
+      shards plus the manifest's in one hash-partitioned shuffle
+      (checks/key_checks.py), then recover the few violating rows by
+      targeted reads. The tokens payload never shuffles. Only partitions
+      pass 1 did not read in this run (committed by an earlier run, or
+      skipped by the global error budget) get a column-pruned scalar read.
   finalize: merge stats partials (driver-side fold of mergeable sketches —
       the partial counts are one row per input file, tiny), drift gate vs a
       reference profile (checks/drift.py), report assembly (report.py).
@@ -32,14 +38,14 @@ import ray
 
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks.drift import build_profile, custom_count_check
-from fastpasta_ray.checks.key_checks import key_checks
+from fastpasta_ray.checks.key_checks import key_checks, plan_exchange
 
 # codes produced by the global key-check exchange (never checkpointed —
 # they are cross-partition and recomputed every run)
 KEY_CODES = (S.E_DUP_DOCID, S.E_ORPHAN, S.E_MANIFEST_NTOK, S.E_EMPTY_DOC)
 from fastpasta_ray.sketches import PartStats
-from fastpasta_ray.sources.parquet import file_dataset, part_of, sequence_files
-from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
+from fastpasta_ray.sources.parquet import cluster_cpus, part_of, sequence_files
+from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles, validate_task
 
 
 @dataclass
@@ -55,12 +61,20 @@ class CheckResult:
         return self.violations.num_rows > 0
 
 
-def collect_table(ds: "ray.data.Dataset", schema: pa.Schema) -> pa.Table:
-    """Stream a (small) dataset result into one Arrow table on the driver."""
-    tables = [t for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)]
-    tables = [t if isinstance(t, pa.Table) else pa.Table.from_batches([t]) for t in tables]
-    tables = [t.cast(schema) for t in tables if t.num_rows]
+def collect_table(refs: list, schema: pa.Schema) -> pa.Table:
+    """Fetch pass 1's per-task tables (small: violations are capped per
+    partition) into one Arrow table on the driver."""
+    tables = [t.cast(schema) for t in ray.get(refs) if t.num_rows]
     return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+def _pass1_groups(todo: list[int], cpus: int) -> list[list[int]]:
+    """Contiguous groups of file indexes, one per pass-1 task: at most
+    ``4 × cpus`` tasks (the fine-grained balance the Ray Data pass had),
+    so each task's ``1 + n_parts`` returned objects amortize over several
+    files once files outnumber cores."""
+    k = min(len(todo), 4 * cpus)
+    return [todo[len(todo) * j // k : len(todo) * (j + 1) // k] for j in range(k)]
 
 
 def _split_sentinel(
@@ -106,37 +120,38 @@ def run_check(
         store = CheckpointStore(out_dir)
         if resume:
             committed = store.committed()
-        files_todo = [f for f in files if store.part_of(f) not in committed]
     else:
         store = None
-        files_todo = files
+    todo = [i for i, f in enumerate(files) if part_of(f) not in committed]
 
-    # ---- pass 1 (payload scan) then pass 2 (raw-task key-check exchange)
-    # SEQUENTIALLY. Alternatives measured (idle box) and rejected:
-    # (a) driver-thread overlap wins slightly at bench scale (2.74→2.05s)
-    # but LOSES at 5M rows (4.39→6.24s) — each pass saturates the machine
-    # alone, overlap just adds contention; (b) the exchange as a Dataset
-    # groupby unioned into one execution pays the sort shuffle's per-block
-    # constant costs (4.3s → 14.5s at 8 cpus). See BASELINE.md.
+    # ---- pass 1: one read per partition. Raw Ray tasks (the exchange's
+    # scheduling model; no Ray Data execution) validate groups of files
+    # and cut the exchange's sequence-side shards from the same decoded
+    # batches, so n_parts is fixed before they launch. Rejected earlier
+    # (BASELINE.md): a separate key-check read run concurrently with pass 1
+    # (won at bench scale, 2.74→2.05s, but lost at 5M rows, 4.39→6.24s:
+    # each pass saturated the machine alone; fusing the reads removes the
+    # work instead), and the exchange as a Dataset groupby in one execution
+    # (4.3s → 14.5s at 8 cpus).
+    n_parts = plan_exchange(files, manifest_path) if with_key_checks and files else 0
     budget = None
     if cfg.max_errors_global is not None:
         from fastpasta_ray.stages.validate import ErrorBudget
 
         budget = ErrorBudget.remote(cfg.max_errors_global)
-    if files_todo:
-        out = file_dataset(files_todo).map_batches(
-            ValidateFiles(cfg, reference_profile, checkpoint_dir=out_dir, error_budget=budget),
-            batch_format="pyarrow",
-            batch_size=None,
+    validator = ray.put(
+        ValidateFiles(cfg, reference_profile, checkpoint_dir=out_dir, error_budget=budget)
+    )
+    outs = [
+        validate_task.options(num_returns=1 + n_parts).remote(
+            validator, [files[i] for i in idxs], idxs, n_parts
         )
-        out_t = collect_table(out, S.VIOLATIONS_SCHEMA)
-        violations, stats_by_part, drift_metrics = _split_sentinel(out_t)
-    else:
-        violations, stats_by_part, drift_metrics = (
-            S.VIOLATIONS_SCHEMA.empty_table(),
-            {},
-            {},
-        )
+        for idxs in _pass1_groups(todo, cluster_cpus())
+    ]
+    # num_returns=1 yields a bare ref, else [table, *shards]
+    outs = [o if isinstance(o, list) else [o] for o in outs]
+    out_t = collect_table([o[0] for o in outs], S.VIOLATIONS_SCHEMA)
+    violations, stats_by_part, drift_metrics = _split_sentinel(out_t)
     # stopped_early reflects whether PASS 1 actually stopped validating
     # partitions — captured before key-check counts are added (a clean
     # pass 1 followed by many key-check violations must not claim the run
@@ -149,14 +164,19 @@ def run_check(
     rejected = set(
         violations.filter(pc.equal(violations["code"], S.E_SCHEMA))["part"].to_pylist()
     )
-    key_files = [f for f in files if part_of(f) not in rejected]
-    if with_key_checks and key_files:
+    if with_key_checks and any(part_of(f) not in rejected for f in files):
         from fastpasta_ray.stages.validate import _filter_codes
 
+        # pass 2: the exchange's reduce and recovery over pass 1's shards;
+        # only partitions pass 1 did not reach in this run (committed
+        # earlier, or skipped by the global budget) are read again
+        reached = set(stats_by_part) | rejected
         kv_t = _filter_codes(
             key_checks(
-                key_files, manifest_path,
+                files, manifest_path,
                 batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
+                n_parts=n_parts, seq_shards=[o[1:] for o in outs],
+                in_shards=[i for i, f in enumerate(files) if part_of(f) in reached],
             ),
             cfg.enabled_codes,
         )

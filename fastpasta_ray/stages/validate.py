@@ -4,19 +4,23 @@ The reference spawns one validator thread per link that consumes that
 link's records in order and runs sanity + running checks, sending error
 strings and stat increments to a central collector
 (fastpasta/src/analyze/validators/link_validator.rs:110-161,
-validator_dispatcher.rs:68-163). Ray-Data-native equivalent: each partition
-FILE is one unit of a ``map_batches`` stage over a dataset of file
-descriptors; the callable streams the file's row batches in order, runs
+validator_dispatcher.rs:68-163). Ray equivalent: each partition FILE is
+validated by exactly one raw Ray task (``validate_task``; a task takes a
+group of files), which streams the file's row batches in order, runs
 
   - vectorized stateless row checks (row_checks.py, C-analogs),
   - the running monotonicity check carrying state across batches (R1 analog),
   - mergeable stats accumulation (PartStats: counters, HLL, histograms),
+  - the key-check exchange's map side: the ``(h, loc, n_tok)`` rows of the
+    duplicate / referential checks, hashed once for both the HLL and the
+    exchange (checks/key_checks.py),
 
-and yields violation tables as it goes (streaming, bounded memory). At file
-end it emits ONE sentinel row carrying the serialized PartStats — so a
-single pass over the payload produces both the violations table and the
-stats partials (the reference's stats channel, but data-parallel and
-mergeable instead of a single consumer).
+and yields violation tables as it goes (capped per partition, so bounded
+memory). At file end it emits ONE sentinel row carrying the serialized
+PartStats — so a single read of each partition produces the violations
+table, the stats partials (the reference's stats channel, but
+data-parallel and mergeable instead of a single consumer) and the
+key-check shards.
 
 Violations per partition are capped (``max_errors_per_part``) — the
 documented divergence from the reference's global ``max_tolerate_errors``
@@ -28,12 +32,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 
 from fastpasta_ray import schema as S
+from fastpasta_ray.checks import key_checks as kc
 from fastpasta_ray.checks.row_checks import run_row_checks
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.sketches import PartStats, hash_strings, one_chunk
@@ -142,9 +148,9 @@ class ErrorBudget:
 
 
 class ValidateFiles:
-    """Callable class for ``map_batches`` (actor pool): constant setup
-    (domain sets, config) happens once per actor in ``__init__``; each
-    ``__call__`` validates whole files."""
+    """Pass-1 validator: constant setup (domain sets, config) happens once
+    in ``__init__``; the driver ships one instance to every
+    ``validate_task``, and each task validates whole files."""
 
     def __init__(
         self,
@@ -183,18 +189,43 @@ class ValidateFiles:
             schema=S.VIOLATIONS_SCHEMA,
         )
 
-    def __call__(self, fd: pa.Table) -> Iterator[pa.Table]:
-        for path in fd["path"].to_pylist():
+    def validate_files(self, paths: list[str], part_idxs: list[int], n_parts: int):
+        """One pass-1 task: validate ``paths`` in order and return their
+        violations-plus-sentinel table. With ``n_parts`` > 0 (key checks
+        on) it returns ``1 + n_parts`` values: the table, then one
+        ``(h, loc, n_tok)`` key-check shard per reduce task, built from the
+        batches ``validate_file`` already decoded — so the exchange needs
+        no second read of these files."""
+        tables, tagged = [], []
+        for path, part_idx in zip(paths, part_idxs):
             if self.error_budget is not None and ray.get(
                 self.error_budget.exceeded.remote()
             ):
                 # global budget blown: stop validating further partitions
                 # (in-flight ones elsewhere still finish — divergence window
-                # is one partition per worker, documented in CheckConfig)
-                return
-            yield from self.validate_file(path)
+                # is one partition per worker, documented in CheckConfig);
+                # the exchange reads the skipped ones itself
+                break
+            keys = [] if n_parts else None
+            tables.extend(self.validate_file(path, keys))
+            base = np.int64(part_idx) << kc.ROW_BITS
+            tagged.extend((h, base | row_index, ntok) for h, row_index, ntok in keys or ())
+        out = (
+            pa.concat_tables([t.cast(S.VIOLATIONS_SCHEMA) for t in tables])
+            if tables
+            else S.VIOLATIONS_SCHEMA.empty_table()
+        )
+        if not n_parts:
+            return out
+        shards = kc._shards_of(tagged, n_parts)
+        return (out, shards) if n_parts == 1 else (out, *shards)
 
-    def validate_file(self, path: str) -> Iterator[pa.Table]:
+    def validate_file(self, path: str, keys: list | None = None) -> Iterator[pa.Table]:
+        """Validate one partition file, yielding violation tables and, last,
+        its stats sentinel row. ``keys``, when a list, receives each
+        batch's key-check rows as ``(h, row_index, n_tok)`` arrays: the
+        rows ``key_checks._keyed`` admits, after the source filter, with
+        the doc_id hash the HLL uses."""
         cfg = self.cfg
         stats = PartStats(vocab=cfg.vocab, has_payload=cfg.read_payload)
         # running fatal-segment headers for THIS partition (APE ladder
@@ -212,7 +243,6 @@ class ValidateFiles:
             else None
         )
         emitted = 0
-        part = None
         own_violations: list[pa.Table] = []  # for the in-task commit
         # --- E14: set-once schema check (G7 analog, rdh_stats.rs:41-73) —
         # every partition file must carry the run schema; a deviating file
@@ -249,15 +279,18 @@ class ValidateFiles:
         src_set = (
             S.source_set(cfg.filter_sources) if cfg.filter_sources is not None else None
         )
+        # the partition name comes from the path, never from a batch: a
+        # zero-row file has none, and a "?" fallback would collide commit
+        # records across empty files and rerun them on every resume (ADVICE r1)
+        part = _part_of(path)
         for batch in iter_file_batches(path, columns, cfg.batch_rows):
-            part = batch["part"][0].as_py() if part is None else part
             if src_set is not None:
                 # scope the whole analysis to the filtered sources; the
                 # row_index column (attached pre-filter) keeps naming the
                 # original file positions in any violation
                 batch = batch.filter(S.source_mask(batch["source"], src_set))
-                if batch.num_rows == 0:
-                    continue
+            if batch.num_rows == 0:
+                continue
             # --- stats accumulation (vectorized, one pass) -----------------
             stats.row_count += batch.num_rows
             vals = None
@@ -278,9 +311,13 @@ class ValidateFiles:
             ntok = one_chunk(batch["n_tok"]).to_numpy(zero_copy_only=False)
             stats.n_tok_hist.add(ntok)
             stats.source_hist.add_arrow(one_chunk(batch["source"]))
-            stats.hll.add_hashes(
-                hash_strings(one_chunk(batch["doc_id"]))
-            )
+            doc_id = one_chunk(batch["doc_id"])
+            h = hash_strings(doc_id)
+            stats.hll.add_hashes(h)
+            if keys is not None:
+                keyed = kc._keyed(doc_id).to_numpy(zero_copy_only=False)
+                row_index = one_chunk(batch["row_index"]).to_numpy()
+                keys.append((h[keyed], row_index[keyed], ntok[keyed].astype(np.int64)))
             # --- checks ----------------------------------------------------
             if emitted < cfg.max_errors_per_part:
                 v = run_row_checks(
@@ -341,10 +378,6 @@ class ValidateFiles:
             elif running is not None:
                 # keep running state advancing even when capped
                 running.check_batch(batch)
-        # zero-row file: derive the partition name from the path — a "?"
-        # fallback would collide commit records across empty files and
-        # rerun them on every resume (ADVICE r1)
-        part = part or _part_of(path)
         # --- in-task drift gate vs the broadcast reference profile ---------
         drift_metrics = None
         n_drift = 0
@@ -417,3 +450,11 @@ class ValidateFiles:
             },
             schema=S.VIOLATIONS_SCHEMA,
         )
+
+
+@ray.remote
+def validate_task(validator: ValidateFiles, paths: list[str], part_idxs: list[int],
+                  n_parts: int):
+    """Pass 1 as a raw Ray task (``num_returns=1 + n_parts`` when key
+    checks are on): see ``ValidateFiles.validate_files``."""
+    return validator.validate_files(paths, part_idxs, n_parts)

@@ -132,3 +132,46 @@ def test_early_stop_then_resume_completes(tmp_path):
     assert resumed.report.get("stopped_early") is not True  # key absent or False
     assert resumed.violations.num_rows == 60
     assert resumed.report["total_rows"] == 7200
+
+
+def test_resume_with_key_checks_matches_uninterrupted_run(tmp_path, monkeypatch):
+    """Key checks on: a resumed run's violations and report, all four key
+    codes included, equal an uninterrupted run's. Pass 1 emits the exchange
+    rows of the partitions it validates, so only the committed partitions
+    are read again for the exchange (one ``_map_seq_shard`` launch per
+    group of them), and a fresh run launches none."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fastpasta_ray.checks import key_checks as K
+    from tests.test_one_read import LaunchSpy
+
+    d = str(tmp_path / "fix")
+    out = str(tmp_path / "out")
+    write_fixture(d, SynthSpec(n_rows=300, n_parts=4), defect="bad_dup_doc_id", defect_k=4,
+                  defect_parts=(0, 2))
+    m = os.path.join(d, "_manifest.parquet")
+    t = pq.read_table(m)[1:]  # E71: the first row's doc_id leaves the manifest
+    exp = t["expected_n_tok"].to_numpy(zero_copy_only=False).copy()
+    exp[400] += 1  # E72
+    t = t.set_column(2, "expected_n_tok", pa.array(exp, type=t["expected_n_tok"].type))
+    ghost = pa.Table.from_pydict(  # E701
+        {"doc_id": ["web/0000/99999999"], "source": ["web"], "expected_n_tok": [5]},
+        schema=t.schema,
+    )
+    pq.write_table(pa.concat_tables([t, ghost]), m)
+
+    spy = LaunchSpy(K._map_seq_shard)
+    monkeypatch.setattr(K, "_map_seq_shard", spy)
+    clean = run_check(d, manifest_path=m)
+    r1 = run_check(d, manifest_path=m, out_dir=out)
+    assert spy.paths == []
+    assert {"E80", "E71", "E72", "E701"} <= set(clean.report["violations_by_code"])
+    assert r1.violations.equals(clean.violations) and r1.report == clean.report
+
+    for p in ("part-0001", "part-0002"):
+        os.remove(os.path.join(out, "commits", f"{p}.json"))
+    r2 = run_check(d, manifest_path=m, out_dir=out, resume=True)
+    assert sorted(spy.paths) == ["part-0000.parquet", "part-0003.parquet"]
+    assert r2.violations.equals(clean.violations)
+    assert r2.report == clean.report

@@ -1,0 +1,157 @@
+"""One read per partition: pass 1's tasks emit the key-check exchange's
+sequence-side shards from the batches they already decoded. These tests
+pin that those shards are the rows the standalone map read would tag, that
+partitions pass 1 does not reach are still key-checked, and that the
+``loc`` packing fails loudly instead of merging keys."""
+
+import os
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import pytest
+
+from fastpasta_ray import schema as S
+from fastpasta_ray.checks import key_checks as K
+from fastpasta_ray.pipelines.check import run_check
+from fastpasta_ray.sources.parquet import sequence_files
+from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
+from fastpasta_ray.synth import SynthSpec, write_fixture
+
+KEY_CODES = {"E80", "E71", "E72", "E701"}
+
+
+class LaunchSpy:
+    """Stands in for ``key_checks._map_seq_shard``: records the files each
+    ``.remote`` launch reads, then launches the real task."""
+
+    def __init__(self, fn, paths=None):
+        self.fn, self.paths = fn, [] if paths is None else paths
+
+    def options(self, **kw):
+        return LaunchSpy(self.fn.options(**kw), self.paths)
+
+    def remote(self, paths, *args):
+        self.paths.extend(os.path.basename(p) for p in paths)
+        return self.fn.remote(paths, *args)
+
+
+def _set_doc_ids(path: str, edits: dict) -> None:
+    t = pq.read_table(path)
+    ids = t["doc_id"].to_pylist()
+    for row, value in edits.items():
+        ids[row] = value
+    i = t.schema.get_field_index("doc_id")
+    pq.write_table(t.set_column(i, "doc_id", pa.array(ids, type=pa.string())), path)
+
+
+def _sorted_rows(h, loc, ntok):
+    order = np.lexsort((h, loc))
+    return h[order], loc[order], ntok[order]
+
+
+@pytest.mark.parametrize("filter_sources", [None, ("web", "code")])
+def test_pass1_shards_equal_the_tagged_map_read(tmp_path, filter_sources):
+    """For each partition, the rows of every shard pass 1 emits equal the
+    rows ``_iter_tagged_seq`` tags for it (after sorting): same hash, same
+    ``loc``, same n_tok, NULL and empty doc_ids left out, the source filter
+    applied, and a zero-row file contributing nothing. Each shard holds
+    exactly its ``h % n_parts`` rows."""
+    d = str(tmp_path / "fix")
+    write_fixture(d, SynthSpec(n_rows=300, n_parts=2), defect="bad_dup_doc_id", defect_k=4)
+    files = sequence_files(d)
+    _set_doc_ids(files[1], {3: None, 5: "", 9: None, 200: ""})
+    empty = os.path.join(d, "part-0002.parquet")
+    pq.write_table(S.SEQUENCES_SCHEMA.empty_table(), empty)
+    files = sequence_files(d)
+    cfg = CheckConfig(batch_rows=64, filter_sources=filter_sources)
+    for part_idx, path in enumerate(files):
+        want = list(K._iter_tagged_seq(path, part_idx, cfg.batch_rows, filter_sources))
+        want = _sorted_rows(*(np.concatenate([w[i] for w in want] or [np.empty(0)])
+                              for i in range(3)))
+        for n_parts in (1, 3):
+            out = ValidateFiles(cfg).validate_files([path], [part_idx], n_parts)
+            shards = out[1:]
+            assert len(shards) == n_parts
+            for p, s in enumerate(shards):
+                h = s["h"].to_numpy()
+                assert (h % np.uint64(n_parts) == p).all()
+            got = pa.concat_tables(shards)
+            got = _sorted_rows(*(got[c].to_numpy() for c in ("h", "loc", "n_tok")))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            assert (len(got[0]) == 0) == (path == empty)
+    # the edited partition really dropped its NULL and empty doc_ids
+    t = ValidateFiles(cfg).validate_files([files[1]], [1], 1)[1]
+    rows = t["loc"].to_numpy() & ((1 << K.ROW_BITS) - 1)
+    assert not {3, 5, 9, 200} & set(rows.tolist())
+    # and the zero-row partition goes through a whole run
+    res = run_check(d, cfg, manifest_path=os.path.join(d, "_manifest.parquet"))
+    assert res.stats_by_part["part-0002"].row_count == 0
+
+
+def test_loc_packing_limits_fail_loudly(tmp_path, monkeypatch):
+    """A partition with 2^ROW_BITS rows or more, or a part index of
+    2^(63 - ROW_BITS) or more, would merge the keys of different rows:
+    run_check refuses before pass 1 starts."""
+    d = str(tmp_path / "fix")
+    write_fixture(d, SynthSpec(n_rows=10, n_parts=3))
+    m = os.path.join(d, "_manifest.parquet")
+    monkeypatch.setattr(K, "ROW_BITS", np.int64(3))  # 10 rows >= 2^3
+    with pytest.raises(ValueError, match="10 rows"):
+        run_check(d, manifest_path=m)
+    # the limits belong to the exchange: without key checks the run goes on
+    assert run_check(d, with_key_checks=False).report["total_rows"] == 30
+    monkeypatch.setattr(K, "ROW_BITS", np.int64(62))  # 3 parts > 2^1
+    with pytest.raises(ValueError, match="3 partitions"):
+        run_check(d, manifest_path=m)
+    monkeypatch.setattr(K, "ROW_BITS", np.int64(4))  # 10 rows, 3 parts: fit
+    assert K.plan_exchange(sequence_files(d), m) >= 1
+
+
+def _budget_fixture(tmp_path):
+    """12 partitions with 5 pass-1 violations each (E70), and key defects
+    in the last partitions: a doc_id of part-0000 copied into part-0011
+    (E80), and the manifest rows of part-0010 dropped (E71)."""
+    d = str(tmp_path / "budget")
+    write_fixture(d, SynthSpec(n_rows=300, n_parts=12, mean_n_tok=16), defect="bad_vocab",
+                  defect_k=5, defect_parts=tuple(range(12)))
+    files = sequence_files(d)
+    first = pq.read_table(files[0], columns=["doc_id"])["doc_id"][0].as_py()
+    _set_doc_ids(files[11], {7: first})
+    m = os.path.join(d, "_manifest.parquet")
+    t = pq.read_table(m)
+    lost = set(pq.read_table(files[10], columns=["doc_id"])["doc_id"].to_pylist())
+    pq.write_table(t.filter(pc.invert(pc.is_in(t["doc_id"], pa.array(sorted(lost))))), m)
+    return d, m
+
+
+def _key_rows(v):
+    return sorted(r for r in zip(v["part"].to_pylist(), v["row_index"].to_pylist(),
+                                 v["code"].to_pylist(), v["message"].to_pylist())
+                  if r[2] in KEY_CODES)
+
+
+def test_budget_skipped_partitions_are_still_key_checked(tmp_path, monkeypatch):
+    """With a global budget small enough that pass 1 skips partitions, the
+    key-check rows equal those of a run without a budget: the skipped
+    partitions (and only they) get a ``_map_seq_shard`` read. stopped_early
+    still says pass 1 stopped, and global_error_count still counts every
+    violation the run reports, key checks included."""
+    d, m = _budget_fixture(tmp_path)
+    spy = LaunchSpy(K._map_seq_shard)
+    monkeypatch.setattr(K, "_map_seq_shard", spy)
+    full = run_check(d, manifest_path=m)
+    assert spy.paths == []
+    codes = {r[2] for r in _key_rows(full.violations)}
+    assert {"E80", "E71"} <= codes
+    res = run_check(d, CheckConfig(max_errors_global=10), manifest_path=m)
+    assert res.report["stopped_early"] is True
+    assert res.report["global_error_count"] == res.violations.num_rows
+    skipped = {os.path.basename(f) for f in sequence_files(d)} - {
+        f"{p}.parquet" for p in res.stats_by_part
+    }
+    assert skipped, "the budget should have skipped partitions"
+    assert sorted(spy.paths) == sorted(skipped)
+    assert _key_rows(res.violations) == _key_rows(full.violations)

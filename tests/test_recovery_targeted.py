@@ -151,14 +151,68 @@ def _layout_codes(d, m, monkeypatch):
     return {r[2] for r in got[1]}
 
 
+def _run_check_layouts(d, m, monkeypatch):
+    """run_check at 1, 3 and 8 reduce tasks, each with one pass-1 task, two
+    and one per file: the violations and reports are identical, the key
+    rows equal the per-key reference, and no run starts a Ray Data
+    execution or a second read (``_map_seq_shard``) of any partition.
+    Returns the codes seen."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from fastpasta_ray.pipelines import check
+    from fastpasta_ray.sources.parquet import sequence_files
+    from tests.test_one_read import LaunchSpy
+
+    files = sequence_files(d)
+    executions, real_execute = [0], StreamingExecutor.execute
+
+    def counting_execute(self, *a, **kw):
+        executions[0] += 1
+        return real_execute(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting_execute)
+    reads = LaunchSpy(K._map_seq_shard)
+    monkeypatch.setattr(K, "_map_seq_shard", reads)
+    got = {}
+    for n in (1, 3, 8):
+        monkeypatch.setattr(K, "_reduce_task_count", lambda cpus, est, n=n: n)
+        for groups in (1, 2, len(files)):
+            monkeypatch.setattr(check, "_pass1_groups", lambda todo, cpus, g=groups: [
+                todo[len(todo) * j // g : len(todo) * (j + 1) // g] for j in range(g)
+            ])
+            res = check.run_check(d, manifest_path=m)
+            got[n, groups] = (res.violations, res.report)
+    v0, r0 = got[1, 1]
+    for (n, _), (v, r) in got.items():
+        # the pass-1 grouping never changes a byte; the reduce task count
+        # may reorder rows the position sort leaves tied (the E701 rows all
+        # sit at __manifest__:-1)
+        assert v.equals(got[n, 1][0]) and r == r0
+        assert _rows(v) == _rows(v0)
+    key = {r[:3] for r in _rows(v0) if r[2] in {"E80", "E71", "E72", "E701"}}
+    assert key == _naive_violations(files, m)
+    assert executions[0] == 0 and reads.paths == []
+    return {r[2] for r in key}
+
+
 def test_violations_independent_of_partition_count(fixture_many_rg, tmp_path, monkeypatch):
     """Manifest defects (E72, E701), and a 3-row manifest whose
-    manifest-less partitions still give E71 orphans."""
+    manifest-less partitions still give E71 orphans; through run_check also
+    duplicates (E80) over five partitions."""
     tiny_manifest = _cut_manifest_fixture(tmp_path, "tiny_manifest", slice(0, 3))
     codes = set()
     for d, m in (fixture_many_rg, tiny_manifest):
         codes |= _layout_codes(d, m, monkeypatch)
     assert codes == {"E71", "E72", "E701"}
+    d = str(tmp_path / "five")
+    write_fixture(d, SynthSpec(n_rows=200, n_parts=5), defect="bad_dup_doc_id", defect_k=3,
+                  defect_parts=(1, 4))
+    m = os.path.join(d, "_manifest.parquet")
+    pq.write_table(pq.read_table(m)[1:], m)
+    run_codes = set()
+    for d, m in (fixture_many_rg, tiny_manifest, (d, m)):
+        run_codes |= _run_check_layouts(d, m, monkeypatch)
+    assert run_codes == {"E80", "E71", "E72", "E701"}
 
 
 def test_null_and_empty_manifest_doc_ids_are_exempt(tmp_path):
