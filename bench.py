@@ -319,12 +319,12 @@ def run_bench(sf_dir: str, num_cpus: int, *, queries: bool = True) -> dict:
 
         # ---- multi-node code path on one node (VERDICT r3 #9): the 100-TB
         # path carries perf telemetry, not just a correctness pin -----------
-        # distributed dedup branch (groupby shuffle + bucketed verify instead
-        # of the small-input driver path)
-        import fastpasta_ray.functions.dedup as _dedup
+        # the exchange at 8 reduce tasks (the cluster-scale shape) instead
+        # of the one task the sizing rule picks for bench-size inputs
+        import fastpasta_ray.exchange as _exchange
 
-        _old_small = _dedup.GROUPED_SMALL_ROWS
-        _dedup.GROUPED_SMALL_ROWS = 0
+        _old_count = _exchange._reduce_task_count
+        _exchange._reduce_task_count = lambda cpus, rows: 8
         try:
             best = float("inf")
             for _ in range(2):
@@ -340,7 +340,7 @@ def run_bench(sf_dir: str, num_cpus: int, *, queries: bool = True) -> dict:
                 best = min(best, time.perf_counter() - t0)
             timings["minhash_pairs_distributed"] = round(best, 3)
         finally:
-            _dedup.GROUPED_SMALL_ROWS = _old_small
+            _exchange._reduce_task_count = _old_count
 
     return {
         "metric": "check_all wall seconds, best of reps (full constraint + drift pass)",

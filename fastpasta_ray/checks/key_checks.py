@@ -13,12 +13,13 @@ Scale design (10^12 keys):
    Manifest rows carry their own file position the same way
    (``MANIFEST_BASE + row_index`` — still one int64), so recovery can
    re-read EXACTLY the manifest rows a candidate names.
-2. **One hash-partitioned exchange over raw Ray tasks.** Each map task
-   returns one shard per reduce task (``h % n_parts``,
-   ``num_returns=n_parts``); reduce task ``p`` concatenates its shards and
-   runs one vectorized run-length scan (pure numpy over the hash-sorted
-   rows — not per-key groups, which die of per-group overhead at 10^12
-   keys). The scan segments by exact ``h``, so any co-located set of
+2. **One hash-partitioned exchange over raw Ray tasks** — the layout of
+   ``fastpasta_ray.exchange``, whose ``shard`` and ``_reduce_task_count``
+   it uses. Each map task returns one shard per reduce task
+   (``h % n_parts``, ``num_returns=n_parts``); reduce task ``p``
+   concatenates its shards and runs one vectorized run-length scan (pure
+   numpy over the hash-sorted rows — not per-key groups, which die of
+   per-group overhead at 10^12 keys). The scan segments by exact ``h``, so any co-located set of
    hashes is a valid work unit and ``n_parts`` is sized to the work, not
    to a bucket count. A reducer fetches only its own shard from each map
    output, so on a cluster each byte crosses the wire once. Hash
@@ -61,6 +62,7 @@ import pyarrow.parquet as pq
 import ray
 
 from fastpasta_ray import schema as S
+from fastpasta_ray.exchange import _reduce_task_count, shard
 from fastpasta_ray.sketches import hash_strings, one_chunk
 from fastpasta_ray.sources.parquet import cluster_cpus, part_of
 
@@ -291,30 +293,16 @@ def _iter_tagged_seq(path: str, part_idx: int, batch_rows, filter_sources=None):
             yield hash_strings(rb.column(0)), base | idx, ntok
 
 
-def _shards(h: np.ndarray, loc: np.ndarray, ntok: np.ndarray, n_parts: int):
-    """One (h, loc, n_tok) table per reduce task, by ``h % n_parts``; a bare
-    table when ``n_parts == 1`` (``num_returns=1`` wants one value). Shards
-    are built from numpy views of the partition-sorted arrays, so each one
-    serializes only its own rows (a sliced Arrow table would ship the whole
-    parent buffer)."""
-    if n_parts == 1:
-        return pa.table({"h": h, "loc": loc, "n_tok": ntok})
-    p = h % np.uint64(n_parts)
-    order = np.argsort(p, kind="stable")
-    h, loc, ntok = h[order], loc[order], ntok[order]
-    bounds = np.searchsorted(p[order], np.arange(n_parts + 1, dtype=np.uint64))
-    return tuple(
-        pa.table({"h": h[a:b], "loc": loc[a:b], "n_tok": ntok[a:b]})
-        for a, b in zip(bounds[:-1], bounds[1:])
-    )
-
-
 def _shards_of(tagged, n_parts: int):
-    """``_shards`` over the concatenation of ``(h, loc, n_tok)`` batches."""
+    """``exchange.shard`` of the concatenated ``(h, loc, n_tok)`` batches."""
     hs, locs, ntoks = [np.empty(0, np.uint64)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for h, loc, ntok in tagged:
         hs.append(h); locs.append(loc); ntoks.append(ntok)
-    return _shards(np.concatenate(hs), np.concatenate(locs), np.concatenate(ntoks), n_parts)
+    h = np.concatenate(hs)
+    return shard(
+        pa.table({"h": h, "loc": np.concatenate(locs), "n_tok": np.concatenate(ntoks)}),
+        h, n_parts,
+    )
 
 
 @ray.remote
@@ -377,11 +365,14 @@ def _map_manifest_shard(
     keep = pc.fill_null(keep, False)
     t = t.filter(keep)
     row_index = row_index[keep.to_numpy(zero_copy_only=False).astype(bool)]
-    return _shards(
-        hash_strings(one_chunk(t["doc_id"])),
-        MANIFEST_BASE + row_index,
-        t["expected_n_tok"].to_numpy(zero_copy_only=False).astype(np.int64),
-        n_parts,
+    h = hash_strings(one_chunk(t["doc_id"]))
+    return shard(
+        pa.table({
+            "h": h,
+            "loc": MANIFEST_BASE + row_index,
+            "n_tok": t["expected_n_tok"].to_numpy(zero_copy_only=False).astype(np.int64),
+        }),
+        h, n_parts,
     )
 
 
@@ -394,24 +385,6 @@ def _reduce_bucket(with_manifest: bool, *shards: pa.Table) -> pa.Table:
 # fpbench/tracing.py wraps this name on every benchmark run and may not
 # change with the engine; the exchange itself only launches _reduce_bucket
 _reduce_buckets_packed = _reduce_bucket
-
-
-def _reduce_task_count(cpus: int, est_exchange: int) -> int:
-    """Reduce task count (= shards per map task) — two regimes, sized by
-    the exchanged-row estimate.
-
-    At bench scale the reduce compute is trivial and task launches +
-    map-output deserialization dominate, so fewer tasks = less fixed cost
-    (measured: reduce wave 0.5 s → ~0.15 s going 32 → 8 tasks at 32
-    cpus). But the candidate scan costs ~0.6 µs/row, so at bigger inputs a
-    low task count SERIALIZES the reduce on a small machine — measured at
-    num_cpus=4 on the 4× bench fixture: a fixed ``cpus // 4`` granted ONE
-    task running ~5.6 s of candidate scanning while 3 cores idled, the
-    main 1→4 scaling drag (BASELINE.md round 4: fixing this moved the N→4N
-    ladder from 0.73 to 0.886). Grant one task per ~750k exchanged rows,
-    capped by cores, floored at ``cpus // 4`` so the fixed-cost regime
-    keeps its optimum."""
-    return max(1, cpus // 4, min(cpus, est_exchange // 750_000))
 
 
 def _cap_candidates(cands: pa.Table, cap: int) -> pa.Table:

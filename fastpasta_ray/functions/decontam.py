@@ -16,6 +16,10 @@ the manifest/IHW-mask broadcast-lookup pattern (SURVEY §2.5 A4) rather
 than fastPASTA's per-link dispatch; there is no reference analog —
 fastPASTA has no cross-corpus membership operator.
 
+When the benchmark side is itself corpus-sized,
+``contamination_check_distributed`` co-partitions both sides' n-gram rows
+with one two-sided ``hash_exchange`` instead of broadcasting.
+
 N-grams are word n-grams over a single-space split, hashed per doc with
 SET semantics (``word_ngram_hashes_flat``) — identical to the exact
 Jaccard verify's ground truth, so a DuckDB oracle can recompute the same
@@ -28,9 +32,11 @@ import logging
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 
+from fastpasta_ray.exchange import hash_exchange
 from fastpasta_ray.functions.dedup import word_ngram_hashes_flat
 
 logger = logging.getLogger(__name__)
@@ -170,117 +176,67 @@ def contamination_check_distributed(
     text_col: str = "text",
     ngram_n: int = 3,
     min_overlap: int = 1,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """The shuffle path of ``contamination_check`` for when the benchmark
     side is itself corpus-sized (beyond MAX_BENCH_NGRAMS, where the
     broadcast would not fit): a hash-partitioned n-gram semi-join.
 
-    Both sides stream once, emitting slim (bucket, ngram_hash, doc_id)
-    rows — hash 8 B + id 8 B per DISTINCT (doc, n-gram); text never
-    shuffles. One groupby(bucket) counts, per corpus doc, its n-grams
-    that also occur anywhere in the benchmark side (sorted-merge
-    membership, no Python loops), and a final per-doc sum folds the
-    per-bucket partial counts. Results are identical to the broadcast
-    path (equivalence-tested); cost is one all-to-all of the slim rows
-    instead of a driver-held set — the standard broadcast-vs-shuffle
-    trade at 10^12 scale."""
+    Both sides stream once, emitting slim n-gram rows — corpus (sh, doc),
+    benchmark (sh): hash 8 B + id 8 B per DISTINCT (doc, n-gram); text
+    never shuffles. A two-sided ``hash_exchange`` on the n-gram hash
+    co-partitions them, and reduce task ``p`` counts, per corpus doc, its
+    n-grams that also occur in the benchmark's shard ``p`` (sorted-merge
+    membership, no Python loops). A second exchange on the doc id folds
+    the per-task partial counts and applies the threshold. Results are
+    identical to the broadcast path (equivalence-tested); cost is one
+    all-to-all of the slim rows instead of a driver-held set — the
+    standard broadcast-vs-shuffle trade at 10^12 scale."""
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be >= 1 (got {min_overlap})")
+    from fastpasta_ray.functions.dedup import _require_int_ids
 
-    def emit(side_is_bench: bool):
-        # explicit is_bench flag instead of a doc=-1 sentinel: a corpus
-        # doc_id of -1 must not silently become benchmark rows, and a
-        # non-integer id column should fail with a clean message up front
-        # rather than deep inside a Ray task (ADVICE r3)
-        def f(batch: pa.Table) -> pa.Table:
-            flat, off = word_ngram_hashes_flat(batch[text_col], ngram_n)
-            counts = np.diff(off)
-            if side_is_bench:
-                ids = np.zeros(len(flat), dtype=np.int64)
-            else:
-                from fastpasta_ray.functions.dedup import _require_int_ids
+    def corpus_rows(batch: pa.Table) -> pa.Table:
+        # a non-integer id column fails here with a clean message rather
+        # than deep inside a Ray task (ADVICE r3)
+        _require_int_ids(batch[id_col], id_col, "contamination_check_distributed")
+        flat, off = word_ngram_hashes_flat(batch[text_col], ngram_n)
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table(
+            {"sh": pa.array(flat, type=pa.uint64()), id_col: pa.array(np.repeat(ids, np.diff(off)))}
+        )
 
-                _require_int_ids(
-                    batch[id_col], id_col, "contamination_check_distributed"
-                )
-                raw = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-                ids = np.repeat(raw, counts)
-            return pa.table(
-                {
-                    "bucket": pa.array(
-                        (flat % np.uint64(num_buckets)).astype(np.int64)
-                    ),
-                    "sh": pa.array(flat, type=pa.uint64()),
-                    "doc": pa.array(ids),
-                    "is_bench": pa.array(
-                        np.full(len(flat), side_is_bench, dtype=bool)
-                    ),
-                }
-            )
+    def bench_rows(batch: pa.Table) -> pa.Table:
+        flat, _ = word_ngram_hashes_flat(batch[text_col], ngram_n)
+        return pa.table({"sh": pa.array(flat, type=pa.uint64())})
 
-        return f
-
-    def bucket_overlap(g: pa.Table) -> pa.Table:
-        sh = g["sh"].to_numpy(zero_copy_only=False)
-        doc = g["doc"].to_numpy(zero_copy_only=False)
-        is_bench = g["is_bench"].to_numpy(zero_copy_only=False)
-        bench_sh = np.unique(sh[is_bench])
-        corpus = ~is_bench
-        csh, cdoc = sh[corpus], doc[corpus]
-        if not len(csh) or not len(bench_sh):
-            return pa.table(
-                {
-                    id_col: pa.array([], type=pa.int64()),
-                    "n_overlap": pa.array([], type=pa.int64()),
-                }
-            )
-        pos = np.clip(np.searchsorted(bench_sh, csh), 0, len(bench_sh) - 1)
-        hit = bench_sh[pos] == csh
-        if not hit.any():
-            return pa.table(
-                {
-                    id_col: pa.array([], type=pa.int64()),
-                    "n_overlap": pa.array([], type=pa.int64()),
-                }
-            )
-        hd = cdoc[hit]
-        udocs, ucounts = np.unique(hd, return_counts=True)
+    def overlap(corpus: pa.Table, bench_t: pa.Table) -> pa.Table:
+        hit = np.isin(
+            corpus["sh"].to_numpy(zero_copy_only=False),
+            bench_t["sh"].to_numpy(zero_copy_only=False),
+        )
+        udocs, ucounts = np.unique(
+            corpus[id_col].to_numpy(zero_copy_only=False)[hit], return_counts=True
+        )
         return pa.table(
             {
                 id_col: pa.array(udocs, type=pa.int64()),
-                "n_overlap": pa.array(ucounts.astype(np.int64)),
+                "n_overlap": pa.array(ucounts, type=pa.int64()),
             }
         )
 
-    rows = docs.map_batches(emit(False), batch_format="pyarrow").union(
-        bench.map_batches(emit(True), batch_format="pyarrow")
-    ).materialize()  # shield the two-side scan from groupby sampling
-    # coalesce capped at the bucket cardinality: the sort-based groupby
-    # makes one partition per input block, and surplus partitions come back
-    # as schema-less empty blocks (the RefBundle schema-flip warning —
-    # VERDICT r4 #5; one shared policy site, coalesce_blocks)
-    from fastpasta_ray.sources.parquet import coalesce_blocks
+    def fold(partial: pa.Table) -> pa.Table:
+        g = partial.group_by(id_col).aggregate([("n_overlap", "sum")])
+        t = pa.table({id_col: g[id_col], "n_overlap": g["n_overlap_sum"]})
+        return t.filter(pc.greater_equal(t["n_overlap"], min_overlap))
 
-    per_bucket = (
-        rows.repartition(coalesce_blocks(rows.count(), num_buckets))
-        .groupby("bucket")
-        .map_groups(bucket_overlap, batch_format="pyarrow")
+    partial = hash_exchange(
+        (
+            docs.map_batches(corpus_rows, batch_format="pyarrow"),
+            bench.map_batches(bench_rows, batch_format="pyarrow"),
+        ),
+        "sh",
+        overlap,
     )
-
-    # per-doc partial counts are one row per (doc, bucket-with-hits); the
-    # final fold is Ray's built-in sum aggregate (vectorized C path — NOT
-    # map_groups, which would cost one Python call per distinct doc) plus
-    # a streaming threshold filter
-    folded = per_bucket.groupby(id_col).sum("n_overlap")
-
-    def threshold(batch: pa.Table) -> pa.Table:
-        t = batch.rename_columns([id_col, "n_overlap"])
-        t = t.set_column(
-            t.column_names.index("n_overlap"),
-            "n_overlap",
-            pa.compute.cast(t["n_overlap"], pa.int64()),
-        )
-        return t.filter(pa.compute.greater_equal(t["n_overlap"], min_overlap))
-
-    return folded.map_batches(threshold, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(
+        hash_exchange(ray.data.from_arrow_refs(partial), id_col, fold)
+    )

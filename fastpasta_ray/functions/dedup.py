@@ -2,20 +2,20 @@
 
 Scale design (the part that matters at 10^12 docs):
 - exact: fingerprint (64-bit content hash) per doc in map_batches, then ONE
-  hash-bucketed groupby over the fingerprint — only (id, fingerprint) pairs
+  ``hash_exchange`` on the fingerprint — only (id, fingerprint) pairs
   move through the shuffle, never the text.
 - MinHash+LSH: per-doc signatures computed vectorized in map_batches,
   banded into (id, band_hash) keys (16 B/row × bands — signatures never
-  shuffle), groupby over coarse band buckets → candidate pairs (capped,
+  shuffle), one exchange on the band hash → candidate pairs (capped,
   drops LOGGED), then ``exact_jaccard_verify``: a distributed exact
-  word-n-gram Jaccard check in one further bucketed exchange. The capped
+  word-n-gram Jaccard check in one further exchange. The capped
   candidate list (16 B/pair) is the ONLY driver-side object — broadcast
   once so the verify pass computes ngram sets solely for candidate docs;
   sets and signatures never materialize on the driver.
 - SimHash: 64-bit signature (fully vectorized); candidate generation is
   GUARANTEED for Hamming ≤ 7 by 9-block/choose-2 combo keys (pigeonhole);
-  popcount-LUT Hamming verify within buckets, then the same exact-Jaccard
-  verify.
+  popcount-LUT Hamming verify within each combo key, then the same
+  exact-Jaccard verify.
 
 All return plain datasets so callers can write/inspect; nothing
 materializes the corpus on the driver.
@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from fastpasta_ray.exchange import hash_exchange
 from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64, utf8_parts
 
 logger = logging.getLogger(__name__)
@@ -77,21 +78,14 @@ def with_hashed_ids(
 
 def exact_dup_groups(
     ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: str = "text",
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Groups of exact-duplicate documents: (fingerprint, n, keep_id, dup_ids).
 
-    One shuffle over (id, fingerprint) only."""
+    One hash exchange over (id, fingerprint) only."""
 
     def fp(batch: pa.Table) -> pa.Table:
         h = hash_strings(batch[text_col])
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "fingerprint": pa.array(h.astype(np.uint64)),
-                "bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-            }
-        )
+        return pa.table({id_col: batch[id_col], "fingerprint": pa.array(h.astype(np.uint64))})
 
     def dups(g: pa.Table) -> pa.Table:
         # lexsort + run-length per fingerprint (same kernel family as
@@ -112,25 +106,19 @@ def exact_dup_groups(
             }
         )
 
-    return (
-        ds.map_batches(fp, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(dups, batch_format="pyarrow")
-    )
+    fps = ds.map_batches(fp, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(hash_exchange(fps, "fingerprint", dups))
 
 
 def drop_exact_dups(
     ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: str = "text",
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Keep the first (min id) doc per fingerprint — hash-partition +
     per-group first, the canonical exact-dedup plan."""
 
     def fp(batch: pa.Table) -> pa.Table:
         h = hash_strings(batch[text_col])
-        return batch.append_column("fingerprint", pa.array(h.astype(np.uint64))).append_column(
-            "bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-        )
+        return batch.append_column("fingerprint", pa.array(h.astype(np.uint64)))
 
     def first(g: pa.Table) -> pa.Table:
         # min-id row per fingerprint via one lexsort (no pandas, VERDICT r2
@@ -143,11 +131,10 @@ def drop_exact_dups(
         starts = np.flatnonzero(np.r_[True, fps[1:] != fps[:-1]]) if len(fps) else np.zeros(0, np.int64)
         keep_idx = order[starts]
         keep_idx = keep_idx[np.argsort(ids[keep_idx], kind="stable")]
-        return g.take(pa.array(keep_idx)).drop_columns(["bucket", "fingerprint"])
+        return g.take(pa.array(keep_idx, type=pa.int64())).drop_columns(["fingerprint"])
 
-    return ds.map_batches(fp, batch_format="pyarrow").groupby("bucket").map_groups(
-        first, batch_format="pyarrow"
-    )
+    fps = ds.map_batches(fp, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(hash_exchange(fps, "fingerprint", first))
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +242,6 @@ def word_ngram_hashes_flat(arr, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
     return hu, offsets
 
 
-_VERIFY_SCHEMA = pa.schema(
-    [
-        ("key", pa.int64()),
-        ("kind", pa.int8()),
-        ("doc_a", pa.int64()),
-        ("doc_b", pa.int64()),
-        ("sh", pa.large_list(pa.uint64())),
-    ]
-)
-
-
 # moved to sketches.one_chunk; alias kept for in-module callers
 _one_chunk = one_chunk
 
@@ -277,11 +253,6 @@ def _list_parts(col) -> tuple[np.ndarray, np.ndarray]:
     off = a.offsets.to_numpy(zero_copy_only=False)
     off = off - off[0]  # slice offset: flatten() already dropped the lead
     return flat, off
-
-
-# small-path threshold for _grouped; module-level so tests can force the
-# distributed groupby branch on tiny fixtures (set to 0)
-GROUPED_SMALL_ROWS = 500_000
 
 
 def _pair_intersection_counts(
@@ -341,79 +312,6 @@ def _segment_pair_indices(ks: np.ndarray, cap: int):
     return a_idx, b_idx, sizes[sizes > cap].astype(np.int64)
 
 
-def _grouped(
-    ds,
-    key: str,
-    fn,
-    *,
-    n_rows: int | None = None,
-    small_rows: int | None = None,
-    as_table: bool = False,
-    key_card: int | None = None,
-):
-    """``groupby(key).map_groups(fn)`` — or, below ``small_rows`` input
-    rows, ``fn`` applied to the whole (slim) table ON THE DRIVER.
-
-    Every group fn in this module segments by its exact fine-grained key
-    internally (``bucket_pairs`` by band_hash, the SimHash verify by qkey,
-    the Jaccard verify by per-doc searchsorted), so the coarse groupby
-    exists only to bound per-task memory. For small inputs the sort-based
-    shuffle (sample + partition + reduce tasks, ~0.5-1 s fixed cost per
-    groupby on this box) is pure overhead — and even the r3 small path
-    (repartition(1) + one map task) paid a whole streaming-executor
-    launch. The blocks are already in plasma (callers materialize first),
-    so the driver concatenates them zero-copy and runs the same fn once
-    (VERDICT r3 item 2: one fewer dataset execution per _grouped call).
-    Auto-selected like the packed/slim exchange modes in
-    ``checks.key_checks`` — the distributed path is unchanged at scale.
-
-    Callers materialize ``ds`` first in BOTH paths: the groupby samples
-    its input (a lazy upstream would run the expensive signature stage
-    twice), and the small path's driver pull would likewise re-execute a
-    lazy chain. A materialized input keeps the expensive stage parallel,
-    makes ``count()`` a free metadata read, and makes ``to_arrow_refs()``
-    a plain ref listing.
-
-    ``n_rows``: pass the row count (or a safe upper bound) if already
-    known; otherwise read from block metadata.
-
-    ``as_table``: return the result as a pa.Table. Consuming even a
-    one-block from_arrow Dataset launches a full streaming executor
-    (~0.5 s measured on this box), so callers that immediately collect the
-    (small) result should take the table."""
-    if small_rows is None:
-        small_rows = GROUPED_SMALL_ROWS
-    n = ds.count() if n_rows is None else n_rows
-    if n <= small_rows:
-        parts = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
-        tbl = (
-            pa.concat_tables(parts, promote_options="default")
-            if parts
-            else ds.schema().base_schema.empty_table()
-        )
-        res = fn(tbl)
-        return res if as_table else ray.data.from_arrow(res)
-    # Coalesce before the sort-based groupby: the sort makes one output
-    # partition per INPUT block, and inputs here often carry many typed
-    # EMPTY blocks (e.g. the jaccard-verify set scan after candidate
-    # pushdown keeps <0.1% of corpus batches). Surplus partitions come
-    # back as schema-LESS empty blocks from Ray's block builder, flipping
-    # the stream's schema mid-plan (VERDICT r4 #5: "RefBundle with a
-    # different schema" in the bench tail).
-    from fastpasta_ray.sources.parquet import coalesce_blocks
-
-    out = ds.repartition(coalesce_blocks(n, key_card)).groupby(key).map_groups(
-        fn, batch_format="pyarrow"
-    )
-    if as_table:
-        parts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-        if parts:
-            return pa.concat_tables(parts)
-        # fn on a typed empty input yields the correctly-typed empty output
-        return fn(ds.schema().base_schema.empty_table())
-    return out
-
-
 def exact_jaccard_verify(
     pairs: "ray.data.Dataset",
     docs: "ray.data.Dataset",
@@ -422,47 +320,45 @@ def exact_jaccard_verify(
     id_col: str = "doc_id",
     text_col: str = "text",
     ngram_n: int = 3,
-    num_buckets: int = 32,
     max_pairs: int = 5_000_000,
     min_copies: int = 1,
     as_table: bool = False,
 ):
     """Distributed exact word-n-gram Jaccard verification of candidate
-    pairs in ONE bucketed exchange. ``min_copies``: drop pairs whose
+    pairs in ONE hash exchange. ``min_copies``: drop pairs whose
     summed ``copies`` column (e.g. number of agreeing LSH bands) is below
     this — the cheap signature-space pre-filter that keeps weak
     candidates out of the exact verify. ``as_table``: return a pa.Table
     instead of a Dataset — the verified pairs are small by construction
-    (bounded by max_pairs), and consuming even a one-block Dataset costs a
-    full streaming-executor launch (~0.5 s measured on this box).
+    (bounded by max_pairs).
 
-    Plan (r3 — replaces the r2 two-exchange design, which spent ~2.5 s of
-    Ray-Data per-execution fixed cost across 5 dataset executions):
+    Plan:
 
     1. The capped candidate list is pulled to the driver (16 B/pair,
        bounded by the upstream LSH bucket caps; truncation above
-       ``max_pairs`` is LOGGED, never silent), globally deduped, and
-       broadcast once via ray.put — the broadcast-small-side pattern.
+       ``max_pairs`` is LOGGED, never silent), globally deduped, and its
+       connected components labelled (``near_dup_clusters``).
     2. One streaming pass over the corpus computes word-n-gram sets ONLY
        for docs referenced by a candidate pair (0.01% candidate rate ⇒
-       99.99% of the tokenize+hash work skipped) and emits each doc's set
-       directly into every bucket holding a pair that references it.
-    3. One ``groupby(bucket)`` brings each pair together with BOTH sets;
-       the group kernel computes |A∩B| / |A∪B| fully vectorized
-       (lexsort duplicate-count over concatenated (pair, value) rows —
-       VERDICT r2 #5, no per-pair loop).
+       99.99% of the tokenize+hash work skipped), each tagged with its
+       component.
+    3. One two-sided ``hash_exchange`` on the component brings each pair
+       together with BOTH sets; the reduce computes |A∩B| / |A∪B| fully
+       vectorized (duplicate-count over concatenated (pair, value) rows —
+       VERDICT r2 #5, no per-pair loop). One component's sets share a
+       reduce task.
 
-    Sets never materialize on the driver; the only driver-side object is
-    the capped pair list itself. ``pairs`` may be a Dataset or a plain
-    pa.Table (callers that already extracted pairs driver-side skip a
-    whole dataset execution)."""
+    Sets never materialize on the driver; the only driver-side objects are
+    the capped pair list and its component labels. ``pairs`` may be a
+    Dataset or a plain pa.Table (callers that already extracted pairs
+    driver-side skip a whole dataset execution)."""
     if isinstance(pairs, pa.Table):
         parts = [pairs] if pairs.num_rows else []
     else:
         pairs = pairs.materialize()
         # pull the materialized blocks by ref (zero-copy plasma reads):
         # iter_batches' streaming iterator costs ~2 s of per-block prefetch
-        # latency over the ~64 tiny groupby output blocks (measured)
+        # latency over dozens of tiny blocks (measured)
         parts = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
     if parts:
         a = np.concatenate(
@@ -518,159 +414,86 @@ def exact_jaccard_verify(
     )
     if len(ab) == 0:
         # zero candidates: skip the corpus scan AND the exchange entirely
-        # (review r3 — a clean corpus previously paid a full text pass +
-        # union + sort-groupby to produce an empty table)
-        empty = pa.Table.from_arrays(
-            [pa.array([], type=f.type) for f in out_schema], schema=out_schema
-        )
+        empty = out_schema.empty_table()
         return empty if as_table else ray.data.from_arrow(empty)
-    # driver-verify gate: the memory the driver must hold is one n-gram SET
-    # per DISTINCT candidate doc (pairs are 16 B each and share docs), so
-    # gate on distinct docs, not pair count (17k post-gate pairs over a few
-    # hundred near-dup docs previously fell through to the distributed
-    # exchange). min() keeps the test hook (GROUPED_SMALL_ROWS = 0 forces
-    # the distributed branch) effective.
-    driver_verify = len(np.unique(ab)) <= min(20_000, GROUPED_SMALL_ROWS)
-    pbucket = (splitmix64(ab[:, 0].astype(np.uint64)) % np.uint64(num_buckets)).astype(
-        np.int64
-    )
-    if driver_verify:
-        # no exchange → bucket routing is irrelevant; collapsing every pair
-        # to bucket 0 makes the doc→bucket dedup emit each doc's set ONCE
-        # instead of once per referencing bucket
-        pbucket = np.zeros(len(ab), dtype=np.int64)
-    # doc → sorted unique list of buckets that need its ngram set
-    doc_ids = np.concatenate([ab[:, 0], ab[:, 1]])
-    doc_bks = np.concatenate([pbucket, pbucket])
-    if len(doc_ids):
-        dorder = np.lexsort((doc_bks, doc_ids))
-        dd, db = doc_ids[dorder], doc_bks[dorder]
-        dfirst = np.r_[True, (dd[1:] != dd[:-1]) | (db[1:] != db[:-1])]
-        dd, db = dd[dfirst], db[dfirst]
-        kfirst = np.r_[True, dd[1:] != dd[:-1]]
-        udocs = dd[kfirst]
-        ustarts = np.flatnonzero(kfirst)
-        uoffs = np.r_[ustarts, len(dd)].astype(np.int64)
-        bks = db
-    else:
-        udocs = np.zeros(0, dtype=np.int64)
-        uoffs = np.zeros(1, dtype=np.int64)
-        bks = np.zeros(0, dtype=np.int64)
-    _need = (udocs, uoffs, bks)
-    _need_bytes = sum(x.nbytes for x in _need)
+    # route by near-dup component: both docs of a pair share one, so every
+    # pair meets both its sets in one reduce task while each doc's set
+    # crosses the exchange ONCE (routing by pair would copy a doc's set
+    # once per pair that references it)
+    comp = near_dup_clusters(pa.table({"doc_a": ab[:, 0], "doc_b": ab[:, 1]}))
+    udocs = comp["doc_id"].to_numpy()
+    ucomp = comp["cluster_id"].to_numpy()
     # small candidate sets ride the task closure (KBs serialized once with
     # the stage); ray.put is reserved for genuinely large broadcasts
-    need_ref = ray.put(_need) if _need_bytes > (1 << 20) else None
+    _need = (udocs, ucomp)
+    need_ref = ray.put(_need) if udocs.nbytes + ucomp.nbytes > (1 << 20) else None
     need_local = None if need_ref is not None else _need
+    set_schema = pa.schema(
+        [("cluster", pa.int64()), (id_col, pa.int64()), ("sh", pa.large_list(pa.uint64()))]
+    )
 
     def set_rows(batch: pa.Table) -> pa.Table:
         _require_int_ids(batch[id_col], id_col, "exact_jaccard_verify")
-        ids_all = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        udocs, uoffs, bks = (
-            need_local if need_local is not None else ray.get(need_ref)
-        )  # closure capture (small) or zero-copy plasma read (large)
-        pos = np.clip(np.searchsorted(udocs, ids_all), 0, max(len(udocs) - 1, 0))
-        keep = udocs[pos] == ids_all if len(udocs) else np.zeros(len(ids_all), bool)
-        empty = pa.Table.from_arrays(
-            [pa.array([], type=f.type) for f in _VERIFY_SCHEMA], schema=_VERIFY_SCHEMA
-        )
+        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        udocs, ucomp = need_local if need_local is not None else ray.get(need_ref)
+        pos = np.clip(np.searchsorted(udocs, ids), 0, len(udocs) - 1)
+        keep = udocs[pos] == ids
         if not keep.any():
-            return empty
-        batch = batch.filter(pa.array(keep))
-        flat, off = word_ngram_hashes_flat(batch[text_col], ngram_n)
-        ids = ids_all[keep]
-        upos = pos[keep]
-        # duplicate each doc's set into every bucket that references it
-        n_bk = uoffs[upos + 1] - uoffs[upos]
-        bk_gather = np.repeat(uoffs[upos], n_bk) + _ranges(n_bk)
-        out_keys = bks[bk_gather]
-        set_lens = (off[1:] - off[:-1]).astype(np.int64)
-        out_lens = np.repeat(set_lens, n_bk)
-        row_of = np.repeat(np.arange(len(ids), dtype=np.int64), n_bk)
-        gather = np.repeat(off[:-1][row_of], out_lens) + _ranges(out_lens)
-        out_off = np.zeros(len(row_of) + 1, dtype=np.int64)
-        np.cumsum(out_lens, out=out_off[1:])
-        sh = pa.LargeListArray.from_arrays(
-            out_off, pa.array(flat[gather] if len(gather) else flat[:0], type=pa.uint64())
-        )
+            return set_schema.empty_table()
+        flat, off = word_ngram_hashes_flat(batch.filter(pa.array(keep))[text_col], ngram_n)
         return pa.table(
             {
-                "key": pa.array(out_keys),
-                "kind": pa.array(np.ones(len(row_of), dtype=np.int8)),
-                "doc_a": pa.array(ids[row_of]),
-                "doc_b": pa.array(np.full(len(row_of), -1, dtype=np.int64)),
-                "sh": sh,
+                "cluster": pa.array(ucomp[pos[keep]]),
+                id_col: pa.array(ids[keep]),
+                "sh": pa.LargeListArray.from_arrays(off, pa.array(flat, type=pa.uint64())),
             },
-            schema=_VERIFY_SCHEMA,
+            schema=set_schema,
         )
 
-    # pair rows come straight from the (small) driver-held list
-    empty_sh = pa.LargeListArray.from_arrays(
-        np.zeros(len(ab) + 1, dtype=np.int64), pa.array([], type=pa.uint64())
-    )
     pair_tbl = pa.table(
         {
-            "key": pa.array(pbucket),
-            "kind": pa.array(np.zeros(len(ab), dtype=np.int8)),
+            "cluster": pa.array(ucomp[np.searchsorted(udocs, ab[:, 0])]),
             "doc_a": pa.array(ab[:, 0]),
             "doc_b": pa.array(ab[:, 1]),
-            "sh": empty_sh,
-        },
-        schema=_VERIFY_SCHEMA,
+        }
     )
-    p_ds = ray.data.from_arrow(pair_tbl)
 
-    def verify(g: pa.Table) -> pa.Table:
+    def verify(p: pa.Table, s: pa.Table) -> pa.Table:
         # fully vectorized |A∩B| per pair (VERDICT r2 #5 — no per-pair
         # Python): gather both sides' sets via searchsorted against the
-        # bucket's set owners, concatenate (pair_idx, value) rows of BOTH
-        # sides, lexsort, and count adjacent duplicates per pair — a value
-        # seen twice under one pair index is in both (unique) sets.
-        empty_out = pa.Table.from_arrays(
-            [pa.array([], type=f.type) for f in out_schema], schema=out_schema
-        )
-        p = g.filter(pc.equal(g["kind"], pa.scalar(0, pa.int8())))
-        if not p.num_rows:
-            return empty_out
-        s = g.filter(pc.equal(g["kind"], pa.scalar(1, pa.int8())))
-        set_ids = s["doc_a"].to_numpy(zero_copy_only=False)
+        # task's set owners, concatenate (pair_idx, value) rows of BOTH
+        # sides, and count values seen twice under one pair index (they
+        # are in both unique sets).
+        if not p.num_rows or not s.num_rows:
+            return out_schema.empty_table()
+        set_ids = s[id_col].to_numpy(zero_copy_only=False)
         sflat, soff = _list_parts(s["sh"])
-        # dedup set rows (a doc referenced by several pairs in this bucket
-        # arrives once per (doc,bucket) pair — already unique — but guard)
+        # a doc read twice (duplicate ids in the corpus) keeps one set
         sorder = np.argsort(set_ids, kind="stable")
-        first = np.r_[True, set_ids[sorder][1:] != set_ids[sorder][:-1]] if len(sorder) else np.zeros(0, bool)
+        first = np.r_[True, set_ids[sorder][1:] != set_ids[sorder][:-1]]
         sorder = sorder[first]
         set_ids_s = set_ids[sorder]
         a = p["doc_a"].to_numpy(zero_copy_only=False)
         b = p["doc_b"].to_numpy(zero_copy_only=False)
-        slens = (soff[1:] - soff[:-1])
+        slens = soff[1:] - soff[:-1]
 
         def locate(side):
-            pos = np.clip(np.searchsorted(set_ids_s, side), 0, max(len(set_ids_s) - 1, 0))
-            hit = set_ids_s[pos] == side if len(set_ids_s) else np.zeros(len(side), bool)
+            pos = np.clip(np.searchsorted(set_ids_s, side), 0, len(set_ids_s) - 1)
             idx = sorder[pos]
-            lens = np.where(hit, slens[idx], 0)
-            return hit, idx, lens
+            return idx, np.where(set_ids_s[pos] == side, slens[idx], 0)
 
-        hit_a, idx_a, len_a = locate(a)
-        hit_b, idx_b, len_b = locate(b)
-        keep = hit_a & hit_b & (len_a > 0) & (len_b > 0)
+        idx_a, len_a = locate(a)
+        idx_b, len_b = locate(b)
+        keep = (len_a > 0) & (len_b > 0)
         if not keep.any():
-            return empty_out
+            return out_schema.empty_table()
         a, b = a[keep], b[keep]
         n_pairs = len(a)
         len_a, len_b = len_a[keep], len_b[keep]
-        start_a = soff[:-1][idx_a[keep]]
-        start_b = soff[:-1][idx_b[keep]]
-        ga = np.repeat(start_a, len_a) + _ranges(len_a)
-        gb = np.repeat(start_b, len_b) + _ranges(len_b)
+        ga = np.repeat(soff[:-1][idx_a[keep]], len_a) + _ranges(len_a)
+        gb = np.repeat(soff[:-1][idx_b[keep]], len_b) + _ranges(len_b)
         vals = np.concatenate([sflat[ga], sflat[gb]])
-        pair_of = np.concatenate(
-            [
-                np.repeat(np.arange(n_pairs, dtype=np.int64), len_a),
-                np.repeat(np.arange(n_pairs, dtype=np.int64), len_b),
-            ]
-        )
+        pair_of = np.repeat(np.tile(np.arange(n_pairs, dtype=np.int64), 2), np.r_[len_a, len_b])
         inter = _pair_intersection_counts(pair_of, vals, n_pairs)
         union = len_a + len_b - inter
         # NOT rounded: int/int division is bit-identical to the SQL
@@ -681,40 +504,14 @@ def exact_jaccard_verify(
             j = np.where(union > 0, inter / np.maximum(union, 1), 0.0)
         sel = j >= threshold
         return pa.table(
-            {
-                "doc_a": pa.array(a[sel], type=pa.int64()),
-                "doc_b": pa.array(b[sel], type=pa.int64()),
-                "jaccard": pa.array(j[sel], type=pa.float64()),
-            },
+            {"doc_a": a[sel].astype(np.int64), "doc_b": b[sel].astype(np.int64), "jaccard": j[sel]},
             schema=out_schema,
         )
 
-    # materialized: the groupby's sort samples its input, which would
-    # RE-EXECUTE a lazy read+filter chain (measured 1.5-4.7 s vs 0.1 s on
-    # materialized inputs), and materializing keeps the corpus scan
-    # parallel; after the candidate-id pushdown the set rows are
-    # O(candidate docs) — tiny.
-    sets_ds = docs.map_batches(set_rows, batch_format="pyarrow").materialize()
-    # small candidate-doc sets: verify ON THE DRIVER over the materialized
-    # set blocks (verify keys sets by doc id, not by bucket — identical
-    # result); driver memory = one set per distinct candidate doc (gated
-    # above).
-    if driver_verify:
-        sparts = [t for t in ray.get(sets_ds.to_arrow_refs()) if t.num_rows]
-        res = verify(pa.concat_tables([pair_tbl] + sparts))
-        return res if as_table else ray.data.from_arrow(res)
-    out = _grouped(
-        p_ds.union(sets_ds),
-        "key",
-        verify,
-        n_rows=3 * len(ab),
-        small_rows=min(20_000, GROUPED_SMALL_ROWS),
-        key_card=num_buckets,
-    )
-    if as_table:
-        vparts = [t for t in ray.get(out.to_arrow_refs()) if t.num_rows]
-        return pa.concat_tables(vparts) if vparts else out_schema.empty_table()
-    return out
+    # after the candidate-id pushdown the set rows are O(candidate docs)
+    sets = docs.map_batches(set_rows, batch_format="pyarrow")
+    out = hash_exchange((pair_tbl, sets), "cluster", verify)
+    return pa.concat_tables(ray.get(out)) if as_table else ray.data.from_arrow_refs(out)
 
 
 class MinHasher:
@@ -792,11 +589,11 @@ def minhash_lsh_pairs(
     EXACT word-``ngram_n``-gram Jaccard ≥ threshold (DuckDB-checkable: a
     SQL DISTINCT-shingle self-join computes the identical value).
 
-    Scale plan: the band shuffle carries ONLY (id, band_hash) pairs —
+    Scale plan: the band exchange carries ONLY (id, band_hash) pairs —
     16 B/row × bands — never the signatures. Candidate pairs come out of
-    the band buckets (size-capped, drops LOGGED); verification runs as two
-    further bucketed exchanges (``exact_jaccard_verify``) with no
-    driver-side materialization of candidates or signatures."""
+    the band-hash runs (size-capped, drops LOGGED) to the driver;
+    verification is one further exchange (``exact_jaccard_verify``), and
+    signatures and n-gram sets never materialize on the driver."""
     rows_per_band = num_perm // bands
     hasher = MinHasher(num_perm, shingle_k)
 
@@ -816,20 +613,11 @@ def minhash_lsh_pairs(
                 for j in range(rows_per_band):
                     acc = acc * np.uint64(0x9E3779B97F4A7C15) + seg[:, j]
                 bh[:, b] = splitmix64(acc)
-        flat_bh = bh.reshape(-1)
-        # groupby key is a COARSE bucket, not the raw band hash: map_groups
-        # invokes its fn once per distinct key, so grouping on ~n_docs×bands
-        # distinct hashes costs one Python call per group (~5 s / 150k
-        # groups measured); bucket_pairs segments by exact band_hash inside
         return pa.table(
-            {
-                id_col: pa.array(np.repeat(ids, bands)),
-                "band_hash": pa.array(flat_bh),
-                "bucket": pa.array((flat_bh % np.uint64(64)).astype(np.int64)),
-            }
+            {id_col: pa.array(np.repeat(ids, bands)), "band_hash": pa.array(bh.reshape(-1))}
         )
 
-    def bucket_pairs(g: pa.Table) -> pa.Table:
+    def band_pairs(g: pa.Table) -> pa.Table:
         ids_all = g[id_col].to_numpy(zero_copy_only=False)
         bh = g["band_hash"].to_numpy(zero_copy_only=False)
         # cap degenerate buckets: a bucket of B docs implies B²/2 pairs; on
@@ -879,17 +667,8 @@ def minhash_lsh_pairs(
             }
         )
 
-    # candidates stay a (slim) Dataset: materialize once so the drop audit
-    # and the verify both read it without recomputation. The band keys are
-    # ALSO materialized before the groupby: the sort-based groupby samples
-    # its input, which re-executes a lazy upstream — running the signature
-    # pass (the expensive stage) twice; the materialized band keys are
-    # 24 B/row × bands, tiny
     def audit_and_filter(b: pa.Table) -> pa.Table:
-        # oversized-bucket drops are LOGGED here, worker-side, as the pairs
-        # stream past (one log line per affected batch) — folding the audit
-        # into the single pair consumer saves two whole dataset executions
-        # (a separate .sum() pass plus the materialize it required)
+        # oversized-bucket drops are LOGGED, never silent
         dropped = b.filter(pc.greater(b["dropped"], 0))
         if dropped.num_rows:
             logger.warning(
@@ -899,27 +678,12 @@ def minhash_lsh_pairs(
             )
         return b.filter(pc.equal(b["dropped"], 0)).select(["doc_a", "doc_b", "copies"])
 
-    # band keys are materialized before the groupby (the sort samples its
-    # input and would re-run the signature stage; materializing also keeps
-    # the signature stage parallel — see _grouped); band keys are slim ints.
-    # Below the small-path threshold the pair extraction + audit run ON THE
-    # DRIVER over the materialized key blocks (~30 ms at bench scale) and
-    # the whole pipeline is TWO dataset executions: band keys + the verify's
-    # corpus scan (VERDICT r3 item 2; was 4 in r3).
-    keys_ds = ds.map_batches(band_keys, batch_format="pyarrow", batch_size=2048).materialize()
-    n_keys = keys_ds.count()
-    if n_keys <= GROUPED_SMALL_ROWS:
-        parts = [t for t in ray.get(keys_ds.to_arrow_refs()) if t.num_rows]
-        keys_tbl = (
-            pa.concat_tables(parts)
-            if parts
-            else keys_ds.schema().base_schema.empty_table()
-        )
-        pairs = audit_and_filter(bucket_pairs(keys_tbl))
-    else:
-        pairs = _grouped(keys_ds, "bucket", bucket_pairs, n_rows=n_keys).map_batches(
-            audit_and_filter, batch_format="pyarrow"
-        )
+    # band keys are slim ints (24 B/row × bands); the exchange materializes
+    # them once, so the signature stage runs once and in parallel
+    keys_ds = ds.map_batches(band_keys, batch_format="pyarrow", batch_size=2048)
+    pairs = audit_and_filter(
+        pa.concat_tables(ray.get(hash_exchange(keys_ds, "band_hash", band_pairs)))
+    )
     return exact_jaccard_verify(
         pairs, ds, threshold=threshold, id_col=id_col, text_col=text_col,
         ngram_n=ngram_n, min_copies=min_band_matches, as_table=as_table,
@@ -1013,14 +777,10 @@ def simhash_near_dups(
             for c, (i, j) in enumerate(_SIMHASH_COMBOS)
         ]
         n_c = len(_SIMHASH_COMBOS)
-        qk = np.concatenate(keys)
-        # coarse bucket as groupby key (one map_groups call per bucket, not
-        # per distinct qkey); verify segments by exact qkey inside
         return pa.table(
             {
                 id_col: pa.array(np.tile(ids, n_c)),
-                "qkey": pa.array(qk),
-                "bucket": pa.array((qk % np.uint64(64)).astype(np.int64)),
+                "qkey": pa.array(np.concatenate(keys)),
                 "simhash": pa.array(np.tile(h, n_c)),
             }
         )
@@ -1057,19 +817,16 @@ def simhash_near_dups(
             }
         )
 
-    # materialized: keeps the signature stage parallel (see _grouped) and
-    # shields it from groupby sampling; combo keys are slim ints
-    keys_ds = (
-        ds.map_batches(SimHasher(), batch_format="pyarrow")
-        .map_batches(combo_keys, batch_format="pyarrow")
-        .materialize()
+    keys_ds = ds.map_batches(SimHasher(), batch_format="pyarrow").map_batches(
+        combo_keys, batch_format="pyarrow"
     )
     # raw candidates (a pair may appear once per shared combo key) —
     # callers that feed exact_jaccard_verify skip the aggregate groupby
-    # since the verify exchange dedups pairs anyway. as_table returns the
-    # driver-held table directly (consuming even a one-block Dataset costs
-    # a ~0.5 s executor launch).
-    pairs = _grouped(keys_ds, "bucket", verify, as_table=(not aggregate and as_table))
+    # since the verify exchange dedups pairs anyway
+    out = hash_exchange(keys_ds, "qkey", verify)
+    if as_table and not aggregate:
+        return pa.concat_tables(ray.get(out))
+    pairs = ray.data.from_arrow_refs(out)
     if not aggregate:
         return pairs
     agg = pairs.groupby(["doc_a", "doc_b"]).min("hamming")

@@ -5,15 +5,16 @@ As-of join semantics: for each left row, the single right row with the
 largest right timestamp ≤ the left timestamp, within the same key group —
 the standard event-attribution / market-data join.
 
-Implementation (per SURVEY.md custom-operator guidance): composition of
-map_batches + groupby(bucket), Arrow C-kernel sort + per-key-segment
-numpy searchsorted inside each bucket (the same kernel as the interval
-join below — VERDICT r3 item 5 removed the pd.merge_asof conversion).
-Both sides are bucketed by ``hash(by) % num_buckets`` so all rows of one
-key land in one group. Partitioning assumption documented: correctness
-requires only key-colocation, which hash bucketing provides regardless of
-key skew; bucket count bounds the per-task memory (right side of a bucket
-must fit in a task's heap — choose num_buckets so that holds).
+Implementation (per SURVEY.md custom-operator guidance): one two-sided
+``hash_exchange`` on ``by`` co-partitions the sides, and reduce task
+``p`` joins left shard ``p`` with right shard ``p`` — no union, no
+null-padded columns (the UNION ALL pushdown of PAPERS.md's Teradata
+paper). Inside a task: Arrow C-kernel sort + per-key-segment numpy
+searchsorted (the same kernel as the interval join below — VERDICT r3
+item 5 removed the pd.merge_asof conversion). Correctness requires only
+key co-location, which hash partitioning provides regardless of key
+skew. One reduce task holds about (left + right rows) ÷ ``n_parts``
+rows; a single hot key stays on one task.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from fastpasta_ray.exchange import hash_exchange
+
 
 def asof_join(
     left: "ray.data.Dataset",
@@ -32,65 +35,14 @@ def asof_join(
     on: str,
     by: str,
     right_cols: list[str] | None = None,
-    num_buckets: int = 64,
     direction: str = "backward",
 ) -> "ray.data.Dataset":
     """As-of join of two datasets on time column ``on`` within key ``by``."""
 
-    from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64
-
-    def tag(side: str):
-        def f(b: pa.Table) -> pa.Table:
-            col = b[by]
-            if pa.types.is_integer(col.type):
-                h = splitmix64(
-                    col.to_numpy(zero_copy_only=False).astype(np.uint64)
-                )
-            else:  # string or other keys: deterministic siphash
-                h = hash_strings(one_chunk(col))
-            return b.append_column(
-                "__bucket", pa.array((h % np.uint64(num_buckets)).astype(np.int64))
-            ).append_column("__side", pa.array([side] * b.num_rows, type=pa.string()))
-
-        return f
-
-    # union both sides into one shuffle (schemas may differ → align columns,
-    # padding each side's missing columns with nulls of the OTHER side's
-    # actual types — a float64 pad would break non-float columns)
-    lschema = left.schema().base_schema
-    rschema = right.schema().base_schema
-    lcols = [f.name for f in lschema]
-    rcols = [f.name for f in rschema]
-    ltypes = {f.name: f.type for f in lschema}
-    rtypes = {f.name: f.type for f in rschema}
-    keep_r = right_cols or [c for c in rcols if c not in (on, by)]
-
-    # ONE canonical column order for both sides: append-order differs
-    # between the widen fns, and a union of two orders makes the executor
-    # see a schema flip on every bundle boundary (VERDICT r4 #5)
-    union_cols = lcols + ["__bucket", "__side"] + [
-        c for c in keep_r if c not in lcols
-    ]
-
-    def widen_left(b: pa.Table) -> pa.Table:
-        t = tag("l")(b)
-        for c in keep_r:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(t.num_rows, type=rtypes[c]))
-        return t.select(union_cols)
-
-    def widen_right(b: pa.Table) -> pa.Table:
-        t = tag("r")(b.select([by, on] + keep_r))
-        for c in lcols:
-            if c not in t.column_names:
-                t = t.append_column(c, pa.nulls(t.num_rows, type=ltypes[c]))
-        return t.select(union_cols)
-
-    lw = left.map_batches(widen_left, batch_format="pyarrow")
-    rw = right.map_batches(widen_right, batch_format="pyarrow")
-
     if direction not in ("backward", "forward"):
         raise ValueError(f"asof_join: unsupported direction {direction!r}")
+    if right_cols:
+        right = right.select_columns([by, on] + right_cols)
 
     def _sortable(col: pa.ChunkedArray) -> np.ndarray:
         v = col.to_numpy(zero_copy_only=False)
@@ -98,23 +50,10 @@ def asof_join(
             return v.astype("datetime64[us]").astype(np.int64)
         return v
 
-    def merge_bucket(g: pa.Table) -> pa.Table:
-        # Arrow C-kernel filter/sort; per-key right segments + one
-        # vectorized searchsorted per distinct left key (no pandas)
-        l = g.filter(pc.equal(g["__side"], "l")).select(lcols)
-        r = (
-            g.filter(pc.equal(g["__side"], "r"))
-            .select([by, on] + keep_r)
-            .sort_by([(by, "ascending"), (on, "ascending")])
-        )
-        out_names = lcols + [f"{on}_right"] + keep_r
-        if not l.num_rows:
-            return pa.table(
-                {
-                    c: pa.array([], type=(ltypes.get(c) or (rtypes[on] if c == f"{on}_right" else rtypes[c])))
-                    for c in out_names
-                }
-            )
+    def merge(l: pa.Table, r: pa.Table) -> pa.Table:
+        # Arrow C-kernel sort; per-key right segments + one vectorized
+        # searchsorted per distinct left key (no pandas)
+        r = r.sort_by([(by, "ascending"), (on, "ascending")])
         l = l.sort_by([(on, "ascending")])
         rts = _sortable(r[on])
         rkeys = r[by].to_numpy(zero_copy_only=False)
@@ -146,17 +85,14 @@ def asof_join(
                 idx[idx >= re - rs] = -1
             match[sub] = np.where(idx >= 0, idx + rs, -1)
         take = pa.array(match, mask=match < 0)  # null index → null output
-        cols = {c: l[c] for c in lcols}
+        cols = {c: l[c] for c in l.column_names}
         cols[f"{on}_right"] = pc.take(r[on], take)
-        for c in keep_r:
-            cols[c] = pc.take(r[c], take)
+        for c in r.column_names:
+            if c not in (on, by):
+                cols[c] = pc.take(r[c], take)
         return pa.table(cols)
 
-    return (
-        lw.union(rw)
-        .groupby("__bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
+    return ray.data.from_arrow_refs(hash_exchange((left, right), by, merge))
 
 
 def range_join_count(
@@ -168,64 +104,35 @@ def range_join_count(
     right_ts: str = "ts",
     before_seconds: float = 0.0,
     after_seconds: float = 300.0,
-    num_buckets: int = 64,
     count_col: str = "n_matches",
 ) -> "ray.data.Dataset":
     """Range (interval) join Ray Data lacks natively, in COUNT form: for
     each left row, the number of right rows of the same key with
     ``right_ts ∈ [left_ts − before, left_ts + after]`` (inclusive).
 
-    Composition: both sides hash-bucketed by ``by`` (skew-immune, the
-    asof_join pattern) → one union groupby → per-bucket sort + two
-    vectorized searchsorteds. Equivalent SQL: a correlated COUNT over
-    ``r.ts BETWEEN l.ts - before AND l.ts + after``. Per-bucket right side
-    must fit a task (same documented assumption as asof_join)."""
-    from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64
-
-    def tag(side: str, ts_col: str):
-        def f(b: pa.Table) -> pa.Table:
-            col = b[by]
-            if pa.types.is_integer(col.type):
-                h = splitmix64(col.to_numpy(zero_copy_only=False).astype(np.uint64))
-            else:
-                h = hash_strings(one_chunk(col))
-            return pa.table(
-                {
-                    "__bucket": pa.array((h % np.uint64(num_buckets)).astype(np.int64)),
-                    "__side": pa.array([side] * b.num_rows, type=pa.string()),
-                    by: b[by],
-                    "__ts": pc.cast(b[ts_col], pa.timestamp("us")),
-                }
-            )
-
-        return f
-
+    Composition: the asof_join plan — one two-sided ``hash_exchange`` on
+    ``by`` → per-task sort + two vectorized searchsorteds. Equivalent SQL:
+    a correlated COUNT over ``r.ts BETWEEN l.ts - before AND l.ts +
+    after``. Output rows: (``by``, ``__ts``, ``count_col``) per left row."""
     lo_us = np.int64(round(before_seconds * 1_000_000))
     hi_us = np.int64(round(after_seconds * 1_000_000))
 
-    def count_bucket(g: pa.Table) -> pa.Table:
-        # Arrow filter + C-kernel sort, numpy from there (no pandas —
-        # VERDICT r2 #6 family)
-        l = g.filter(pc.equal(g["__side"], "l"))
-        r = g.filter(pc.equal(g["__side"], "r")).sort_by(
-            [(by, "ascending"), ("__ts", "ascending")]
-        )
-        if not l.num_rows:
-            return pa.table(
-                {
-                    by: pa.array([], type=g[by].type),
-                    "__ts": pa.array([], type=pa.timestamp("us")),
-                    count_col: pa.array([], type=pa.int64()),
-                }
-            )
-        rts = r["__ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
+    def us(col) -> pa.ChunkedArray:
+        return pc.cast(col, pa.timestamp("us"))
+
+    def count(l: pa.Table, r: pa.Table) -> pa.Table:
+        # Arrow C-kernel sort, numpy from there (no pandas — VERDICT r2 #6
+        # family)
+        r = r.sort_by([(by, "ascending"), (right_ts, "ascending")])
+        rts = us(r[right_ts]).to_numpy(zero_copy_only=False).astype(np.int64)
         rkeys = r[by].to_numpy(zero_copy_only=False)
         seg_new = np.r_[True, rkeys[1:] != rkeys[:-1]] if len(rkeys) else np.zeros(0, bool)
         seg_starts = np.flatnonzero(seg_new)
         seg_keys = rkeys[seg_starts] if len(seg_starts) else rkeys[:0]
         seg_ends = np.r_[seg_starts[1:], len(rkeys)]
         seg_index = {k: (int(s), int(e)) for k, s, e in zip(seg_keys, seg_starts, seg_ends)}
-        lts = l["__ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
+        l_us = us(l[left_ts])
+        lts = l_us.to_numpy(zero_copy_only=False).astype(np.int64)
         lkeys = l[by].to_numpy(zero_copy_only=False)
         cnt = np.zeros(len(lts), dtype=np.int64)
         # group left rows by key, vectorized searchsorted per key segment
@@ -234,8 +141,7 @@ def range_join_count(
         starts = np.flatnonzero(np.r_[True, lk_s[1:] != lk_s[:-1]]) if len(lk_s) else np.zeros(0, np.int64)
         for si, s in enumerate(starts):
             e = starts[si + 1] if si + 1 < len(starts) else len(lk_s)
-            k = lk_s[s]
-            seg = seg_index.get(k)
+            seg = seg_index.get(lk_s[s])
             if seg is None:
                 continue
             rs, re = seg
@@ -244,14 +150,7 @@ def range_join_count(
             cnt[sub] = np.searchsorted(rts[rs:re], t + hi_us, side="right") - np.searchsorted(
                 rts[rs:re], t - lo_us, side="left"
             )
-        return pa.table(
-            {
-                by: pa.array(lkeys),
-                "__ts": pa.array(lts).cast(pa.timestamp("us")),
-                count_col: pa.array(cnt),
-            }
-        )
+        return pa.table({by: l[by], "__ts": l_us, count_col: pa.array(cnt)})
 
-    lw = left.map_batches(tag("l", left_ts), batch_format="pyarrow")
-    rw = right.map_batches(tag("r", right_ts), batch_format="pyarrow")
-    return lw.union(rw).groupby("__bucket").map_groups(count_bucket, batch_format="pyarrow")
+    sides = (left.select_columns([by, left_ts]), right.select_columns([by, right_ts]))
+    return ray.data.from_arrow_refs(hash_exchange(sides, by, count))

@@ -17,6 +17,7 @@ import pyarrow as pa
 
 import ray
 
+from fastpasta_ray.exchange import hash_exchange
 from fastpasta_ray.sketches import one_chunk
 
 
@@ -25,7 +26,7 @@ def _emb_matrix(batch: pa.Table, col: str) -> np.ndarray:
     if isinstance(a, pa.ChunkedArray):
         a = one_chunk(a)
     # .flatten() honors the array's slice offset; .values would misalign
-    # rows on a zero-copy slice (latent map_groups hazard)
+    # rows on a zero-copy slice
     flat = a.flatten().to_numpy(zero_copy_only=False)
     n = len(a)
     return flat.reshape(n, -1).astype(np.float64)
@@ -178,13 +179,11 @@ class HyperplaneHasher:
         m = _normalize(_emb_matrix(batch, self.emb_col))
         bits = (m @ self.planes) > 0
         sig = (bits * (1 << np.arange(bits.shape[1]))).sum(axis=1).astype(np.int64)
-        # coarse groupby key (map_groups costs one Python call per distinct
-        # key); the verify segments by exact sig within the bucket
+        # the exchange key: the verify segments by exact sig
         return pa.table(
             {
                 self.id_col: batch[self.id_col],
                 "sig": pa.array(sig),
-                "bucket": pa.array(sig % 64),
                 self.emb_col: batch[self.emb_col],
             }
         )
@@ -201,7 +200,8 @@ def embedding_near_dup_pairs(
 ) -> "ray.data.Dataset":
     """Embedding-cosine near-duplicate pairs: random-hyperplane bucket
     (near-identical vectors share all hyperplane signs w.h.p.) → exact
-    cosine verify within buckets. One shuffle over (id, sig, embedding)."""
+    cosine verify within each signature. One ``hash_exchange`` on the
+    signature over (id, sig, embedding)."""
 
     empty = pa.table(
         {
@@ -252,14 +252,10 @@ def embedding_near_dup_pairs(
             )
         return pa.concat_tables(outs) if outs else empty
 
-    return (
-        ds.map_batches(
-            HyperplaneHasher(n_bits, dim, id_col=id_col, emb_col=emb_col),
-            batch_format="pyarrow",
-        )
-        .groupby("bucket")
-        .map_groups(verify, batch_format="pyarrow")
+    sigs = ds.map_batches(
+        HyperplaneHasher(n_bits, dim, id_col=id_col, emb_col=emb_col), batch_format="pyarrow"
     )
+    return ray.data.from_arrow_refs(hash_exchange(sigs, "sig", verify))
 
 
 def ivf_topk(
@@ -570,9 +566,9 @@ def semantic_dedup(
 
     # materialize the assignment before the groupby: Ray's sort-based
     # groupby SAMPLES its input and would re-execute the full-corpus
-    # normalize+matmul assign pass (and the parquet read above it) — the
-    # measured lazy-groupby trap documented in dedup._grouped (code-review
-    # r4). The assigned table is the shuffle input either way.
+    # normalize+matmul assign pass (and the parquet read above it) — a
+    # measured lazy-groupby trap (code-review r4). The assigned table is
+    # the shuffle input either way.
     return (
         ds.map_batches(assign, batch_format="pyarrow")
         .materialize()

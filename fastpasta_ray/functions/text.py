@@ -230,7 +230,7 @@ def unigram_logprob_table(
     # materialize the (small, distinct-words-per-block) partials before the
     # groupby: Ray's sort-based groupby SAMPLES its input, re-executing a
     # lazy upstream — the full tokenize+value_counts pass would run TWICE
-    # (the measured trap documented in dedup._grouped; code-review r4)
+    # (measured; code-review r4)
     freq = (
         ds.map_batches(partial, batch_format="pyarrow")
         .materialize()

@@ -199,9 +199,12 @@ def run_check(
         drift_metrics.update(d_prev)
 
     # ---- sort violations by position (O2 analog: error_stats.rs:36-47) ---
+    # doc_id breaks the ties the position leaves (every E701 row sits at
+    # __manifest__:-1), so the order never follows the reduce task count
     if violations.num_rows:
         violations = violations.sort_by(
-            [("part", "ascending"), ("row_index", "ascending"), ("code", "ascending")]
+            [("part", "ascending"), ("row_index", "ascending"), ("code", "ascending"),
+             ("doc_id", "ascending")]
         )
 
     # ---- report (stats_report.rs analog) ---------------------------------

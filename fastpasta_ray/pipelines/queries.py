@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from fastpasta_ray.exchange import hash_exchange
 from fastpasta_ray.functions import text as ftext
 from fastpasta_ray.sketches import one_chunk
 
@@ -31,9 +32,9 @@ def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None):
     """Column-pruned read with SIZE-AWARE block parallelism.
 
     Ray's default block count (~2× CPUs regardless of input size) costs
-    seconds of per-block overhead in downstream sorts/groupbys on small
-    tables (measured: asof over 5 MB of events, 2.8 s at default blocks vs
-    0.5 s at 2 blocks). Default here: one block per ~75k rows, at least 2 —
+    per-block overhead in downstream sorts and aggregates on small tables
+    (measured: the Dataset-groupby asof over 5 MB of events took 2.8 s at
+    default blocks vs 0.5 s at 2 blocks). Default here: one block per ~75k rows, at least 2 —
     small tables stay cheap, big tables still fan out. Compute-heavy
     callers pass ``blocks`` explicitly. Every count, default or explicit,
     is capped at 2× the cluster's CPUs: beyond that a block is one more
@@ -49,8 +50,7 @@ def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None):
             rows = 0
         # ~75k rows per block (sweep: lineitem 600k rows is fastest at 8
         # blocks; 2 blocks pays serial sort, 64 blocks pays per-block
-        # shuffle overhead — 5 MB of events at default blocking cost 2.3 s
-        # of pure overhead in asof/sessionize)
+        # shuffle overhead)
         blocks = max(2, rows // 75_000 + 1)
     from fastpasta_ray.sources.parquet import cluster_cpus
 
@@ -342,18 +342,13 @@ def q_lines_per_orderpriority(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# R1-analog on generic tables: per-key ordered monotonicity scan, bucketed
-# (same pattern as checks/key_checks.py — vectorized within buckets).
+# R1-analog on generic tables: per-key ordered monotonicity scan over one
+# hash exchange on the key (same pattern as checks/key_checks.py —
+# vectorized within each reduce task).
 # ---------------------------------------------------------------------------
 
 def q_nonmonotonic_events(sf_dir: str):
     ds = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def bucketize(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "bucket", pa.array((uid % 64).astype(np.int64))
-        )
 
     def scan(g: pa.Table) -> pa.Table:
         # lexsort + shifted compare, no pandas conversion (VERDICT r2 #6)
@@ -365,11 +360,7 @@ def q_nonmonotonic_events(sf_dir: str):
         bad = (u[1:] == u[:-1]) & (t[1:] < t[:-1])
         return pa.table({"n_violations_part": pa.array([int(bad.sum())], type=pa.int64())})
 
-    parts = _to_table(
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(scan, batch_format="pyarrow")
-    )
+    parts = pa.concat_tables(ray.get(hash_exchange(ds, "user_id", scan)))
     total = int(pc.sum(parts["n_violations_part"]).as_py() or 0)
     return pa.table({"n_violations": pa.array([total], type=pa.int64())})
 
@@ -533,10 +524,10 @@ def q_hll_distinct_users(sf_dir: str):
     ds = _rp(sf_dir, "events", ["user_id"])
 
     def partial(b: pa.Table) -> pa.Table:
-        # per-batch dedup + HLL partial; the exact side ships only
-        # (unique id, bucket) pairs into a hash-bucketed distinct count —
-        # the driver never materializes the id set (that unbounded union
-        # is exactly what the sketch exists to avoid)
+        # per-batch dedup + HLL partial; the exact side ships only the
+        # batch-unique ids into a hash-exchanged distinct count — the
+        # driver never materializes the id set (that unbounded union is
+        # exactly what the sketch exists to avoid)
         u = np.unique(b["user_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
         h = HyperLogLog()
         h.add_hashes(splitmix64(u))
@@ -548,16 +539,9 @@ def q_hll_distinct_users(sf_dir: str):
 
     def uniq_rows(b: pa.Table) -> pa.Table:
         u = np.unique(b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64))
-        return pa.table(
-            {
-                "uid": pa.array(u),
-                "bucket": pa.array(
-                    (splitmix64(u.astype(np.uint64)) % np.uint64(32)).astype(np.int64)
-                ),
-            }
-        )
+        return pa.table({"uid": pa.array(u)})
 
-    def count_bucket(g: pa.Table) -> pa.Table:
+    def count_distinct(g: pa.Table) -> pa.Table:
         n = len(np.unique(g["uid"].to_numpy(zero_copy_only=False)))
         return pa.table({"n": pa.array([n], type=pa.int64())})
 
@@ -569,11 +553,8 @@ def q_hll_distinct_users(sf_dir: str):
         merged.merge(
             HyperLogLog(14, np.frombuffer(base64.b64decode(row), dtype=np.uint8).copy())
         )
-    exact_t = _to_table(
-        ds.map_batches(uniq_rows, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
-    )
+    uniq = ds.map_batches(uniq_rows, batch_format="pyarrow")
+    exact_t = pa.concat_tables(ray.get(hash_exchange(uniq, "uid", count_distinct)))
     n_exact = int(pc.sum(exact_t["n"]).as_py() or 0)
     est = merged.estimate()
     ok = abs(est - n_exact) <= 0.02 * max(n_exact, 1)
@@ -960,15 +941,10 @@ def q_asof_purchase_attribution(sf_dir: str):
             return t.select(cols) if cols else t.drop_columns(["event_type"])
         return f
 
-    # ONE fused filter+project map per side, then a coalesce: a block with
-    # zero purchases/views would otherwise ride into asof_join's widen map
-    # as an empty block that Ray skips, emitting a schema-less block
-    # (VERDICT r4 #5). Block count is bench-scale; at corpus scale the
-    # asof exchange re-buckets anyway.
-    purchases = ev.map_batches(side("purchase"), batch_format="pyarrow").repartition(4)
-    views = ev.map_batches(
-        side("view", ["user_id", "ts"]), batch_format="pyarrow"
-    ).repartition(4)
+    # ONE fused filter+project map per side; asof_join's exchange takes
+    # the typed blocks as they come, empty ones included
+    purchases = ev.map_batches(side("purchase"), batch_format="pyarrow")
+    views = ev.map_batches(side("view", ["user_id", "ts"]), batch_format="pyarrow")
     joined = asof_join(purchases, views, on="ts", by="user_id", right_cols=[])
     t = _to_table(joined)
     df = t.to_pandas()

@@ -19,6 +19,10 @@ def docs_table(texts, ids=None):
 
 
 def test_exact_dedup_drop(tmp_path):
+    _exact_dedup_case()
+
+
+def _exact_dedup_case():
     from fastpasta_ray.functions.dedup import drop_exact_dups, exact_dup_groups
 
     texts = ["hello world " * 5, "foo bar " * 5, "hello world " * 5, "unique text here"]
@@ -79,6 +83,10 @@ def test_cosine_topk_matches_numpy():
 
 
 def test_embedding_near_dup_pairs():
+    _embedding_near_dup_case()
+
+
+def _embedding_near_dup_case():
     from fastpasta_ray.functions.similarity import embedding_near_dup_pairs
 
     rng = np.random.default_rng(4)
@@ -155,6 +163,10 @@ def test_multimodal_plumbing():
 
 
 def test_sessionize():
+    _sessionize_case()
+
+
+def _sessionize_case():
     import pandas as pd
 
     from fastpasta_ray.functions.windows import sessionize
@@ -257,6 +269,10 @@ def test_asof_join_string_keys_and_typed_padding():
     """asof_join with a STRING `by` key and non-float right columns
     (ADVICE r1: int-only bucketing crashed on strings; float64 padding
     broke typed columns)."""
+    _asof_string_keys_case()
+
+
+def _asof_string_keys_case():
     import pandas as pd
 
     from fastpasta_ray.functions.joins import asof_join
@@ -284,7 +300,6 @@ def test_asof_join_string_keys_and_typed_padding():
             on="ts",
             by="user",
             right_cols=["tag"],
-            num_buckets=4,
         )
         .to_pandas()
         .sort_values(["user", "ts"])
@@ -400,6 +415,10 @@ def test_cli_dedup_and_text_stats(tmp_path):
 def test_rolling_count_matches_bruteforce(seed):
     """Differential test incl. DUPLICATE timestamps (SQL RANGE-frame peer
     semantics: all equal-ts rows count) against an O(n²) reference."""
+    _rolling_count_case(seed)
+
+
+def _rolling_count_case(seed):
     import pandas as pd
 
     from fastpasta_ray.functions.windows import rolling_count
@@ -418,7 +437,7 @@ def test_rolling_count_matches_bruteforce(seed):
         }
     )
     out = (
-        rolling_count(ray.data.from_arrow(t), window_seconds=300.0, num_buckets=8)
+        rolling_count(ray.data.from_arrow(t), window_seconds=300.0)
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)
@@ -437,6 +456,10 @@ def test_rolling_count_matches_bruteforce(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_range_join_count_matches_bruteforce(seed):
+    _range_join_count_case(seed)
+
+
+def _range_join_count_case(seed):
     import pandas as pd
 
     from fastpasta_ray.functions.joins import range_join_count
@@ -453,7 +476,7 @@ def test_range_join_count_matches_bruteforce(seed):
     out = (
         range_join_count(
             ray.data.from_arrow(left), ray.data.from_arrow(right),
-            by="user_id", before_seconds=600.0, after_seconds=600.0, num_buckets=4,
+            by="user_id", before_seconds=600.0, after_seconds=600.0,
         )
         .to_pandas()
         .sort_values(["user_id", "__ts"])
@@ -789,11 +812,18 @@ def test_cli_decontam_and_mixture(tmp_path):
     assert main(["mixture", src2, "-o", str(tmp_path / "x"), "--weights", "nope"]) == 2
 
 
-def test_grouped_distributed_branch_equivalence(monkeypatch):
-    """Force _grouped's sort-shuffle branch on the tiny fixture and assert
-    the minhash and simhash pipelines return the identical pairs as the
-    coalesced small path (the branch that runs at production scale must
-    not rot untested — code-review r3)."""
+def _reduce_count(monkeypatch, n: int) -> None:
+    """Pin every ``hash_exchange`` to ``n`` reduce tasks (the suite's 4
+    CPUs would pick 1 for these inputs)."""
+    import fastpasta_ray.exchange as X
+
+    monkeypatch.setattr(X, "_reduce_task_count", lambda cpus, rows: n)
+
+
+def test_exchange_reduce_count_equivalence(monkeypatch):
+    """The minhash and simhash pipelines return the identical pairs at 1, 3
+    and 8 reduce tasks: the many-task path that runs at production scale
+    must not rot untested (code-review r3)."""
     import fastpasta_ray.functions.dedup as dd
 
     texts = [
@@ -818,14 +848,71 @@ def test_grouped_distributed_branch_equivalence(monkeypatch):
         key = lambda df: sorted(map(tuple, df.values.tolist()))
         return key(mh), key(sh)
 
-    small = run()
-    monkeypatch.setattr(dd, "GROUPED_SMALL_ROWS", 0)
-    dist = run()
-    assert small == dist
-    assert len(small[0]) >= 1  # the near-dup pair 0-1 is found
+    got = {}
+    for n in (1, 3, 8):
+        _reduce_count(monkeypatch, n)
+        got[n] = run()
+    assert got[1] == got[3] == got[8]
+    assert len(got[1][0]) >= 1  # the near-dup pair 0-1 is found
+
+
+@pytest.mark.parametrize("n_parts", [1, 3, 8])
+def test_exchange_sites_match_reference(monkeypatch, n_parts):
+    """Every ported exchange site against the reference its own test
+    checks, at 1, 3 and 8 reduce tasks."""
+    _reduce_count(monkeypatch, n_parts)
+    _exact_dedup_case()
+    _embedding_near_dup_case()
+    _sessionize_case()
+    _asof_string_keys_case()
+    _rolling_count_case(0)
+    _range_join_count_case(0)
+    _contamination_distributed_case()
+
+
+def test_two_sided_exchange_with_an_empty_side(monkeypatch):
+    """asof_join and range_join_count when one side has no rows: the
+    reduce still gets a typed table for it, so no purchases give a typed
+    empty result and no views give every purchase a NULL match."""
+    import pandas as pd
+
+    from fastpasta_ray.functions.joins import asof_join, range_join_count
+
+    _reduce_count(monkeypatch, 3)
+    purchases = pa.table(
+        {
+            "user_id": pa.array([1, 2, 3], type=pa.int64()),
+            "ts": pa.array(pd.to_datetime(["2024-01-01 10:00"] * 3)),
+            "amount": pa.array([5, 6, 7], type=pa.int64()),
+        }
+    )
+    views = pa.table(
+        {
+            "user_id": pa.array([], type=pa.int64()),
+            "ts": pa.array([], type=pa.timestamp("ns")),
+        }
+    )
+    def table(ds):
+        return pa.concat_tables(ray.get(ds.to_arrow_refs()))
+
+    out = table(asof_join(ray.data.from_arrow(purchases), ray.data.from_arrow(views),
+                          on="ts", by="user_id"))
+    assert out.num_rows == 3 and out["ts_right"].null_count == 3
+    assert out.schema.field("ts_right").type == pa.timestamp("ns")
+    none = table(asof_join(ray.data.from_arrow(purchases.slice(0, 0)),
+                           ray.data.from_arrow(views), on="ts", by="user_id"))
+    assert none.num_rows == 0
+    assert none.column_names == ["user_id", "ts", "amount", "ts_right"]
+    counts = range_join_count(ray.data.from_arrow(purchases), ray.data.from_arrow(views),
+                              by="user_id").to_pandas()
+    assert list(counts["n_matches"]) == [0, 0, 0]
 
 
 def test_contamination_distributed_equals_broadcast():
+    _contamination_distributed_case()
+
+
+def _contamination_distributed_case():
     from fastpasta_ray.functions.decontam import (
         contamination_check,
         contamination_check_distributed,

@@ -1,7 +1,7 @@
 """Query-layer block sizing and execution budget: results must not depend
 on how many blocks a read makes (``_rp`` caps every count at 2× cluster
 CPUs), the folded queries must not grow extra streaming executions, and
-the broadcast-join queries must finish on a 1-CPU cluster."""
+the broadcast-join and exchange queries must finish on a 1-CPU cluster."""
 
 import os
 import signal
@@ -53,6 +53,23 @@ def test_capped_queries_layout_independent(monkeypatch, cpus):
         assert_matches_oracle(name, Q.QUERIES[name](SF_DIR))
 
 
+EXCHANGE_QUERIES = [
+    "asof_purchase_attribution", "range_join_views_near_purchase",
+    "rolling_window_count", "session_stats", "nonmonotonic_events",
+    "hll_distinct_users",
+]
+
+
+@pytest.mark.parametrize("n_parts", [1, 3, 8])
+def test_exchange_queries_layout_independent(monkeypatch, n_parts):
+    """The same oracle answer at 1, 3 and 8 hash_exchange reduce tasks."""
+    import fastpasta_ray.exchange as X
+
+    monkeypatch.setattr(X, "_reduce_task_count", lambda cpus, rows: n_parts)
+    for name in EXCHANGE_QUERIES:
+        assert_matches_oracle(name, Q.QUERIES[name](SF_DIR))
+
+
 # streaming executions per board query on sf0.001 before the block cap and
 # the driver folds; none may grow, and quantile_filter is now one pass
 EXECUTIONS_BEFORE = {
@@ -90,8 +107,20 @@ def test_board_execution_budget(monkeypatch):
     assert not over, f"executions (now, before): {over}"
 
 
+# the two broadcast joins (a fixed-size actor pool once held the only CPU
+# and starved the read) and every query that runs through hash_exchange
+# (asof_purchase_attribution's sort-based union once hung at 1 CPU)
+ONE_CPU = (
+    "customers_without_orders", "orders_by_segment",
+    "asof_purchase_attribution", "range_join_views_near_purchase",
+    "rolling_window_count", "session_stats", "nonmonotonic_events",
+    "hll_distinct_users", "exact_dup_count", "simhash_pairs",
+    "neardup_clusters", "embedding_neardups", "contamination_check_dist",
+    "curation_pipeline",
+)
+
 _ONE_CPU_SCRIPT = textwrap.dedent(
-    """
+    f"""
     import ray
     ray.init(address="local", num_cpus=1, include_dashboard=False,
              logging_level="ERROR")
@@ -99,7 +128,7 @@ _ONE_CPU_SCRIPT = textwrap.dedent(
     DataContext.get_current().enable_progress_bars = False
     from fastpasta_ray.pipelines import queries as Q
     from tests.test_queries_oracle import SF_DIR, assert_matches_oracle
-    for name in ("customers_without_orders", "orders_by_segment"):
+    for name in {ONE_CPU!r}:
         assert_matches_oracle(name, Q.QUERIES[name](SF_DIR))
         print("ok", name, flush=True)
     ray.shutdown()
@@ -107,9 +136,9 @@ _ONE_CPU_SCRIPT = textwrap.dedent(
 )
 
 
-def test_broadcast_joins_finish_on_one_cpu():
-    """customers_without_orders and orders_by_segment on a 1-CPU cluster:
-    a fixed-size actor pool held the only CPU and starved the read."""
+def test_queries_finish_on_one_cpu():
+    """Each query in ONE_CPU finishes on a 1-CPU cluster and equals its
+    DuckDB oracle."""
     proc = subprocess.Popen(
         [sys.executable, "-c", _ONE_CPU_SCRIPT],
         cwd=REPO,
@@ -130,4 +159,4 @@ def test_broadcast_joins_finish_on_one_cpu():
         except ProcessLookupError:
             pass
     assert proc.returncode == 0, err[-2000:]
-    assert out.split("\n")[:2] == ["ok customers_without_orders", "ok orders_by_segment"]
+    assert out.split("\n")[: len(ONE_CPU)] == [f"ok {name}" for name in ONE_CPU]
