@@ -4,10 +4,12 @@
   ray.put, each map_batches task reads it from the object store (never
   re-shipped per batch), numpy matmul per batch, global top-k via
   sort+limit on the (tiny) per-batch candidate set.
-- IVF-bucketed variant: the scale path — k-means-ish centroids (sampled,
-  deterministic), each doc assigned to nearest centroid in map_batches;
-  query probes only the nearest n_probe buckets → the shuffle/scan touches
-  a fraction of the corpus. Centroids are the broadcast small side.
+- Exact IVF (``ivf_topk_exact``): the scale path — k-means-ish centroids
+  (sampled, deterministic), each doc assigned to its nearest centroid in
+  map_batches; the query scans only the clusters whose angular bound can
+  still beat the current kth-best score, so the scan touches a fraction of
+  a clustered corpus and the answer still equals brute force. Centroids
+  are the broadcast small side.
 """
 
 from __future__ import annotations
@@ -256,36 +258,6 @@ def embedding_near_dup_pairs(
         HyperplaneHasher(n_bits, dim, id_col=id_col, emb_col=emb_col), batch_format="pyarrow"
     )
     return ray.data.from_arrow_refs(hash_exchange(sigs, "sig", verify))
-
-
-def ivf_topk(
-    ds: "ray.data.Dataset",
-    query: np.ndarray,
-    k: int = 10,
-    *,
-    n_centroids: int = 16,
-    n_probe: int = 4,
-    id_col: str = "vec_id",
-    emb_col: str = "embedding",
-) -> pa.Table:
-    """Approximate IVF search: assign rows to centroid buckets (map_batches,
-    centroids broadcast), scan only the n_probe buckets nearest the query.
-    Recall depends on how clustered the corpus is; for the EXACT variant
-    (prunes clusters by angular bound instead of a fixed probe count) see
-    ``ivf_topk_exact``."""
-    cent = build_ivf_centroids(ds, n_centroids, emb_col, id_col=id_col)
-    cent_ref = ray.put(cent)
-    qn = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))
-    probe = np.sort(np.argsort(-(qn @ cent.T)[0])[:n_probe])
-
-    def assign_filter(batch: pa.Table) -> pa.Table:
-        c = ray.get(cent_ref)
-        m = _normalize(_emb_matrix(batch, emb_col))
-        assign = (m @ c.T).argmax(axis=1)
-        return batch.filter(pa.array(np.isin(assign, probe)))
-
-    filtered = ds.map_batches(assign_filter, batch_format="pyarrow")
-    return cosine_topk(filtered, query, k, id_col=id_col, emb_col=emb_col)
 
 
 def cluster_radii(

@@ -239,32 +239,6 @@ def test_stratified_sample_rates():
     assert abs(vc.get("head", 0) / (3 * n // 4) - 0.1) < 0.03
 
 
-def test_ivf_topk_recall_vs_brute_force():
-    from fastpasta_ray.functions.similarity import cosine_topk, ivf_topk
-
-    rng = np.random.default_rng(11)
-    # clustered data so IVF probing is meaningful
-    centers = rng.standard_normal((8, 64)) * 3
-    m = np.vstack([c + rng.standard_normal((64, 64)) * 0.5 for c in centers])
-    t = pa.table(
-        {
-            "vec_id": pa.array(range(len(m)), type=pa.int64()),
-            "embedding": pa.FixedSizeListArray.from_arrays(
-                pa.array(m.reshape(-1).astype(np.float32)), 64
-            ),
-        }
-    )
-    ds = ray.data.from_arrow(t).repartition(4)
-    q = m[3].astype(np.float64)
-    exact = set(cosine_topk(ds, q, k=10, round_to=None).to_pandas()["vec_id"])
-    approx = set(
-        ivf_topk(ray.data.from_arrow(t).repartition(4), q, k=10, n_centroids=8, n_probe=3)
-        .to_pandas()["vec_id"]
-    )
-    recall = len(exact & approx) / 10
-    assert recall >= 0.7, recall
-
-
 def test_asof_join_string_keys_and_typed_padding():
     """asof_join with a STRING `by` key and non-float right columns
     (ADVICE r1: int-only bucketing crashed on strings; float64 padding

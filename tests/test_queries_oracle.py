@@ -14,9 +14,9 @@ import __ray_entry__ as entry_mod
 SF_DIR = "/root/testdata/sf0.001"
 
 
-def _oracle_con():
+def _oracle_con(sf_dir: str = SF_DIR):
     con = duckdb.connect()
-    for f in glob.glob(os.path.join(SF_DIR, "*.parquet")):
+    for f in glob.glob(os.path.join(sf_dir, "*.parquet")):
         name = os.path.splitext(os.path.basename(f))[0]
         con.sql(f"CREATE VIEW {name} AS SELECT * FROM '{f}'")
     return con
@@ -50,10 +50,10 @@ def _as_df(res) -> pd.DataFrame:
     return res
 
 
-def assert_matches_oracle(name: str, res) -> None:
-    """Compare one query result to its DuckDB oracle on SF_DIR."""
+def assert_matches_oracle(name: str, res, sf_dir: str = SF_DIR) -> None:
+    """Compare one query result to its DuckDB oracle on ``sf_dir``."""
     got = _normalize(_as_df(res))
-    con = _oracle_con()
+    con = _oracle_con(sf_dir)
     exp = _normalize(con.sql(entry_mod.oracle_sql()[name]).df())
     assert list(got.columns) == list(exp.columns), (
         f"{name}: columns {list(got.columns)} != {list(exp.columns)}"
@@ -115,3 +115,44 @@ def test_budget_trim_cross_batch_overflow(tmp_path):
     got = QUERIES["budget_trim"](d).to_pydict()
     # only doc 1 fits the 5000 budget (cum 3000, 6000, 7000)
     assert got == {"source": ["s"], "n_docs": [1], "n_chars_kept": [3000]}
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        # custkey 99 has no customer: the oracle's inner JOIN drops it
+        {"o_custkey": [1, 2, 2, 99], "o_totalprice": [10.0, 20.5, 1.25, 7.0]},
+        {"o_custkey": [], "o_totalprice": []},
+    ],
+    ids=["orphan_order", "no_orders"],
+)
+def test_broadcast_joins_on_edge_orders(tmp_path, orders):
+    """orders_by_segment keeps no NULL segment for an order without a
+    customer, and neither broadcast join crashes when orders has no rows
+    (an empty broadcast side)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from fastpasta_ray.pipelines.queries import QUERIES
+
+    pq.write_table(
+        pa.table(
+            {
+                "c_custkey": pa.array([1, 2, 3], type=pa.int64()),
+                "c_name": ["c1", "c2", "c3"],
+                "c_mktsegment": ["BUILDING", "MACHINERY", "BUILDING"],
+            }
+        ),
+        str(tmp_path / "customer.parquet"),
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "o_custkey": pa.array(orders["o_custkey"], type=pa.int64()),
+                "o_totalprice": pa.array(orders["o_totalprice"], type=pa.float64()),
+            }
+        ),
+        str(tmp_path / "orders.parquet"),
+    )
+    for name in ("customers_without_orders", "orders_by_segment"):
+        assert_matches_oracle(name, QUERIES[name](str(tmp_path)), str(tmp_path))

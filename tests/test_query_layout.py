@@ -1,7 +1,8 @@
 """Query-layer block sizing and execution budget: results must not depend
 on how many blocks a read makes (``_rp`` caps every count at 2× cluster
-CPUs), the folded queries must not grow extra streaming executions, and
-the broadcast-join and exchange queries must finish on a 1-CPU cluster."""
+CPUs), the folded queries must not grow extra streaming executions, the
+``_fold`` helper keeps its contract, and the broadcast-join, media and
+exchange queries must finish on a 1-CPU cluster."""
 
 import os
 import signal
@@ -86,6 +87,46 @@ EXECUTIONS_BEFORE = {
 }
 
 
+def test_media_stats_one_execution(monkeypatch):
+    """Both decoders run in one task-pool plan over one read: one streaming
+    execution, and the result equals the oracle."""
+    count = [0]
+    real = StreamingExecutor.execute
+
+    def counting(self, *a, **kw):
+        count[0] += 1
+        return real(self, *a, **kw)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    assert_matches_oracle("media_stats", Q.QUERIES["media_stats"](SF_DIR))
+    assert count[0] == 1
+
+
+def test_fold_contract():
+    """``_fold`` with the stock combines: a NULL key is its own group,
+    sorted last; batches that are all emptied give a typed empty table;
+    top-k ties break to the lowest id, per group and overall."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    t = pa.table({"k": ["b", None, "a", "b", None], "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
+    ds = ray.data.from_arrow([t.slice(0, 2), t.slice(2)])
+    merge = Q._merge(["k"], v="sum")
+    got = Q._fold(ds, lambda b: Q._agg(b, ["k"], v=("v", "sum")), t.schema, merge)
+    assert got.to_pydict() == {"k": ["a", "b", None], "v": [3, 5, 7]}
+    assert got.schema == t.schema
+    none = Q._fold(ds, lambda b: b.filter(pc.less(b["v"], 0)), t.schema, merge)
+    assert none.num_rows == 0 and none.schema == t.schema
+
+    ties = pa.table({"k": ["x", "x", "x", None, None], "id": [3, 1, 2, 9, 8], "v": [7, 7, 1, 0, 0]})
+    ds = ray.data.from_arrow([ties.slice(0, 2), ties.slice(2)])
+    top = Q._top(1, [("v", "descending"), ("id", "ascending")], group="k")
+    assert Q._fold(ds, top, ties.schema, top).to_pydict() == {
+        "k": ["x", None], "id": [1, 8], "v": [7, 0]}
+    top = Q._top(2, [("v", "ascending"), ("id", "ascending")])
+    assert Q._fold(ds, top, ties.schema, top)["id"].to_pylist() == [8, 9]
+
+
 def test_board_execution_budget(monkeypatch):
     count = [0]
     real = StreamingExecutor.execute
@@ -107,11 +148,12 @@ def test_board_execution_budget(monkeypatch):
     assert not over, f"executions (now, before): {over}"
 
 
-# the two broadcast joins (a fixed-size actor pool once held the only CPU
-# and starved the read) and every query that runs through hash_exchange
-# (asof_purchase_attribution's sort-based union once hung at 1 CPU)
+# the two broadcast joins and media_stats (a fixed-size actor pool once held
+# the only CPU and starved the read) and every query that runs through
+# hash_exchange (asof_purchase_attribution's sort-based union once hung at
+# 1 CPU)
 ONE_CPU = (
-    "customers_without_orders", "orders_by_segment",
+    "customers_without_orders", "orders_by_segment", "media_stats",
     "asof_purchase_attribution", "range_join_views_near_purchase",
     "rolling_window_count", "session_stats", "nonmonotonic_events",
     "hll_distinct_users", "exact_dup_count", "simhash_pairs",
