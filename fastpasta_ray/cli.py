@@ -450,16 +450,18 @@ def cmd_decontam(args) -> int:
     _ray_session()
     import ray
 
+    from fastpasta_ray.exchange import map_blocks
     from fastpasta_ray.functions.decontam import contamination_check, decontaminate
 
     docs = ray.data.read_parquet(args.input)
     bench = ray.data.read_parquet(args.benchmark)
     try:
         if args.drop:
-            out = decontaminate(
+            kept = decontaminate(
                 docs, bench, text_col=args.text_col,
                 ngram_n=args.ngram, min_overlap=args.min_overlap,
             )
+            out = ray.data.from_arrow_refs(map_blocks(None, kept))
         else:
             out = contamination_check(
                 docs, bench, id_col=args.id_col, text_col=args.text_col,

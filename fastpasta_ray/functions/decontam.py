@@ -11,7 +11,7 @@ Scale shape — broadcast, not shuffle: benchmark sets are small (10^4-10^6
 documents) while the corpus is the 10^12-row side, so the benchmark's
 unique n-gram hash set is built once, sorted, broadcast via ``ray.put``,
 and every corpus batch does a vectorized ``searchsorted`` membership test
-against it — zero shuffle, pure streaming ``map_batches``. This mirrors
+against it — zero shuffle, one pass over the corpus. This mirrors
 the manifest/IHW-mask broadcast-lookup pattern (SURVEY §2.5 A4) rather
 than fastPASTA's per-link dispatch; there is no reference analog —
 fastPASTA has no cross-corpus membership operator.
@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from fastpasta_ray.exchange import hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange, map_blocks
 from fastpasta_ray.functions.dedup import word_ngram_hashes_flat
 
 logger = logging.getLogger(__name__)
@@ -49,27 +49,21 @@ MAX_BENCH_NGRAMS = 1 << 27
 
 
 def benchmark_ngram_set(
-    bench: "ray.data.Dataset",
+    bench: "ray.data.Dataset | Blocks",
     *,
     text_col: str = "text",
     ngram_n: int = 3,
 ) -> np.ndarray:
     """Sorted unique word-n-gram hashes of the benchmark corpus.
 
-    Per-batch unique sets are computed in parallel tasks; the driver only
-    merges the (already-deduped) partials — bounded by MAX_BENCH_NGRAMS,
-    enforced loudly."""
+    Per-block unique sets are computed in one wave of raw tasks (a Dataset
+    is materialized once); the driver only merges the (already-deduped)
+    partials — bounded by MAX_BENCH_NGRAMS, enforced loudly."""
 
-    def partial(b: pa.Table) -> pa.Table:
-        flat, _ = word_ngram_hashes_flat(b[text_col], ngram_n)
-        u = np.unique(flat)
-        return pa.table({"sh": pa.array(u, type=pa.uint64())})
+    def partial(b: pa.Table) -> np.ndarray:
+        return np.unique(word_ngram_hashes_flat(b[text_col], ngram_n)[0])
 
-    parts = [
-        t["sh"].to_numpy(zero_copy_only=False)
-        for t in ray.get(bench.map_batches(partial, batch_format="pyarrow").to_arrow_refs())
-        if t.num_rows
-    ]
+    parts = [p for p in ray.get(map_blocks(partial, blocks(bench))) if len(p)]
     if not parts:
         return np.zeros(0, dtype=np.uint64)
     # cap check BEFORE the concatenate: sum of per-block uniques bounds the
@@ -145,27 +139,29 @@ def contamination_check(
 
 
 def decontaminate(
-    docs: "ray.data.Dataset",
-    bench: "ray.data.Dataset",
+    docs: "ray.data.Dataset | Blocks",
+    bench: "ray.data.Dataset | Blocks",
     *,
     text_col: str = "text",
     ngram_n: int = 3,
     min_overlap: int = 1,
-) -> "ray.data.Dataset":
-    """The drop side of ``contamination_check``: return the corpus with
+) -> Blocks:
+    """The drop side of ``contamination_check``: the corpus with
     contaminated documents (overlap ≥ ``min_overlap``) removed, all
-    columns preserved. Same broadcast + zero-shuffle streaming shape."""
+    columns preserved. One wave builds the broadcast benchmark set; the
+    result is a view of the corpus blocks (a Dataset is materialized
+    once), so the drop runs inside whichever wave reads it next
+    (``exchange.map_blocks``; ``map_blocks(None, out)`` yields the kept
+    blocks)."""
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be >= 1 (got {min_overlap})")
-    bset = benchmark_ngram_set(bench, text_col=text_col, ngram_n=ngram_n)
-    bref = ray.put(bset)
+    bref = ray.put(benchmark_ngram_set(bench, text_col=text_col, ngram_n=ngram_n))
 
     def drop(batch: pa.Table) -> pa.Table:
-        bs = ray.get(bref)
-        n_overlap = _overlap_counts(batch, bs, text_col, ngram_n)
+        n_overlap = _overlap_counts(batch, ray.get(bref), text_col, ngram_n)
         return batch.filter(pa.array(n_overlap < min_overlap))
 
-    return docs.map_batches(drop, batch_format="pyarrow")
+    return blocks(docs).view(drop)
 
 
 def contamination_check_distributed(

@@ -31,7 +31,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from fastpasta_ray.exchange import hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange
 from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64, utf8_parts
 
 logger = logging.getLogger(__name__)
@@ -314,7 +314,7 @@ def _segment_pair_indices(ks: np.ndarray, cap: int):
 
 def exact_jaccard_verify(
     pairs: "ray.data.Dataset",
-    docs: "ray.data.Dataset",
+    docs: "ray.data.Dataset | Blocks",
     *,
     threshold: float,
     id_col: str = "doc_id",
@@ -338,10 +338,11 @@ def exact_jaccard_verify(
        bounded by the upstream LSH bucket caps; truncation above
        ``max_pairs`` is LOGGED, never silent), globally deduped, and its
        connected components labelled (``near_dup_clusters``).
-    2. One streaming pass over the corpus computes word-n-gram sets ONLY
-       for docs referenced by a candidate pair (0.01% candidate rate ⇒
-       99.99% of the tokenize+hash work skipped), each tagged with its
-       component.
+    2. The exchange's map tasks compute word-n-gram sets ONLY for docs
+       referenced by a candidate pair (0.01% candidate rate ⇒ 99.99% of
+       the tokenize+hash work skipped), each tagged with its component,
+       over the corpus blocks (a Dataset is materialized once; ``Blocks``
+       a caller already holds are read where they are).
     3. One two-sided ``hash_exchange`` on the component brings each pair
        together with BOTH sets; the reduce computes |A∩B| / |A∪B| fully
        vectorized (duplicate-count over concatenated (pair, value) rows —
@@ -508,8 +509,9 @@ def exact_jaccard_verify(
             schema=out_schema,
         )
 
-    # after the candidate-id pushdown the set rows are O(candidate docs)
-    sets = docs.map_batches(set_rows, batch_format="pyarrow")
+    # after the candidate-id pushdown the set rows are O(candidate docs);
+    # the view runs set_rows inside the exchange's map tasks
+    sets = blocks(docs).view(set_rows, set_schema)
     out = hash_exchange((pair_tbl, sets), "cluster", verify)
     return pa.concat_tables(ray.get(out)) if as_table else ray.data.from_arrow_refs(out)
 
@@ -678,14 +680,17 @@ def minhash_lsh_pairs(
             )
         return b.filter(pc.equal(b["dropped"], 0)).select(["doc_a", "doc_b", "copies"])
 
-    # band keys are slim ints (24 B/row × bands); the exchange materializes
-    # them once, so the signature stage runs once and in parallel
-    keys_ds = ds.map_batches(band_keys, batch_format="pyarrow", batch_size=2048)
+    # ONE read: the band keys (slim ints, 16 B/row × bands) are computed
+    # inside the exchange's map tasks, and the verify's n-gram sets come
+    # from the same blocks
+    src = blocks(ds)
+    keys_schema = pa.schema([(id_col, src.schema.field(id_col).type), ("band_hash", pa.uint64())])
+    keys = src.view(band_keys, keys_schema)._replace(rows=src.rows * bands)
     pairs = audit_and_filter(
-        pa.concat_tables(ray.get(hash_exchange(keys_ds, "band_hash", band_pairs)))
+        pa.concat_tables(ray.get(hash_exchange(keys, "band_hash", band_pairs)))
     )
     return exact_jaccard_verify(
-        pairs, ds, threshold=threshold, id_col=id_col, text_col=text_col,
+        pairs, src, threshold=threshold, id_col=id_col, text_col=text_col,
         ngram_n=ngram_n, min_copies=min_band_matches, as_table=as_table,
     )
 

@@ -57,14 +57,18 @@ def hash_sample(
 ) -> "ray.data.Dataset":
     """Keep rows where hash(key, salt) % denom < num — reproducible,
     layout-independent, resumable. ``salt`` selects independent samples."""
+    return ds.map_batches(
+        hash_filter, batch_format="pyarrow",
+        fn_kwargs=dict(key_col=key_col, num=num, denom=denom, salt=salt),
+    )
 
-    def f(batch: pa.Table) -> pa.Table:
-        h = _row_hashes(batch, key_col)
-        if salt:
-            h = splitmix64(h ^ np.uint64(salt))
-        return batch.filter(pa.array((h % np.uint64(denom)) < num))
 
-    return ds.map_batches(f, batch_format="pyarrow")
+def hash_filter(batch: pa.Table, key_col: str, num: int, denom: int, salt: int = 0) -> pa.Table:
+    """The rows of ``batch`` that ``hash_sample`` keeps."""
+    h = _row_hashes(batch, key_col)
+    if salt:
+        h = splitmix64(h ^ np.uint64(salt))
+    return batch.filter(pa.array((h % np.uint64(denom)) < num))
 
 
 def stratified_sample(

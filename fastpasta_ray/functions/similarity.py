@@ -1,15 +1,20 @@
 """Similarity search over an embedding column (list<float>).
 
-- Brute-force cosine top-k: the baseline — query matrix broadcast ONCE via
-  ray.put, each map_batches task reads it from the object store (never
-  re-shipped per batch), numpy matmul per batch, global top-k via
-  sort+limit on the (tiny) per-batch candidate set.
+- Brute-force cosine top-k: the baseline — one raw task per block
+  (``exchange.map_blocks``), numpy matmul against the (small) query
+  matrix, global top-k on the driver over the per-block candidates.
 - Exact IVF (``ivf_topk_exact``): the scale path — k-means-ish centroids
-  (sampled, deterministic), each doc assigned to its nearest centroid in
-  map_batches; the query scans only the clusters whose angular bound can
-  still beat the current kth-best score, so the scan touches a fraction of
-  a clustered corpus and the answer still equals brute force. Centroids
-  are the broadcast small side.
+  (sampled, deterministic); each probe task assigns its block's docs to
+  their nearest centroid and ranks only the probed clusters, and the query
+  scans only the clusters whose angular bound can still beat the current
+  kth-best score, so the scan touches a fraction of a clustered corpus and
+  the answer still equals brute force. Centroids are the broadcast small
+  side.
+
+The multi-pass functions here (IVF, k-means) materialize a Dataset input
+once (``exchange.blocks``) and run every later pass as a wave of raw
+tasks over its blocks, never as another streaming execution; they also
+take ``Blocks`` a caller already holds.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ import pyarrow as pa
 
 import ray
 
-from fastpasta_ray.exchange import hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange, map_blocks
+from fastpasta_ray.functions.sampling import hash_filter
 from fastpasta_ray.sketches import one_chunk
 
 
@@ -39,40 +45,58 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(norm, 1e-12)
 
 
-class CosineTopK:
-    """map_batches stage: per-batch top-k cosine scores against a broadcast
-    query matrix (object-store ref resolved once per actor)."""
+def _block_topk(
+    batch: pa.Table, q: np.ndarray, k: int, id_col: str, emb_col: str,
+    cent: np.ndarray | None = None, probe: np.ndarray | None = None,
+) -> pa.Table | None:
+    """One block's top-k cosine candidates per row of the normalized query
+    matrix ``q`` (None for a block without rows). With ``cent``, only the
+    rows whose nearest centroid is in ``probe``: an IVF probe's assign,
+    filter and top-k in one task."""
+    if not batch.num_rows:
+        return None
+    ids = batch[id_col].to_numpy(zero_copy_only=False)
+    m = _normalize(_emb_matrix(batch, emb_col))
+    if cent is not None:
+        keep = np.isin((m @ cent.T).argmax(axis=1), probe)
+        m, ids = m[keep], ids[keep]
+    sims = m @ q.T  # (n, n_queries)
+    out_id, out_q, out_s = [], [], []
+    for qi in range(sims.shape[1]):
+        s = sims[:, qi]
+        kk = min(k, len(s))
+        # every row tied with the kth score stays a candidate, and the
+        # lowest ids among them win, as in the driver's final reduce (an
+        # argpartition alone keeps an arbitrary one of the tied rows)
+        cand = (np.arange(len(s)) if kk == len(s)
+                else np.flatnonzero(s >= np.partition(s, len(s) - kk)[len(s) - kk]))
+        top = cand[np.lexsort((ids[cand], -s[cand]))[:kk]]
+        out_id.append(ids[top])
+        out_q.append(np.full(kk, qi, dtype=np.int64))
+        out_s.append(s[top])
+    return pa.table(
+        {
+            "query_idx": pa.array(np.concatenate(out_q)),
+            id_col: pa.array(np.concatenate(out_id)),
+            "cosine": pa.array(np.concatenate(out_s)),
+        }
+    )
 
-    def __init__(self, query_ref, k: int, id_col: str = "vec_id", emb_col: str = "embedding"):
-        q = ray.get(query_ref) if not isinstance(query_ref, np.ndarray) else query_ref
-        self.q = _normalize(np.atleast_2d(np.asarray(q, dtype=np.float64)))
-        self.k = k
-        self.id_col = id_col
-        self.emb_col = emb_col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_emb_matrix(batch, self.emb_col))
-        sims = m @ self.q.T  # (n, n_queries)
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        out_id, out_q, out_s = [], [], []
-        for qi in range(sims.shape[1]):
-            s = sims[:, qi]
-            k = min(self.k, len(s))
-            top = np.argpartition(-s, k - 1)[:k] if k < len(s) else np.arange(len(s))
-            out_id.append(ids[top])
-            out_q.append(np.full(k, qi, dtype=np.int64))
-            out_s.append(s[top])
-        return pa.table(
-            {
-                "query_idx": pa.array(np.concatenate(out_q)),
-                self.id_col: pa.array(np.concatenate(out_id)),
-                "cosine": pa.array(np.concatenate(out_s)),
-            }
-        )
+def _candidates(src: Blocks, q: np.ndarray, k: int, id_col: str, emb_col: str,
+                cent=None, probe=None) -> pa.Table:
+    """One ``_block_topk`` wave over ``src``: every block's candidates
+    (k per query) in one driver-held table, typed when there are none."""
+    parts = ray.get(map_blocks(_block_topk, src, q, k, id_col, emb_col, cent, probe))
+    parts = [t for t in parts if t is not None]
+    if not parts:
+        return pa.table({"query_idx": pa.array([], pa.int64()), id_col: pa.array([], pa.int64()),
+                         "cosine": pa.array([], pa.float64())})
+    return pa.concat_tables(parts)
 
 
 def cosine_topk(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     query: np.ndarray,
     k: int = 10,
     *,
@@ -80,25 +104,11 @@ def cosine_topk(
     emb_col: str = "embedding",
     round_to: int | None = 4,
 ) -> pa.Table:
-    """Global top-k per query: per-batch top-k (map_batches) then final
-    reduce over the tiny candidate set (k × n_batches rows) on the driver."""
-    query_ref = ray.put(np.asarray(query, dtype=np.float64))
-    cand = ds.map_batches(
-        CosineTopK(query_ref, k, id_col, emb_col), batch_format="pyarrow"
-    )
-    parts = [
-        b for b in cand.iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows
-    ]
-    if not parts:  # every row filtered upstream (e.g. an empty IVF probe wave)
-        return pa.table(
-            {
-                "query_idx": pa.array([], type=pa.int64()),
-                id_col: pa.array([], type=pa.int64()),
-                "cosine": pa.array([], type=pa.float64()),
-            }
-        )
-    t = pa.concat_tables(parts)
-    return _topk_per_group(t, k, id_col, round_to)
+    """Global top-k per query: one wave of per-block top-k tasks over the
+    input's blocks (a Dataset is materialized once), then the final reduce
+    over the tiny candidate set (k × blocks rows per query) on the driver."""
+    q = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))
+    return _topk_per_group(_candidates(blocks(ds), q, k, id_col, emb_col), k, id_col, round_to)
 
 
 def _topk_per_group(t: pa.Table, k: int, id_col: str, round_to: int | None) -> pa.Table:
@@ -130,8 +140,16 @@ def _topk_per_group(t: pa.Table, k: int, id_col: str, round_to: int | None) -> p
     )
 
 
+def _block_sample(batch: pa.Table, id_col: str, emb_col: str, num: int,
+                  denom: int) -> np.ndarray | None:
+    """The block's ``hash_sample`` rows as a normalized float64 matrix
+    (None when none is sampled)."""
+    t = hash_filter(batch, id_col, num, denom) if batch.num_rows else batch
+    return _normalize(_emb_matrix(t, emb_col)) if t.num_rows else None
+
+
 def build_ivf_centroids(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     n_centroids: int = 16,
     emb_col: str = "embedding",
     sample_rows: int = 2048,
@@ -142,19 +160,22 @@ def build_ivf_centroids(
     """Deterministic mini k-means on a driver-side sample (the index-build
     step; at scale this is a sampled read, not a full materialization).
 
-    The sample is a deterministic HASH sample spanning every block — a
-    ``limit(n)`` would take the first file's rows only and produce
-    garbage centroids at scale (layout-biased)."""
-    from fastpasta_ray.functions.sampling import hash_sample
-
-    n_total = ds.count()
+    The sample is a deterministic HASH sample spanning every block, taken
+    by one wave of per-block tasks — a ``limit(n)`` would take the first
+    file's rows only and produce garbage centroids at scale
+    (layout-biased)."""
+    src = blocks(ds)
     # rate chosen so the expected sample ≈ sample_rows; floor at full data
     denom = 1_000_000
-    num = denom if n_total <= sample_rows else int(denom * sample_rows / n_total)
-    sample = hash_sample(ds, key_col=id_col, num=max(num, 1), denom=denom).take_all()
-    if len(sample) < n_centroids:  # tiny corpora: fall back to everything
-        sample = ds.take_all()
-    m = _normalize(np.asarray([r[emb_col] for r in sample], dtype=np.float64))
+    num = denom if src.rows <= sample_rows else int(denom * sample_rows / src.rows)
+
+    def sample(num: int) -> np.ndarray:
+        parts = ray.get(map_blocks(_block_sample, src, id_col, emb_col, max(num, 1), denom))
+        return np.concatenate([p for p in parts if p is not None])
+
+    m = sample(num)
+    if len(m) < n_centroids:  # tiny corpora: fall back to everything
+        m = sample(denom)
     rng = np.random.default_rng(seed)
     cent = m[rng.choice(len(m), size=min(n_centroids, len(m)), replace=False)]
     for _ in range(iters):
@@ -260,40 +281,28 @@ def embedding_near_dup_pairs(
     return ray.data.from_arrow_refs(hash_exchange(sigs, "sig", verify))
 
 
-def cluster_radii(
-    ds: "ray.data.Dataset", cent: np.ndarray, emb_col: str = "embedding"
-) -> np.ndarray:
-    """Per-cluster max angle (radians) of any member to its centroid —
-    one vectorized pass, per-batch partial maxima merged on the driver."""
-    cent_ref = ray.put(cent)
-    n_c = len(cent)
-
-    def partial_radii(batch: pa.Table) -> pa.Table:
-        # task-pool fn (actor startup costs ~0.5 s/wave; ray.get of the
-        # broadcast is a zero-copy plasma read)
-        c = ray.get(cent_ref)
+def _block_radii(batch: pa.Table, cent: np.ndarray, emb_col: str) -> np.ndarray:
+    """One block's per-cluster max member angle (0 for no member)."""
+    r = np.zeros(len(cent))
+    if batch.num_rows:
         m = _normalize(_emb_matrix(batch, emb_col))
-        sims = m @ c.T
+        sims = m @ cent.T
         assign = sims.argmax(axis=1)
         ang = np.arccos(np.clip(sims[np.arange(len(m)), assign], -1.0, 1.0))
-        r = np.zeros(n_c)
         np.maximum.at(r, assign, ang)
-        return pa.table({"radii": pa.array([r.tolist()], type=pa.list_(pa.float64()))})
-
-    parts = ds.map_batches(partial_radii, batch_format="pyarrow")
-    r = np.zeros(n_c)
-    for b in parts.iter_batches(batch_format="pyarrow", batch_size=None):
-        if b.num_rows:
-            # (blocks, n_c) partials in one flat view — no per-row pylist
-            flat = b["radii"].combine_chunks().flatten().to_numpy(
-                zero_copy_only=False
-            )
-            r = np.maximum(r, flat.reshape(-1, n_c).max(axis=0))
     return r
 
 
+def cluster_radii(
+    ds: "ray.data.Dataset | Blocks", cent: np.ndarray, emb_col: str = "embedding"
+) -> np.ndarray:
+    """Per-cluster max angle (radians) of any member to its centroid —
+    one wave of per-block maxima, merged on the driver."""
+    return np.max(ray.get(map_blocks(_block_radii, blocks(ds), cent, emb_col)), axis=0)
+
+
 def ivf_topk_exact(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     query: np.ndarray,
     k: int = 10,
     *,
@@ -308,46 +317,28 @@ def ivf_topk_exact(
     bound can still beat the current kth-best score; the result equals
     brute force (oracle: similarity_top10's SQL). On a well-clustered
     corpus the second wave prunes most of the data; on an unclustered one
-    it degrades gracefully to a full scan — never to a wrong answer."""
-    cent = build_ivf_centroids(ds, n_centroids, emb_col, id_col=id_col)
-    radii = cluster_radii(ds, cent, emb_col)
+    it degrades gracefully to a full scan — never to a wrong answer.
+
+    A Dataset is materialized once; the centroid sample, the radii and
+    both probe waves are raw-task waves over its blocks."""
+    src = blocks(ds)
+    cent = build_ivf_centroids(src, n_centroids, emb_col, id_col=id_col)
+    radii = cluster_radii(src, cent, emb_col)
     qn = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))
     theta_q = np.arccos(np.clip((qn @ cent.T)[0], -1.0, 1.0))
     bound = np.cos(np.maximum(theta_q - radii, 0.0))
     order = np.argsort(-bound)
-    first_wave = set(order[: max(1, n_centroids // 4)].tolist())
+    first_wave = order[: max(1, n_centroids // 4)]
 
-    cent_ref = ray.put(cent)
+    def probe(clusters: np.ndarray) -> pa.Table:
+        cand = _candidates(src, qn, k, id_col, emb_col, cent, clusters)
+        return _topk_per_group(cand, k, id_col, None)
 
-    def probe_filter(probe: set):
-        probe_arr = np.array(sorted(probe))
-
-        def assign_filter(batch: pa.Table) -> pa.Table:
-            c = ray.get(cent_ref)
-            m = _normalize(_emb_matrix(batch, emb_col))
-            assign = (m @ c.T).argmax(axis=1)
-            return batch.filter(pa.array(np.isin(assign, probe_arr)))
-
-        return assign_filter
-
-    t1 = cosine_topk(
-        ds.map_batches(probe_filter(first_wave), batch_format="pyarrow"),
-        query, k, id_col=id_col, emb_col=emb_col, round_to=None,
-    )
+    t1 = probe(first_wave)
     # fewer than k hits in the first wave → every cluster may contribute
     kth = float(t1["cosine"][t1.num_rows - 1].as_py()) if t1.num_rows >= k else -1.0
-    second_wave = {
-        int(c) for c in range(len(cent))
-        if c not in first_wave and bound[c] >= kth - 1e-12
-    }
-    if second_wave:
-        t2 = cosine_topk(
-            ds.map_batches(probe_filter(second_wave), batch_format="pyarrow"),
-            query, k, id_col=id_col, emb_col=emb_col, round_to=None,
-        )
-        both = pa.concat_tables([t1, t2])
-    else:
-        both = t1
+    second_wave = np.setdiff1d(np.flatnonzero(bound >= kth - 1e-12), first_wave)
+    both = pa.concat_tables([t1, probe(second_wave)]) if len(second_wave) else t1
     cos = both["cosine"].to_numpy(zero_copy_only=False)
     ids = both[id_col].to_numpy(zero_copy_only=False)
     keep = np.lexsort((ids, -cos))[:k]
@@ -358,8 +349,23 @@ def ivf_topk_exact(
     return pa.table(out)
 
 
+def _block_lloyd(batch: pa.Table, c: np.ndarray, emb_col: str) -> tuple[np.ndarray, np.ndarray]:
+    """One block's per-cluster (sums, counts) under nearest-centroid
+    assignment: k × dim floats whatever the block's row count."""
+    sums = np.zeros(c.shape, dtype=np.float64)
+    if not batch.num_rows:
+        return sums, np.zeros(len(c), dtype=np.int64)
+    m = _normalize(_emb_matrix(batch, emb_col))
+    a = (m @ c.T).argmax(axis=1)
+    # scatter-add: O(rows x dim) work and zero temporaries — the (rows x k)
+    # one-hot matmul this replaces was O(rows x k x dim) and a 100s-of-MB
+    # temporary at large k (VERDICT r3 item 7)
+    np.add.at(sums, a, m)
+    return sums, np.bincount(a, minlength=len(c)).astype(np.int64)
+
+
 def kmeans_fit(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     *,
     k: int = 8,
     emb_col: str = "embedding",
@@ -371,58 +377,28 @@ def kmeans_fit(
     cosine assignment, mean-renormalized centroids) — the clustering step
     of embedding-based data curation (e.g. cluster-balanced sampling).
 
-    Scale shape per iteration: centroids broadcast once via ``ray.put``;
-    ONE streaming pass emits per-block partial (sum, count) rows (k x dim
-    floats per block — independent of block row count); the driver merges
-    partials and renormalizes. No shuffle, no per-row driver work;
-    assignment is a blocked matmul. Deterministic init via the
-    hash-sampled mini-k-means (``build_ivf_centroids``) unless ``init``
-    is given. Empty clusters keep their previous centroid (standard
-    Lloyd's fallback)."""
-    # Lloyd's fundamentally consumes the input n_iter+1 times; materialize
-    # once so a lazy upstream (an embed stage, a filtered read) is not
-    # re-executed per iteration (code-review r3)
-    ds = ds.materialize()
+    Scale shape: the input is materialized once (Lloyd's consumes it
+    n_iter+1 times, and a lazy upstream must not re-run per iteration).
+    Each iteration broadcasts the centroids once via ``ray.put`` and runs
+    one wave of per-block tasks, each returning its (sums, counts) partial
+    (k x dim floats per block); the driver adds them up with numpy and
+    renormalizes. No shuffle, no per-row driver work; assignment is a
+    blocked matmul. Deterministic init via the hash-sampled mini-k-means
+    (``build_ivf_centroids``) unless ``init`` is given. Empty clusters
+    keep their previous centroid (standard Lloyd's fallback)."""
+    src = blocks(ds)
     cent = (
         _normalize(np.asarray(init, dtype=np.float64))
         if init is not None
-        else build_ivf_centroids(ds, n_centroids=k, emb_col=emb_col, id_col=id_col)
+        else build_ivf_centroids(src, n_centroids=k, emb_col=emb_col, id_col=id_col)
     )
-    k = len(cent)
-
     for _ in range(n_iter):
-        ref = ray.put(cent)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(ref)
-            m = _normalize(_emb_matrix(batch, emb_col))
-            a = (m @ c.T).argmax(axis=1)
-            counts = np.bincount(a, minlength=len(c)).astype(np.int64)
-            # per-cluster sums via scatter-add: O(rows x dim) work and zero
-            # temporaries — the (rows x k) one-hot matmul this replaces was
-            # O(rows x k x dim) and a 100s-of-MB temporary at large k
-            # (VERDICT r3 item 7)
-            sums = np.zeros((len(c), m.shape[1]), dtype=np.float64)
-            np.add.at(sums, a, m)
-            return pa.table(
-                {
-                    "cluster": pa.array(np.arange(len(c), dtype=np.int64)),
-                    "count": pa.array(counts),
-                    "sum": pa.array(list(sums), type=pa.list_(pa.float64())),
-                }
-            )
-
-        parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-        dim = cent.shape[1]
-        sums = np.zeros((k, dim), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
-        for r in parts:
-            sums[r["cluster"]] += np.asarray(r["sum"], dtype=np.float64)
-            counts[r["cluster"]] += r["count"]
+        parts = ray.get(map_blocks(_block_lloyd, src, ray.put(cent), emb_col))
+        sums = np.sum([p[0] for p in parts], axis=0)
+        counts = np.sum([p[1] for p in parts], axis=0)
         nz = counts > 0
-        new = cent.copy()
-        new[nz] = _normalize(sums[nz] / counts[nz, None])
-        cent = new
+        cent = cent.copy()
+        cent[nz] = _normalize(sums[nz] / counts[nz, None])
     return cent
 
 

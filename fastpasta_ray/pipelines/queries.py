@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from fastpasta_ray.exchange import hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange, map_blocks
 from fastpasta_ray.functions import text as ftext
 from fastpasta_ray.sketches import group_codes, one_chunk
 
@@ -60,8 +60,14 @@ def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None):
     )
 
 
-def _to_table(ds) -> pa.Table:
-    ts = [b for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)]
+def _to_table(src) -> pa.Table | None:
+    """Rows of a Dataset (iterated: one streaming execution) or of a list
+    of block refs (``ray.get``: none) as one table; None when no block has
+    rows."""
+    if isinstance(src, list):
+        ts = ray.get(src)
+    else:
+        ts = src.iter_batches(batch_format="pyarrow", batch_size=None)
     ts = [t for t in ts if t.num_rows]
     return pa.concat_tables(ts) if ts else None
 
@@ -78,15 +84,21 @@ def _round_col(t: pa.Table, col: str, nd: int = 2) -> pa.Table:
 # no shuffle, and one streaming execution per fold.
 # ---------------------------------------------------------------------------
 
-def _fold(ds, partial, schema: pa.Schema, combine=None) -> pa.Table:
-    """Run ``partial`` on each batch of ``ds`` (None: take the batches as
+def _fold(src, partial, schema: pa.Schema, combine=None) -> pa.Table:
+    """Run ``partial`` on each batch of ``src`` (None: take the batches as
     they are), collect the partials once through ``_to_table`` and pass
-    them to ``combine`` (None: return them). ``schema`` types the table
-    when no batch has rows: a map that empties every batch makes Ray yield
-    no batch at all, so only the caller knows the partial's columns."""
-    if partial is not None:
-        ds = ds.map_batches(partial, batch_format="pyarrow")
-    t = _to_table(ds)
+    them to ``combine`` (None: return them). ``src`` is a Dataset (a
+    ``map_batches``), or block refs or ``Blocks`` that a query already
+    holds (a ``map_blocks`` wave, no streaming execution). ``schema``
+    types the table when no batch has rows: a map that empties every batch
+    makes Ray yield no batch at all, so only the caller knows the
+    partial's columns."""
+    if isinstance(src, ray.data.Dataset):
+        if partial is not None:
+            src = src.map_batches(partial, batch_format="pyarrow")
+    elif partial is not None or isinstance(src, Blocks):
+        src = map_blocks(partial, src)
+    t = _to_table(src)
     t = schema.empty_table() if t is None else t
     return t if combine is None else combine(t)
 
@@ -420,7 +432,8 @@ def q_exact_dup_count(sf_dir: str):
     from fastpasta_ray.functions.dedup import exact_dup_groups
 
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    n = _fold(exact_dup_groups(ds), None, pa.schema({"n_copies": pa.int64()}))["n_copies"]
+    groups = blocks(exact_dup_groups(ds)).refs  # the exchange's outputs, no execution
+    n = _fold(groups, None, pa.schema({"n_copies": pa.int64()}))["n_copies"]
     n_dups = (pc.sum(n).as_py() or 0) - len(n)
     return pa.table({"n_exact_dups": pa.array([n_dups], type=pa.int64())})
 
@@ -454,18 +467,20 @@ def q_text_quality(sf_dir: str):
 # duckdb list_cosine_similarity)
 # ---------------------------------------------------------------------------
 
+def _query_vector(sf_dir: str) -> tuple[np.ndarray, Blocks]:
+    """(the embedding of vec_id 0, a view of every other row) over one
+    read of ``embeddings``: a wave finds the query row, and each later
+    wave drops it inside its own tasks."""
+    emb = blocks(_rp(sf_dir, "embeddings", ["vec_id", "embedding"]))
+    q = _fold(emb, lambda b: b.filter(pc.equal(b["vec_id"], 0)), emb.schema)["embedding"][0]
+    return np.asarray(q.as_py()), emb.view(lambda b: b.filter(pc.not_equal(b["vec_id"], 0)))
+
+
 def q_similarity_top10(sf_dir: str):
     from fastpasta_ray.functions.similarity import cosine_topk
 
-    emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = _to_table(
-        emb.map_batches(lambda b: b.filter(pc.equal(b["vec_id"], 0)), batch_format="pyarrow")
-    )["embedding"].to_pylist()[0]
-    rest = emb.map_batches(
-        lambda b: b.filter(pc.not_equal(b["vec_id"], 0)), batch_format="pyarrow"
-    )
-    t = cosine_topk(rest, np.asarray(q), k=10, round_to=4)
-    return t.select(["vec_id", "cosine"])
+    q, rest = _query_vector(sf_dir)
+    return cosine_topk(rest, q, k=10, round_to=4).select(["vec_id", "cosine"])
 
 
 # ---------------------------------------------------------------------------
@@ -693,23 +708,17 @@ def q_top_orders(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def q_session_stats(sf_dir: str):
-    from ray.data.aggregate import Count as _Count
-
     from fastpasta_ray.functions.windows import sessionize
 
     ds = _rp(sf_dir, "events", ["user_id", "ts"])
-    s = sessionize(ds, gap_seconds=1800.0)
-    t = _to_table(s)
-    import pyarrow.compute as _pc
-
-    n_sessions = t.num_rows
-    n_events = int(_pc.sum(t["n_events"]).as_py())
-    max_ev = int(_pc.max(t["n_events"]).as_py())
+    s = blocks(sessionize(ds, gap_seconds=1800.0)).refs
+    t = _fold(s, None, pa.schema({"n_events": pa.int64()}))
+    # SUM and MAX over no sessions are NULL, as in SQL
     return pa.table(
         {
-            "n_sessions": pa.array([n_sessions], type=pa.int64()),
-            "n_events": pa.array([n_events], type=pa.int64()),
-            "max_session_events": pa.array([max_ev], type=pa.int64()),
+            "n_sessions": pa.array([t.num_rows], type=pa.int64()),
+            "n_events": pa.array([pc.sum(t["n_events"]).as_py()], type=pa.int64()),
+            "max_session_events": pa.array([pc.max(t["n_events"]).as_py()], type=pa.int64()),
         }
     )
 
@@ -785,17 +794,10 @@ def q_ivf_similarity(sf_dir: str):
     force, so it shares similarity_top10's SQL oracle."""
     from fastpasta_ray.functions.similarity import ivf_topk_exact
 
-    emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
-    q = _to_table(
-        emb.map_batches(lambda b: b.filter(pc.equal(b["vec_id"], 0)), batch_format="pyarrow")
-    )["embedding"].to_pylist()[0]
-    # materialize the probe corpus ONCE: the exact-IVF search makes several
-    # passes (centroid sample, radii, two probe waves) — re-running the
-    # read+filter chain per pass dominated wall time on this small table
-    rest = emb.map_batches(
-        lambda b: b.filter(pc.not_equal(b["vec_id"], 0)), batch_format="pyarrow"
-    ).materialize()
-    return ivf_topk_exact(rest, np.asarray(q), k=10).select(["vec_id", "cosine"])
+    # one streaming execution (the read); the query row, the centroid
+    # sample, the radii and both probe waves are raw-task waves over it
+    q, rest = _query_vector(sf_dir)
+    return ivf_topk_exact(rest, q, k=10).select(["vec_id", "cosine"])
 
 
 def q_embedding_neardups(sf_dir: str):
@@ -803,7 +805,7 @@ def q_embedding_neardups(sf_dir: str):
 
     emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"], blocks=8)
     schema = pa.schema({"vec_a": pa.int64(), "vec_b": pa.int64(), "cosine": pa.float64()})
-    return _fold(embedding_near_dup_pairs(emb, threshold=0.95), None, schema)
+    return _fold(blocks(embedding_near_dup_pairs(emb, threshold=0.95)).refs, None, schema)
 
 
 def q_label_stats(sf_dir: str):
@@ -882,22 +884,23 @@ QUERIES.update(
 # events attributed to the most recent prior view of the same user
 # ---------------------------------------------------------------------------
 
+def _event_side(ev: Blocks, kind: str, cols: list[str]) -> Blocks:
+    """A view of the ``events`` rows of one ``event_type``, projected to
+    ``cols``: each join side filters inside the exchange's map tasks, so
+    both sides come from one read, typed even when ``events`` is empty."""
+    return ev.view(lambda b: b.filter(pc.equal(b["event_type"], kind)).select(cols),
+                   pa.schema([ev.schema.field(c) for c in cols]))
+
+
 def q_asof_purchase_attribution(sf_dir: str):
     from fastpasta_ray.functions.joins import asof_join
 
-    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-
-    def side(kind, cols=None):
-        def f(b: pa.Table) -> pa.Table:
-            t = b.filter(pc.equal(b["event_type"], kind))
-            return t.select(cols) if cols else t.drop_columns(["event_type"])
-        return f
-
-    # ONE fused filter+project map per side; asof_join's exchange takes
-    # the typed blocks as they come, empty ones included
-    purchases = ev.map_batches(side("purchase"), batch_format="pyarrow")
-    views = ev.map_batches(side("view", ["user_id", "ts"]), batch_format="pyarrow")
-    t = _to_table(asof_join(purchases, views, on="ts", by="user_id", right_cols=[]))
+    ev = blocks(_rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]))
+    purchases = _event_side(ev, "purchase", ["event_id", "ts", "user_id"])
+    views = _event_side(ev, "view", ["user_id", "ts"])
+    t = asof_join(purchases, views, on="ts", by="user_id", right_cols=[])
+    ts = ev.schema.field("ts").type
+    t = _fold(blocks(t).refs, None, pa.schema({"ts": ts, "ts_right": ts}))
     v = t.filter(pc.is_valid(t["ts_right"]))
     # exact integer microseconds on both sides (duckdb date_diff('second')
     # counts boundary crossings, not elapsed time — avoid it)
@@ -906,7 +909,8 @@ def q_asof_purchase_attribution(sf_dir: str):
         {
             "n_purchases": pa.array([t.num_rows], type=pa.int64()),
             "n_with_view": pa.array([v.num_rows], type=pa.int64()),
-            "total_gap_us": pa.array([pc.sum(pc.subtract(*us)).as_py() or 0], type=pa.int64()),
+            # SUM over no matched purchase is NULL, as in SQL
+            "total_gap_us": pa.array([pc.sum(pc.subtract(*us)).as_py()], type=pa.int64()),
         }
     )
 
@@ -1392,17 +1396,14 @@ def q_rolling_window_count(sf_dir: str):
     from fastpasta_ray.functions.windows import rolling_count
 
     ds = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    out = rolling_count(ds, window_seconds=300.0)
-    t = _to_table(out)
+    out = blocks(rolling_count(ds, window_seconds=300.0)).refs
+    t = _fold(out, None, pa.schema({"n_in_window": pa.int64()}))
+    # SUM and MAX over no events are NULL, as in SQL
     return pa.table(
         {
             "n_events": pa.array([t.num_rows], type=pa.int64()),
-            "total_in_window": pa.array(
-                [int(pc.sum(t["n_in_window"]).as_py())], type=pa.int64()
-            ),
-            "max_in_window": pa.array(
-                [int(pc.max(t["n_in_window"]).as_py())], type=pa.int64()
-            ),
+            "total_in_window": pa.array([pc.sum(t["n_in_window"]).as_py()], type=pa.int64()),
+            "max_in_window": pa.array([pc.max(t["n_in_window"]).as_py()], type=pa.int64()),
         }
     )
 
@@ -1427,30 +1428,18 @@ def q_range_join_views_near_purchase(sf_dir: str):
     ±30 minutes — summarized as (n_purchases, total_matches, max_matches)."""
     from fastpasta_ray.functions.joins import range_join_count
 
-    ev = _rp(sf_dir, "events", ["ts", "user_id", "event_type"])
-
-    def side(kind):
-        def f(b: pa.Table) -> pa.Table:
-            return b.filter(pc.equal(b["event_type"], kind)).drop_columns(["event_type"])
-
-        return f
-
-    purchases = ev.map_batches(side("purchase"), batch_format="pyarrow")
-    views = ev.map_batches(side("view"), batch_format="pyarrow")
+    ev = blocks(_rp(sf_dir, "events", ["ts", "user_id", "event_type"]))
     out = range_join_count(
-        purchases, views, by="user_id",
-        before_seconds=1800.0, after_seconds=1800.0,
+        _event_side(ev, "purchase", ["ts", "user_id"]), _event_side(ev, "view", ["ts", "user_id"]),
+        by="user_id", before_seconds=1800.0, after_seconds=1800.0,
     )
-    t = _to_table(out)
+    t = _fold(blocks(out).refs, None, pa.schema({"n_matches": pa.int64()}))
+    # SUM and MAX over no purchases are NULL, as in SQL
     return pa.table(
         {
             "n_purchases": pa.array([t.num_rows], type=pa.int64()),
-            "total_matches": pa.array(
-                [int(pc.sum(t["n_matches"]).as_py())], type=pa.int64()
-            ),
-            "max_matches": pa.array(
-                [int(pc.max(t["n_matches"]).as_py())], type=pa.int64()
-            ),
+            "total_matches": pa.array([pc.sum(t["n_matches"]).as_py()], type=pa.int64()),
+            "max_matches": pa.array([pc.max(t["n_matches"]).as_py()], type=pa.int64()),
         }
     )
 
@@ -1607,20 +1596,21 @@ ORACLES["deterministic_sample"] = """
 QUERIES["deterministic_sample"] = q_deterministic_sample
 
 
+def _bench_side(bench: bool):
+    """The decontamination queries' split: the deterministic doc_id % 101
+    == 0 slice is the 'benchmark' (SQL-expressible), everything else is
+    the corpus. A filter to one side of it."""
+
+    def f(b: pa.Table) -> pa.Table:
+        m = b["doc_id"].to_numpy(zero_copy_only=False) % 101 == 0
+        return b.filter(pa.array(m if bench else ~m))
+
+    return f
+
+
 def _bench_split(ds):
-    """(bench, corpus) of the decontamination queries: the deterministic
-    doc_id % 101 == 0 slice of ``ds`` is the 'benchmark' (SQL-expressible),
-    everything else is the corpus."""
-
-    def side(bench: bool):
-        def f(b: pa.Table) -> pa.Table:
-            m = b["doc_id"].to_numpy(zero_copy_only=False) % 101 == 0
-            return b.filter(pa.array(m if bench else ~m))
-
-        return f
-
-    return (ds.map_batches(side(True), batch_format="pyarrow"),
-            ds.map_batches(side(False), batch_format="pyarrow"))
+    """(bench, corpus) Datasets of ``ds`` (``_bench_side``)."""
+    return tuple(ds.map_batches(_bench_side(s), batch_format="pyarrow") for s in (True, False))
 
 
 _OVERLAP = pa.schema({"doc_id": pa.int64(), "n_overlap": pa.int64()})
@@ -2186,14 +2176,14 @@ QUERIES["media_stats"] = q_media_stats
 def q_decontam_clean_count(sf_dir: str):
     """Per-source surviving-document counts after dropping every corpus doc
     with >= 1 word-3-gram shared with the benchmark slice (doc_id % 101 ==
-    0, the contamination_check convention). Same broadcast + one streaming
-    pass shape as contamination_check; per-batch (source, count) partials
-    fold driver-side (tiny: sources x blocks rows)."""
+    0, the contamination_check convention). One read of ``documents``,
+    then two raw-task waves over its blocks: the benchmark n-gram set, and
+    split + drop + per-block (source, count) partials in one task each
+    (tiny: sources x blocks rows, folded driver-side)."""
     from fastpasta_ray.functions.decontam import decontaminate
 
-    bench, corpus = _bench_split(
-        _rp(sf_dir, "documents", ["doc_id", "source", "text"], blocks=8))
-    clean = decontaminate(corpus, bench, ngram_n=3)
+    docs = blocks(_rp(sf_dir, "documents", ["doc_id", "source", "text"], blocks=8))
+    clean = decontaminate(docs.view(_bench_side(False)), docs.view(_bench_side(True)), ngram_n=3)
     return _fold(clean, lambda b: _agg(b, ["source"], n_clean=([], "count_all")),
                  pa.schema({"source": pa.string(), "n_clean": pa.int64()}),
                  _merge(["source"], n_clean="sum"))

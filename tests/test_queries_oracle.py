@@ -156,3 +156,18 @@ def test_broadcast_joins_on_edge_orders(tmp_path, orders):
     )
     for name in ("customers_without_orders", "orders_by_segment"):
         assert_matches_oracle(name, QUERIES[name](str(tmp_path)), str(tmp_path))
+
+
+def test_event_queries_on_empty_events(tmp_path):
+    """The exchange-backed event summaries on a zero-row ``events`` table
+    answer like their oracles (COUNT 0, SUM and MAX NULL): the read keeps
+    its parquet schema, so every exchange side arrives typed."""
+    import pyarrow.parquet as pq
+
+    from fastpasta_ray.pipelines.queries import QUERIES
+
+    events = pq.read_table(os.path.join(SF_DIR, "events.parquet"))
+    pq.write_table(events.slice(0, 0), str(tmp_path / "events.parquet"))
+    for name in ("session_stats", "rolling_window_count",
+                 "range_join_views_near_purchase", "asof_purchase_attribution"):
+        assert_matches_oracle(name, QUERIES[name](str(tmp_path)), str(tmp_path))

@@ -1,8 +1,11 @@
 """Query-layer block sizing and execution budget: results must not depend
 on how many blocks a read makes (``_rp`` caps every count at 2× cluster
 CPUs), the folded queries must not grow extra streaming executions, the
-``_fold`` helper keeps its contract, and the broadcast-join, media and
-exchange queries must finish on a 1-CPU cluster."""
+multi-pass and exchange-backed queries run one (a read, then raw-task
+waves over its blocks), the ``_fold`` helper keeps its contract, IVF
+search and decontamination give the same rows at any block count, and
+the broadcast-join, media and exchange queries must finish on a 1-CPU
+cluster."""
 
 import os
 import signal
@@ -72,7 +75,7 @@ def test_exchange_queries_layout_independent(monkeypatch, n_parts):
 
 
 # streaming executions per board query on sf0.001 before the block cap and
-# the driver folds; none may grow, and quantile_filter is now one pass
+# the driver folds; none may grow, and the multi-pass ones are now one read
 EXECUTIONS_BEFORE = {
     "lineitem_agg": 1,
     "top_orders": 1,
@@ -87,9 +90,12 @@ EXECUTIONS_BEFORE = {
 }
 
 
-def test_media_stats_one_execution(monkeypatch):
-    """Both decoders run in one task-pool plan over one read: one streaming
-    execution, and the result equals the oracle."""
+ONE_READ = ("asof_purchase_attribution", "range_join_views_near_purchase",
+            "rolling_window_count", "session_stats", "exact_dup_count",
+            "embedding_neardups", "similarity_top10")
+
+
+def _count_executions(monkeypatch) -> list:
     count = [0]
     real = StreamingExecutor.execute
 
@@ -98,6 +104,24 @@ def test_media_stats_one_execution(monkeypatch):
         return real(self, *a, **kw)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return count
+
+
+@pytest.mark.parametrize("name", ONE_READ)
+def test_one_execution(monkeypatch, name):
+    """One streaming execution (the read), and the oracle's answer. The
+    exchange-backed queries collect the exchange's refs without a second
+    execution (2 before; the two joins 3, one per filtered side),
+    and similarity_top10 finds its query row in a wave (2 before)."""
+    count = _count_executions(monkeypatch)
+    assert_matches_oracle(name, Q.QUERIES[name](SF_DIR))
+    assert count[0] == 1
+
+
+def test_media_stats_one_execution(monkeypatch):
+    """Both decoders run in one task-pool plan over one read: one streaming
+    execution, and the result equals the oracle."""
+    count = _count_executions(monkeypatch)
     assert_matches_oracle("media_stats", Q.QUERIES["media_stats"](SF_DIR))
     assert count[0] == 1
 
@@ -128,14 +152,7 @@ def test_fold_contract():
 
 
 def test_board_execution_budget(monkeypatch):
-    count = [0]
-    real = StreamingExecutor.execute
-
-    def counting(self, *a, **kw):
-        count[0] += 1
-        return real(self, *a, **kw)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    count = _count_executions(monkeypatch)
     got = {}
     for name in EXECUTIONS_BEFORE:
         count[0] = 0
@@ -143,9 +160,126 @@ def test_board_execution_budget(monkeypatch):
         if isinstance(res, ray.data.Dataset):
             res.to_arrow_refs()
         got[name] = count[0]
-    assert got["quantile_filter"] == 1
+    for name in ("quantile_filter", "ivf_similarity", "decontam_clean_count", "minhash_pairs"):
+        assert got[name] == 1, (name, got[name])
     over = {n: (got[n], c) for n, c in EXECUTIONS_BEFORE.items() if got[n] > c}
     assert not over, f"executions (now, before): {over}"
+
+
+def _blocks_of(t, n: int):
+    """``t`` as a Dataset of ``n`` blocks."""
+    step = -(-t.num_rows // n)
+    return ray.data.from_arrow([t.slice(i, step) for i in range(0, t.num_rows, step)])
+
+
+def _vectors(m):
+    import numpy as np
+    import pyarrow as pa
+
+    return pa.table({"vec_id": pa.array(np.arange(len(m)), pa.int64()),
+                     "embedding": pa.array(list(m.astype(np.float32)),
+                                           type=pa.list_(pa.float32()))})
+
+
+def _ivf_cases():
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    few = np.random.default_rng(1).normal(size=(20, 8))
+    dirs = rng.normal(size=(3, 8))
+    dups = np.repeat(dirs, 10, axis=0)
+    ties = np.concatenate([np.repeat(dirs[:1], 12, axis=0), rng.normal(size=(40, 8))])
+    ties = ties[rng.permutation(len(ties))]
+    return {"few_first_hits": (few, few[0]), "empty_probe": (dups, dirs[0]),
+            "tie_at_kth": (ties, dirs[0])}
+
+
+IVF_CASES = _ivf_cases()
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 8])
+@pytest.mark.parametrize("case", sorted(IVF_CASES))
+def test_ivf_equals_brute_force_at_any_layout(monkeypatch, case, n_blocks):
+    """Exact IVF equals brute-force cosine top-10 over the same corpus in
+    1, 3 and 8 blocks, when the first probe wave has fewer than k hits,
+    when a probe wave finds no row (clusters that kept a centroid but no
+    member), and when rows tie at the kth score (12 copies of the query
+    vector for k=10: the lowest ids win on both paths)."""
+    import numpy as np
+
+    from fastpasta_ray.functions import similarity as S
+
+    waves, real = [], S._candidates
+
+    def spy(src, q, k, id_col, emb_col, cent=None, probe=None):
+        t = real(src, q, k, id_col, emb_col, cent, probe)
+        if probe is not None:
+            waves.append(t.num_rows)
+        return t
+
+    monkeypatch.setattr(S, "_candidates", spy)
+    m, q = IVF_CASES[case]
+    ds = _blocks_of(_vectors(m), n_blocks)
+    got = S.ivf_topk_exact(ds, q, k=10).select(["vec_id", "cosine"])
+    brute = S.cosine_topk(ds, q, k=10).select(["vec_id", "cosine"])
+    assert got.equals(brute)
+    if case == "few_first_hits":
+        assert waves[0] < 10 and len(waves) == 2
+    elif case == "empty_probe":
+        assert 0 in waves
+    else:
+        sims = (m / np.linalg.norm(m, axis=1, keepdims=True)) @ (q / np.linalg.norm(q))
+        assert np.sort(np.round(sims, 12))[::-1][9] == np.sort(np.round(sims, 12))[::-1][10]
+        assert got["vec_id"].to_pylist() == sorted(np.flatnonzero(np.isclose(sims, 1.0)))[:10]
+
+
+def test_kmeans_fit_one_execution(monkeypatch):
+    """Lloyd's k-means reads a lazy input once: the hash-sample init and
+    every iteration are waves over its blocks (n_iter + 2 executions
+    before)."""
+    import numpy as np
+
+    from fastpasta_ray.functions.similarity import kmeans_fit
+
+    m = np.random.default_rng(3).normal(size=(60, 8))
+    ds = _blocks_of(_vectors(m), 3).map_batches(lambda b: b, batch_format="pyarrow")
+    count = _count_executions(monkeypatch)
+    assert kmeans_fit(ds, k=3, n_iter=4).shape == (3, 8)
+    assert count[0] == 1
+
+
+def _decontam_corpus():
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.default_rng(23)
+    vocab = [f"w{i}" for i in range(60)]
+    texts = [" ".join(rng.choice(vocab, size=12)) for _ in range(200)]
+    return pa.table({"doc_id": pa.array(np.arange(200), pa.int64()), "text": texts})
+
+
+def test_decontaminate_layout_and_cap(monkeypatch):
+    """``decontaminate`` keeps the same rows whether its inputs come in 1
+    or 3 blocks, and a benchmark side over ``MAX_BENCH_NGRAMS`` still
+    fails loudly instead of broadcasting."""
+    import numpy as np
+
+    from fastpasta_ray.exchange import map_blocks
+    from fastpasta_ray.functions import decontam as D
+
+    t = _decontam_corpus()
+    bench, corpus = t.slice(0, 20), t.slice(20)
+
+    def kept(n_blocks):
+        out = D.decontaminate(_blocks_of(corpus, n_blocks), _blocks_of(bench, n_blocks), ngram_n=3)
+        return np.sort(np.concatenate([b["doc_id"].to_numpy() for b in ray.get(map_blocks(None, out))]))
+
+    one = kept(1)
+    assert 0 < len(one) < corpus.num_rows
+    assert np.array_equal(one, kept(3))
+    monkeypatch.setattr(D, "MAX_BENCH_NGRAMS", 50)
+    with pytest.raises(ValueError, match="too large for a broadcast"):
+        D.decontaminate(_blocks_of(corpus, 3), _blocks_of(bench, 3), ngram_n=3)
 
 
 # the two broadcast joins and media_stats (a fixed-size actor pool once held
