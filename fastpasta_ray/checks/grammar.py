@@ -12,9 +12,11 @@ tokenized-sequence analog is the structural grammar of a training row:
 
 The FSM is row-local (each row is one "payload"), so the whole grammar is
 evaluated VECTORIZED over the batch: first/last-token gathers via list
-offsets, and the pad rule via a per-row "last non-pad position vs first
-pad position" comparison computed with np.maximum.reduceat — never a
-Python loop over rows, never a per-token Python FSM step.
+offsets, and the pad rule via the pad→non-pad steps of the flat token
+array (one bool compare, then work on the pad positions only), each
+mapped to its row with one searchsorted over the row starts — never a
+Python loop over rows, never a per-token Python FSM step. Only the rows
+that break a rule are visited one by one, to build their messages.
 """
 
 from __future__ import annotations
@@ -84,20 +86,19 @@ def run_grammar_checks(batch: pa.Table, g: GrammarConfig) -> pa.Table:
             ],
         )
     if g.pad_id is not None and len(flat):
-        is_pad = flat == g.pad_id
-        if is_pad.any():
-            idx = np.arange(len(flat), dtype=np.int64)
-            # per-row max index of a NON-pad token and min index of a pad token
-            nonpad_pos = np.where(~is_pad, idx, -1)
-            pad_pos = np.where(is_pad, idx, np.iinfo(np.int64).max)
+        pads = np.flatnonzero(flat == g.pad_id)
+        # a pad BEFORE a non-pad token of its row is an interior pad, and
+        # then some pad is directly followed by a non-pad in that row: find
+        # those pad→non-pad steps, keep the ones inside one row
+        nxt = np.minimum(pads + 1, len(flat) - 1)
+        step = pads[(pads + 1 < len(flat)) & (flat[nxt] != g.pad_id)]
+        if len(step):
             vrows = np.flatnonzero(nonempty)
-            red_starts = starts[vrows]
-            last_nonpad = np.maximum.reduceat(nonpad_pos, red_starts)
-            first_pad = np.minimum.reduceat(pad_pos, red_starts)
-            # a pad BEFORE the last non-pad token → interior pad
-            bad_local = first_pad < last_nonpad
-            bad = vrows[np.flatnonzero(bad_local)]
-            fp = (first_pad - red_starts)[np.flatnonzero(bad_local)]
+            owner = vrows[np.searchsorted(starts[vrows], step, side="right") - 1]
+            inside = step + 1 < starts[owner] + lens[owner]
+            bad = np.unique(owner[inside])
+            # each bad row's first pad (pads is sorted), for the message
+            fp = pads[np.searchsorted(pads, starts[bad])] - starts[bad]
             _emit(
                 out, part, row_index, doc_id, bad, S.E_GRAMMAR_PAD, "tokens",
                 [

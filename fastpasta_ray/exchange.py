@@ -22,13 +22,16 @@ Sizing: ``n_parts`` follows the exchanged rows and the cluster's CPUs
 rows. At 1 CPU the exchange is a single reduce task. ``fn`` must accept
 any co-located set of keys: it segments by exact key inside.
 
-The same module holds the query layer's other primitive: ``blocks`` pins a
-side in the object store once, and ``map_blocks`` runs one raw task per
-block. A multi-pass query materializes its read once and runs every later
-pass as a ``map_blocks`` wave instead of a Ray Data streaming execution
+The same module holds the query layer's other primitive: ``Blocks`` are a
+side already in the object store, and ``map_blocks`` runs one raw task per
+block. A query reads each table as ``Blocks`` with one raw read task
+(``pipelines.queries._rp``) and runs every pass as a ``map_blocks`` wave
+or a ``hash_exchange`` over them, never as a Ray Data streaming execution
 (measured at 1 Ray CPU on a shared 4-vCPU host: about 7 ms for a 2-block
-wave, 50-90 ms of fixed cost an execution). ``Blocks.view`` fuses a filter
-into whichever wave reads the blocks next.
+wave, 50-90 ms of fixed cost an execution). ``blocks`` turns anything else
+(a Dataset, materialized once; a driver-held table) into ``Blocks``.
+``Blocks.view`` fuses a filter or map into whichever wave reads the blocks
+next.
 
 Chosen over ``Dataset.groupby(...).map_groups``: the sort-based shuffle
 samples its input, pays per-block constant costs, emits schema-less empty

@@ -99,8 +99,8 @@ def _overlap_counts(batch: pa.Table, bs: np.ndarray, text_col: str, ngram_n: int
 
 
 def contamination_check(
-    docs: "ray.data.Dataset",
-    bench: "ray.data.Dataset",
+    docs: "ray.data.Dataset | Blocks",
+    bench: "ray.data.Dataset | Blocks",
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -111,9 +111,10 @@ def contamination_check(
     doc whose DISTINCT word-n-gram overlap with the benchmark set is
     ≥ ``min_overlap``.
 
-    One broadcast (sorted benchmark hash set), one streaming corpus pass;
-    the membership test and per-doc counts are fully vectorized
-    (searchsorted + reduceat)."""
+    One broadcast (sorted benchmark hash set), one wave of per-block
+    tasks over the corpus (a Dataset is materialized once); the membership
+    test and per-doc counts are fully vectorized (searchsorted +
+    reduceat)."""
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be >= 1 (got {min_overlap})")
     bset = benchmark_ngram_set(bench, text_col=text_col, ngram_n=ngram_n)
@@ -135,7 +136,7 @@ def contamination_check(
             }
         )
 
-    return docs.map_batches(flag, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(map_blocks(flag, blocks(docs)))
 
 
 def decontaminate(
@@ -165,8 +166,8 @@ def decontaminate(
 
 
 def contamination_check_distributed(
-    docs: "ray.data.Dataset",
-    bench: "ray.data.Dataset",
+    docs: "ray.data.Dataset | Blocks",
+    bench: "ray.data.Dataset | Blocks",
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -177,7 +178,8 @@ def contamination_check_distributed(
     side is itself corpus-sized (beyond MAX_BENCH_NGRAMS, where the
     broadcast would not fit): a hash-partitioned n-gram semi-join.
 
-    Both sides stream once, emitting slim n-gram rows — corpus (sh, doc),
+    Both sides are read once (a Dataset is materialized), and the
+    exchange's map tasks emit slim n-gram rows — corpus (sh, doc),
     benchmark (sh): hash 8 B + id 8 B per DISTINCT (doc, n-gram); text
     never shuffles. A two-sided ``hash_exchange`` on the n-gram hash
     co-partitions them, and reduce task ``p`` counts, per corpus doc, its
@@ -225,14 +227,10 @@ def contamination_check_distributed(
         t = pa.table({id_col: g[id_col], "n_overlap": g["n_overlap_sum"]})
         return t.filter(pc.greater_equal(t["n_overlap"], min_overlap))
 
-    partial = hash_exchange(
-        (
-            docs.map_batches(corpus_rows, batch_format="pyarrow"),
-            bench.map_batches(bench_rows, batch_format="pyarrow"),
-        ),
-        "sh",
-        overlap,
-    )
-    return ray.data.from_arrow_refs(
-        hash_exchange(ray.data.from_arrow_refs(partial), id_col, fold)
-    )
+    src = blocks(docs)
+    corpus = src.view(corpus_rows, pa.schema([("sh", pa.uint64()), (id_col, pa.int64())]))
+    bench_sh = blocks(bench).view(bench_rows, pa.schema([("sh", pa.uint64())]))
+    partial = hash_exchange((corpus, bench_sh), "sh", overlap)
+    # the partial counts: at most one row per corpus doc per reduce task
+    counts = Blocks(partial, pa.schema([(id_col, pa.int64()), ("n_overlap", pa.int64())]), src.rows)
+    return ray.data.from_arrow_refs(hash_exchange(counts, id_col, fold))

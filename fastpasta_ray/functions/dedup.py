@@ -77,7 +77,7 @@ def with_hashed_ids(
 # ---------------------------------------------------------------------------
 
 def exact_dup_groups(
-    ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: str = "text",
+    ds: "ray.data.Dataset | Blocks", id_col: str = "doc_id", text_col: str = "text",
 ) -> "ray.data.Dataset":
     """Groups of exact-duplicate documents: (fingerprint, n, keep_id, dup_ids).
 
@@ -106,12 +106,14 @@ def exact_dup_groups(
             }
         )
 
-    fps = ds.map_batches(fp, batch_format="pyarrow")
+    src = blocks(ds)
+    # the fingerprints are computed inside the exchange's map tasks
+    fps = src.view(fp, pa.schema([src.schema.field(id_col), ("fingerprint", pa.uint64())]))
     return ray.data.from_arrow_refs(hash_exchange(fps, "fingerprint", dups))
 
 
 def drop_exact_dups(
-    ds: "ray.data.Dataset", id_col: str = "doc_id", text_col: str = "text",
+    ds: "ray.data.Dataset | Blocks", id_col: str = "doc_id", text_col: str = "text",
 ) -> "ray.data.Dataset":
     """Keep the first (min id) doc per fingerprint — hash-partition +
     per-group first, the canonical exact-dedup plan."""
@@ -133,7 +135,8 @@ def drop_exact_dups(
         keep_idx = keep_idx[np.argsort(ids[keep_idx], kind="stable")]
         return g.take(pa.array(keep_idx, type=pa.int64())).drop_columns(["fingerprint"])
 
-    fps = ds.map_batches(fp, batch_format="pyarrow")
+    src = blocks(ds)
+    fps = src.view(fp, src.schema.append(pa.field("fingerprint", pa.uint64())))
     return ray.data.from_arrow_refs(hash_exchange(fps, "fingerprint", first))
 
 
@@ -822,38 +825,29 @@ def simhash_near_dups(
             }
         )
 
-    keys_ds = ds.map_batches(SimHasher(), batch_format="pyarrow").map_batches(
-        combo_keys, batch_format="pyarrow"
-    )
+    def min_hamming(p: pa.Table) -> pa.Table:
+        # every copy of a pair shares its doc_a, so it lands in one task
+        g = p.group_by(["doc_a", "doc_b"]).aggregate([("hamming", "min")])
+        return pa.table({"doc_a": g["doc_a"], "doc_b": g["doc_b"], "min(hamming)": g["hamming_min"]})
+
+    # ONE read: the signatures and combo keys (36 rows per doc) are
+    # computed inside the exchange's map tasks
+    src = blocks(ds)
+    hasher = SimHasher()
+    keys_schema = pa.schema([(id_col, src.schema.field(id_col).type), ("qkey", pa.uint64()),
+                             ("simhash", pa.uint64())])
+    keys = src.view(lambda b: combo_keys(hasher(b, id_col=id_col, text_col=text_col)),
+                    keys_schema)._replace(rows=src.rows * len(_SIMHASH_COMBOS))
     # raw candidates (a pair may appear once per shared combo key) —
-    # callers that feed exact_jaccard_verify skip the aggregate groupby
-    # since the verify exchange dedups pairs anyway
-    out = hash_exchange(keys_ds, "qkey", verify)
-    if as_table and not aggregate:
-        return pa.concat_tables(ray.get(out))
-    pairs = ray.data.from_arrow_refs(out)
-    if not aggregate:
-        return pairs
-    agg = pairs.groupby(["doc_a", "doc_b"]).min("hamming")
-    if as_table:
-        # honor the contract: as_table=True returns a pa.Table regardless
-        # of aggregate (ADVICE r4: this combination silently returned a
-        # Dataset). The aggregated pair set is small (capped buckets).
-        parts = [
-            t
-            for t in agg.iter_batches(batch_format="pyarrow", batch_size=None)
-            if t.num_rows
-        ]
-        if parts:
-            return pa.concat_tables(parts)
-        return pa.table(
-            {
-                "doc_a": pa.array([], type=pa.int64()),
-                "doc_b": pa.array([], type=pa.int64()),
-                "min(hamming)": pa.array([], type=pa.int64()),
-            }
-        )
-    return agg
+    # callers that feed exact_jaccard_verify skip the aggregate since the
+    # verify exchange dedups pairs anyway
+    out = hash_exchange(keys, "qkey", verify)
+    if aggregate:
+        pairs_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                                  ("hamming", pa.int64())])
+        out = hash_exchange(Blocks(out, pairs_schema, src.rows), "doc_a", min_hamming)
+    # as_table: the (capped) pair set is small and already typed
+    return pa.concat_tables(ray.get(out)) if as_table else ray.data.from_arrow_refs(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pyarrow as pa
 
 import ray
 
+from fastpasta_ray.exchange import Blocks, blocks, map_blocks
 from fastpasta_ray.sketches import hash_strings, splitmix64
 
 
@@ -52,7 +53,7 @@ def next_fit_bins(n_tok: np.ndarray, context_len: int) -> np.ndarray:
 
 
 def pack_sequences(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     *,
     context_len: int,
     n_tok_col: str = "n_tok",
@@ -60,10 +61,11 @@ def pack_sequences(
     part_col: str = "part",
 ) -> "ray.data.Dataset":
     """Per-partition next-fit packing summary: one row per bin —
-    (part, bin, n_docs, total_tok, fill_ratio, first_doc). Runs inside
-    ``map_batches`` over per-file ordered batches (zero shuffle); batches
-    spanning several files are split by ``part_col`` so bins NEVER cross
-    partition files and a resumed run repacks only unfinished partitions.
+    (part, bin, n_docs, total_tok, fill_ratio, first_doc). One raw task
+    per block of the input (a Dataset is materialized once; zero shuffle)
+    over per-file ordered blocks; blocks spanning several files are split
+    by ``part_col`` so bins NEVER cross partition files and a resumed run
+    repacks only unfinished partitions.
     Bin ids are the first row's ``row_index`` when positions are present
     (unique within a part even across batch splits); a mid-file batch
     split starts a fresh bin at the boundary (documented divergence from
@@ -122,7 +124,7 @@ def pack_sequences(
         ]
         return pa.concat_tables(outs)
 
-    return ds.map_batches(pack, batch_format="pyarrow", batch_size=None)
+    return ray.data.from_arrow_refs(map_blocks(pack, blocks(ds)))
 
 
 def deterministic_shuffle(

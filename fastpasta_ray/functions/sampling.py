@@ -20,6 +20,7 @@ import pyarrow.compute as pc
 
 import ray
 
+from fastpasta_ray.exchange import Blocks, blocks, map_blocks
 from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64
 
 
@@ -97,7 +98,7 @@ def stratified_sample(
 
 
 def mixture_sample(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     *,
     key_col: str,
     stratum_col: str,
@@ -120,14 +121,12 @@ def mixture_sample(
     splitmix64-hashed key passes the same test (``hash_keys=True`` — the
     production default for non-uniform keys).
 
-    The per-stratum counts come from a streaming pass of per-batch
+    The input is materialized once (a Dataset; ``Blocks`` are read where
+    they are) and consumed by two waves of per-block tasks: per-block
     partial counts merged on the driver (one tiny row per stratum per
-    block — no sort-groupby, so a lazy upstream is NOT re-executed by
-    shuffle sampling); the filter itself is a second zero-shuffle
-    streaming pass. Callers with an expensive lazy upstream should
-    materialize it first (it is consumed twice). Returns ``(sampled
-    dataset, thresholds)``. int64-safe up to count 10^12 x denom 10^3 x
-    weight 10^2."""
+    block — no sort-groupby), then the zero-shuffle filter. Returns
+    ``(sampled dataset, thresholds)``. int64-safe up to count 10^12 x
+    denom 10^3 x weight 10^2."""
     W = sum(weights.values())
     if W <= 0:
         raise ValueError("mixture_sample: weights must sum to a positive value")
@@ -140,10 +139,11 @@ def mixture_sample(
         g = batch.group_by([stratum_col]).aggregate([([], "count_all")])
         return g.rename_columns([stratum_col, "n"])
 
+    src = blocks(ds)
     counts: dict[str, int] = {}
-    for row in ds.map_batches(partial_counts, batch_format="pyarrow").take_all():
-        s = row[stratum_col]
-        counts[s] = counts.get(s, 0) + int(row["n"])
+    for t in ray.get(map_blocks(partial_counts, src)):
+        for s, n in zip(t[stratum_col].to_pylist(), t["n"].to_pylist()):
+            counts[s] = counts.get(s, 0) + n
     missing = [s for s, w in weights.items() if w > 0 and not counts.get(s)]
     if missing:
         raise ValueError(f"mixture_sample: no rows for weighted strata {missing}")
@@ -169,4 +169,4 @@ def mixture_sample(
         t = _stratum_thresholds(batch, stratum_col, thr, 0)
         return batch.filter(pa.array((h % np.uint64(denom)) < t))
 
-    return ds.map_batches(f, batch_format="pyarrow"), thr
+    return ray.data.from_arrow_refs(map_blocks(f, src)), thr

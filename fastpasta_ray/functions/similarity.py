@@ -11,10 +11,10 @@
   the answer still equals brute force. Centroids are the broadcast small
   side.
 
-The multi-pass functions here (IVF, k-means) materialize a Dataset input
-once (``exchange.blocks``) and run every later pass as a wave of raw
-tasks over its blocks, never as another streaming execution; they also
-take ``Blocks`` a caller already holds.
+Every function here materializes a Dataset input once
+(``exchange.blocks``) and runs every pass as a wave of raw tasks or a
+``hash_exchange`` over its blocks, never as another streaming execution;
+each also takes ``Blocks`` a caller already holds.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ class HyperplaneHasher:
 
 
 def embedding_near_dup_pairs(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     *,
     threshold: float = 0.99,
     n_bits: int = 16,
@@ -275,9 +275,11 @@ def embedding_near_dup_pairs(
             )
         return pa.concat_tables(outs) if outs else empty
 
-    sigs = ds.map_batches(
-        HyperplaneHasher(n_bits, dim, id_col=id_col, emb_col=emb_col), batch_format="pyarrow"
-    )
+    src = blocks(ds)
+    # the signatures are computed inside the exchange's map tasks
+    sigs = src.view(HyperplaneHasher(n_bits, dim, id_col=id_col, emb_col=emb_col),
+                    pa.schema([src.schema.field(id_col), ("sig", pa.int64()),
+                               src.schema.field(emb_col)]))
     return ray.data.from_arrow_refs(hash_exchange(sigs, "sig", verify))
 
 
@@ -403,16 +405,16 @@ def kmeans_fit(
 
 
 def kmeans_assign(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     centroids: np.ndarray,
     *,
     emb_col: str = "embedding",
     id_col: str = "vec_id",
 ) -> "ray.data.Dataset":
     """Assign every row to its nearest (cosine) centroid — one broadcast,
-    one streaming pass; ties break to the lowest cluster index (numpy
-    argmax semantics, mirrored by the SQL oracle's ORDER BY sim DESC,
-    cluster ASC)."""
+    one wave of per-block tasks; ties break to the lowest cluster index
+    (numpy argmax semantics, mirrored by the SQL oracle's ORDER BY sim
+    DESC, cluster ASC)."""
     cent = _normalize(np.asarray(centroids, dtype=np.float64))
     ref = ray.put(cent)
 
@@ -428,11 +430,11 @@ def kmeans_assign(
             }
         )
 
-    return ds.map_batches(assign, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(map_blocks(assign, blocks(ds)))
 
 
 def semantic_dedup(
-    ds: "ray.data.Dataset",
+    ds: "ray.data.Dataset | Blocks",
     centroids: np.ndarray,
     *,
     threshold: float = 0.9,
@@ -452,7 +454,8 @@ def semantic_dedup(
 
     Scale shape: pairwise work never leaves a cluster (the SemDeDup trick —
     k controls the quadratic term; pick k so expected cluster size stays
-    ~1e4-1e5 rows at corpus scale). One shuffle co-locates each cluster;
+    ~1e4-1e5 rows at corpus scale). One hash exchange on the cluster
+    co-locates each cluster (the assignment runs inside its map tasks);
     inside a cluster the m x m similarity is evaluated in ``block``-row
     strips against lower-id rows only, so the temporary is block x m, not
     m x m. Clusters over ``max_cluster_rows`` are skipped with a LOGGED
@@ -471,30 +474,22 @@ def semantic_dedup(
             }
         )
 
-    def drop_dups(g: pa.Table) -> pa.Table:
-        def empty() -> pa.Table:
-            return pa.table(
-                {
-                    "cluster": pa.array([], type=pa.int64()),
-                    id_col: pa.array([], type=pa.int64()),
-                }
-            )
+    out_schema = pa.schema([("cluster", pa.int64()), (id_col, pa.int64())])
 
+    def drop_one(cluster: int, g: pa.Table) -> np.ndarray:
+        """Ids of one cluster's rows that a lower-id row near-duplicates."""
         n = g.num_rows
-        if n < 2:
-            return empty()
         if n > max_cluster_rows:
             import logging
 
             logging.getLogger(__name__).warning(
                 "semantic_dedup: cluster %s has %d rows > max_cluster_rows=%d; "
                 "SKIPPED (increase k or max_cluster_rows)",
-                g["cluster"][0].as_py(), n, max_cluster_rows,
+                cluster, n, max_cluster_rows,
             )
-            return empty()
+            return np.zeros(0, dtype=np.int64)
         ids = g[id_col].to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable")
-        ids_s = ids[order]
         m = _normalize(_emb_matrix(g, emb_col))[order]
         dropped = np.zeros(n, dtype=bool)
         for i0 in range(1, n, block):
@@ -502,24 +497,22 @@ def semantic_dedup(
             sims = m[i0:i1] @ m[:i1].T  # strip vs all rows before its end
             lower = np.arange(i1)[None, :] < np.arange(i0, i1)[:, None]
             dropped[i0:i1] = ((sims >= threshold) & lower).any(axis=1)
-        w = np.flatnonzero(dropped)
+        return ids[order][dropped].astype(np.int64)
+
+    def drop_dups(g: pa.Table) -> pa.Table:
+        # a reduce task holds every row of the clusters routed to it:
+        # segment by exact cluster, dedup each on its own
+        cl = g["cluster"].to_numpy(zero_copy_only=False)
+        keys = np.unique(cl)
+        drops = [drop_one(c, g.filter(pa.array(cl == c))) for c in keys]
+        n = np.array([len(d) for d in drops], dtype=np.int64)
         return pa.table(
-            {
-                "cluster": pa.array(
-                    np.full(len(w), g["cluster"][0].as_py(), dtype=np.int64)
-                ),
-                id_col: pa.array(ids_s[w]),
-            }
+            {"cluster": pa.array(np.repeat(keys.astype(np.int64), n)),
+             id_col: pa.array(np.concatenate(drops) if drops else np.zeros(0, np.int64))},
+            schema=out_schema,
         )
 
-    # materialize the assignment before the groupby: Ray's sort-based
-    # groupby SAMPLES its input and would re-execute the full-corpus
-    # normalize+matmul assign pass (and the parquet read above it) — a
-    # measured lazy-groupby trap (code-review r4). The assigned table is
-    # the shuffle input either way.
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .materialize()
-        .groupby("cluster")
-        .map_groups(drop_dups, batch_format="pyarrow")
-    )
+    src = blocks(ds)
+    assigned = src.view(assign, pa.schema([src.schema.field(id_col), ("cluster", pa.int64()),
+                                           src.schema.field(emb_col)]))
+    return ray.data.from_arrow_refs(hash_exchange(assigned, "cluster", drop_dups))

@@ -205,16 +205,19 @@ def unigram_logprob_table(
     its words under the corpus unigram distribution; low scores flag
     boilerplate/garbage, very high scores flag degenerate repetition.
 
-    Scale shape: per-batch ``pc.value_counts`` pre-aggregates before the
-    groupby, so the shuffle carries (word, count) partials — bounded by
-    distinct words per block (Zipf), not corpus size. The merged table is
-    vocab-sized; above ``max_vocab`` only the top entries by count are
-    kept (drop LOGGED) and dropped words score at ``oov_logprob``, so the
-    broadcast stays bounded at any corpus size. ``alpha`` > 0 applies
+    Scale shape: per-block ``pc.value_counts`` pre-aggregates inside the
+    map tasks of one hash exchange on the word, so the exchange carries
+    (word, count) partials — bounded by distinct words per block (Zipf),
+    not corpus size. A Dataset is materialized once; ``Blocks`` are read
+    where they are. The merged table is vocab-sized; above ``max_vocab``
+    only the top entries by count are kept (drop LOGGED) and dropped words
+    score at ``oov_logprob``, so the broadcast stays bounded at any corpus
+    size. ``alpha`` > 0 applies
     add-alpha smoothing (required for scoring text outside the fitted
     corpus; the exact-oracle path uses alpha=0 over its own corpus)."""
-    from ray.data.aggregate import Sum
+    import ray
 
+    from fastpasta_ray.exchange import blocks, hash_exchange
     from fastpasta_ray.sketches import one_chunk
 
     def partial(b: pa.Table) -> pa.Table:
@@ -227,22 +230,13 @@ def unigram_logprob_table(
             }
         )
 
-    # materialize the (small, distinct-words-per-block) partials before the
-    # groupby: Ray's sort-based groupby SAMPLES its input, re-executing a
-    # lazy upstream — the full tokenize+value_counts pass would run TWICE
-    # (measured; code-review r4)
-    freq = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .materialize()
-        .groupby("word")
-        .aggregate(Sum("cnt", alias_name="c"))
-    )
-    rows = []
-    for b in freq.iter_batches(batch_format="pyarrow", batch_size=None):
-        rows.append(b)
-    t = pa.concat_tables(rows) if rows else pa.table(
-        {"word": pa.array([], type=pa.string()), "c": pa.array([], type=pa.int64())}
-    )
+    def word_totals(g: pa.Table) -> pa.Table:
+        # every partial count of a word lands in one reduce task
+        a = g.group_by("word").aggregate([("cnt", "sum")])
+        return pa.table({"word": a["word"], "c": a["cnt_sum"]})
+
+    counts = blocks(ds).view(partial, pa.schema({"word": pa.string(), "cnt": pa.int64()}))
+    t = pa.concat_tables(ray.get(hash_exchange(counts, "word", word_totals)))
     c = t["c"].to_numpy(zero_copy_only=False).astype(np.float64)
     total = float(c.sum())
     n_vocab = len(c)
@@ -277,7 +271,8 @@ def unigram_logprob_score(
     id_col: str = "doc_id",
     append: bool = False,
 ):
-    """Per-document mean unigram log-probability — one streaming pass.
+    """Per-document mean unigram log-probability — one wave of per-block
+    tasks over ``ds`` (a Dataset is materialized once).
 
     The lookup table is prepared ONCE at broadcast time: vocab words are
     hashed (in-job Arrow-buffer hash) and sorted, so each task does a
@@ -292,6 +287,7 @@ def unigram_logprob_score(
     slim (id, logprob) projection."""
     import ray
 
+    from fastpasta_ray.exchange import blocks, map_blocks
     from fastpasta_ray.sketches import hash_strings
 
     h = hash_strings(vocab)
@@ -330,4 +326,4 @@ def unigram_logprob_score(
             return b.append_column("unigram_logprob", col)
         return pa.table({id_col: b[id_col], "logprob": col})
 
-    return ds.map_batches(score, batch_format="pyarrow")
+    return ray.data.from_arrow_refs(map_blocks(score, blocks(ds)))

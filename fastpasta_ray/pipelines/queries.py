@@ -19,6 +19,7 @@ from functools import reduce
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 from ray.data.aggregate import Count, Max, Min, Sum
@@ -28,47 +29,55 @@ from fastpasta_ray.functions import text as ftext
 from fastpasta_ray.sketches import group_codes, one_chunk
 
 
-def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None):
-    """Column-pruned read with SIZE-AWARE block parallelism.
+@ray.remote
+def _read(path: str, columns, filter, k: int):
+    """One parquet file as ``k`` contiguous zero-copy slices of near-equal
+    size (``num_returns=k``; a bare table when ``k == 1``)."""
+    t = pq.read_table(path, columns=columns, filters=filter)
+    cuts = [-(-i * t.num_rows // k) for i in range(k + 1)]
+    parts = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    return parts[0] if k == 1 else tuple(parts)
 
-    Ray's default block count (~2× CPUs regardless of input size) costs
-    per-block overhead in downstream sorts and aggregates on small tables
-    (measured: the Dataset-groupby asof over 5 MB of events took 2.8 s at
-    default blocks vs 0.5 s at 2 blocks). Default here: one block per ~75k rows, at least 2 —
-    small tables stay cheap, big tables still fan out. Compute-heavy
-    callers pass ``blocks`` explicitly. Every count, default or explicit,
-    is capped at 2× the cluster's CPUs: beyond that a block is one more
-    queued task, not more parallelism (blocks=32 keeps its 32 tasks on 16+
-    CPUs, and reads 500 documents as 2 blocks, not 32, on 1 CPU)."""
+
+def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None,
+        filter=None) -> Blocks:
+    """Column-pruned read of one table as ``Blocks``: one raw Ray task
+    reads the file with pyarrow (``filter``, a ``pyarrow.dataset``
+    expression, is pushed into that read) and returns it as k slices. No
+    Ray Data streaming execution runs: at 1 CPU each one cost 50-90 ms of
+    fixed overhead, most of a small query's time.
+
+    k is SIZE-AWARE: one block per ~75k rows, at least 2 — small tables
+    stay cheap, big tables still fan out to the waves that read them.
+    Compute-heavy callers pass ``blocks`` explicitly. Every count, default
+    or explicit, is capped at 2× the cluster's CPUs: beyond that a block is
+    one more queued task, not more parallelism (blocks=32 keeps its 32
+    tasks on 16+ CPUs, and reads 500 documents as 2 blocks, not 32, on 1
+    CPU); and at the row count, so no slice is empty unless ``filter``
+    empties it. A zero-row file is one typed empty block."""
+    from fastpasta_ray.sources.parquet import cluster_cpus
+
     path = os.path.join(sf_dir, f"{table}.parquet")
+    f = pq.ParquetFile(path)
+    rows = f.metadata.num_rows
+    schema = f.schema_arrow
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
     if blocks is None:
-        try:
-            import pyarrow.parquet as _pq
-
-            rows = _pq.ParquetFile(path).metadata.num_rows
-        except Exception:
-            rows = 0
         # ~75k rows per block (sweep: lineitem 600k rows is fastest at 8
         # blocks; 2 blocks pays serial sort, 64 blocks pays per-block
         # shuffle overhead)
         blocks = max(2, rows // 75_000 + 1)
-    from fastpasta_ray.sources.parquet import cluster_cpus
-
-    blocks = int(min(blocks, 2 * cluster_cpus()))
-    return ray.data.read_parquet(
-        path, columns=columns, override_num_blocks=blocks
-    )
+    k = int(max(1, min(blocks, 2 * cluster_cpus(), rows)))
+    refs = _read.options(num_returns=k).remote(path, columns, filter, k)
+    # rows is an upper bound once ``filter`` drops rows, as Blocks allows
+    return Blocks(refs if k > 1 else [refs], schema, rows)
 
 
-def _to_table(src) -> pa.Table | None:
-    """Rows of a Dataset (iterated: one streaming execution) or of a list
-    of block refs (``ray.get``: none) as one table; None when no block has
-    rows."""
-    if isinstance(src, list):
-        ts = ray.get(src)
-    else:
-        ts = src.iter_batches(batch_format="pyarrow", batch_size=None)
-    ts = [t for t in ts if t.num_rows]
+def _to_table(src: list) -> pa.Table | None:
+    """Rows of a list of block refs (``ray.get``: no streaming execution)
+    as one table; None when no block has rows."""
+    ts = [t for t in ray.get(src) if t.num_rows]
     return pa.concat_tables(ts) if ts else None
 
 
@@ -79,24 +88,23 @@ def _round_col(t: pa.Table, col: str, nd: int = 2) -> pa.Table:
 
 # ---------------------------------------------------------------------------
 # The query layer's partial → final step. Every fold below is mergeable
-# (sums, minima, maxima, top-k of top-k, sketch merges), so each batch
+# (sums, minima, maxima, top-k of top-k, sketch merges), so each block
 # emits a few-row partial and one driver-side combine finishes the query:
-# no shuffle, and one streaming execution per fold.
+# no shuffle, and one raw-task wave per fold.
 # ---------------------------------------------------------------------------
 
 def _fold(src, partial, schema: pa.Schema, combine=None) -> pa.Table:
-    """Run ``partial`` on each batch of ``src`` (None: take the batches as
+    """Run ``partial`` on each block of ``src`` (None: take the blocks as
     they are), collect the partials once through ``_to_table`` and pass
-    them to ``combine`` (None: return them). ``src`` is a Dataset (a
-    ``map_batches``), or block refs or ``Blocks`` that a query already
-    holds (a ``map_blocks`` wave, no streaming execution). ``schema``
-    types the table when no batch has rows: a map that empties every batch
-    makes Ray yield no batch at all, so only the caller knows the
-    partial's columns."""
-    if isinstance(src, ray.data.Dataset):
-        if partial is not None:
-            src = src.map_batches(partial, batch_format="pyarrow")
-    elif partial is not None or isinstance(src, Blocks):
+    them to ``combine`` (None: return them). ``src`` is ``Blocks`` (``_rp``
+    or a view of it), block refs, or anything ``exchange.blocks`` takes (a
+    Dataset is materialized once); ``partial`` runs as one ``map_blocks``
+    wave. ``schema`` types the table when no partial has rows: only the
+    caller knows the partial's columns."""
+    if not isinstance(src, list):
+        src = blocks(src)
+        src = src.refs if partial is None and src.pre is None else map_blocks(partial, src)
+    elif partial is not None:
         src = map_blocks(partial, src)
     t = _to_table(src)
     t = schema.empty_table() if t is None else t
@@ -204,7 +212,7 @@ def q_lineitem_agg(sf_dir: str):
             count_order=([], "count_all"),
         )
 
-    # ≤6 partial rows per batch; a Dataset groupby here paid an all-to-all
+    # ≤6 partial rows per block; a Dataset groupby here paid an all-to-all
     # shuffle for those few rows
     schema = pa.schema({**dict.fromkeys(keys, pa.string()), **dict.fromkeys(sums, pa.float64()),
                         "count_order": pa.int64()})
@@ -218,14 +226,22 @@ def q_lineitem_agg(sf_dir: str):
 # G3: histogram / per-source grouped stats
 # ---------------------------------------------------------------------------
 
+_SOURCE_HISTOGRAM = pa.schema({"source": pa.string(), "n_docs": pa.int64(),
+                               "total_chars": pa.int64(), "min_chars": pa.int64(),
+                               "max_chars": pa.int64()})
+_SOURCE_HISTOGRAM_MERGE = _merge(["source"], n_docs="sum", total_chars="sum",
+                                 min_chars="min", max_chars="max")
+
+
 def q_source_histogram(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["source", "n_chars"])
-    return ds.groupby("source").aggregate(
-        Count(alias_name="n_docs"),
-        Sum("n_chars", alias_name="total_chars"),
-        Min("n_chars", alias_name="min_chars"),
-        Max("n_chars", alias_name="max_chars"),
-    )
+
+    def partial(b: pa.Table) -> pa.Table:
+        # a few sources per block
+        return _agg(b, ["source"], n_docs=([], "count_all"), total_chars=("n_chars", "sum"),
+                    min_chars=("n_chars", "min"), max_chars=("n_chars", "max"))
+
+    return _fold(ds, partial, _SOURCE_HISTOGRAM, _SOURCE_HISTOGRAM_MERGE)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +309,21 @@ def q_constraint_lang_domain(sf_dir: str):
 
 def q_dup_doc_id(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["doc_id"])
-    agg = ds.groupby("doc_id").aggregate(Count(alias_name="n"))
-    return _fold(agg, lambda b: b.filter(pc.greater(b["n"], 1)),
+
+    def dups(g: pa.Table) -> pa.Table:
+        # every row of an id lands in one reduce task: its count is final
+        t = _agg(g, ["doc_id"], n=([], "count_all"))
+        return t.filter(pc.greater(t["n"], 1))
+
+    # a hash exchange, not a driver fold: one partial row per distinct id
+    # would grow with the table
+    return _fold(hash_exchange(ds, "doc_id", dups), None,
                  pa.schema({"doc_id": pa.int64(), "n": pa.int64()}))
 
 
 # ---------------------------------------------------------------------------
 # G6/A4: referential anti-join — broadcast small side via ray.put, probed
-# inside map_batches (no shuffle of the big side).
+# inside each block's task (no shuffle of the big side).
 # ---------------------------------------------------------------------------
 
 def q_customers_without_orders(sf_dir: str):
@@ -347,32 +370,30 @@ def q_orders_by_segment(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# shuffle hash join via Dataset.join (R8 dispatcher-shuffle analog)
+# shuffle hash join via a two-sided hash exchange (R8 dispatcher-shuffle
+# analog)
 # ---------------------------------------------------------------------------
 
 def q_lines_per_orderpriority(sf_dir: str):
-    """The ONE kept genuine Dataset.join (R8 dispatcher-shuffle
+    """The ONE kept genuine shuffle join (R8 dispatcher-shuffle
     demonstrator) — every other multi-table query broadcasts its small
-    side (VERDICT r1 #3). Tuning swept: num_partitions 8 ≈ 16 « 32 at
-    this scale (32 starves the hash-shuffle aggregator actors); both
-    sides pre-projected to the join/aggregate columns only."""
+    side (VERDICT r1 #3): one two-sided ``hash_exchange`` on the order
+    key, both sides pre-projected to the join/aggregate columns only."""
     li = _rp(sf_dir, "lineitem", ["l_orderkey"])
     orders = _rp(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = li.join(
-        orders,
-        join_type="inner",
-        num_partitions=8,
-        on=("l_orderkey",),
-        right_on=("o_orderkey",),
-    )
-    # coalesce the 8 join partitions below the group cardinality (5): the
-    # sort-based aggregate makes one range per input block, and surplus
-    # ranges come back as schema-less empty blocks (VERDICT r4 #5)
-    return _to_table(
-        joined.repartition(4)
-        .groupby("o_orderpriority")
-        .aggregate(Count(alias_name="n_lines"))
-    )
+    # both sides exchange on one key column name
+    orders = orders.view(lambda b: b.rename_columns(["l_orderkey", "o_orderpriority"]),
+                         pa.schema({"l_orderkey": pa.int64(), "o_orderpriority": pa.string()}))
+
+    def join_count(l: pa.Table, o: pa.Table) -> pa.Table:
+        # reduce task p joins shard p of lineitem with shard p of orders;
+        # ≤5 priority rows per task, summed on the driver
+        j = l.join(o, "l_orderkey", join_type="inner")
+        return _agg(j, ["o_orderpriority"], n_lines=([], "count_all"))
+
+    return _fold(hash_exchange((li, orders), "l_orderkey", join_count), None,
+                 pa.schema({"o_orderpriority": pa.string(), "n_lines": pa.int64()}),
+                 _merge(["o_orderpriority"], n_lines="sum"))
 
 
 # ---------------------------------------------------------------------------
@@ -444,22 +465,15 @@ def q_exact_dup_count(sf_dir: str):
 
 def q_token_counts(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        lambda b: ftext.token_count(b).select(["doc_id", "n_words"]),
-        batch_format="pyarrow",
-    )
-    return _to_table(out)
+    return _fold(ds, lambda b: ftext.token_count(b).select(["doc_id", "n_words"]),
+                 pa.schema({"doc_id": pa.int64(), "n_words": pa.int64()}))
 
 
 def q_text_quality(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        lambda b: ftext.quality_metrics(b).select(
-            ["doc_id", "n_chars_obs", "n_punct", "n_upper", "n_digit"]
-        ),
-        batch_format="pyarrow",
-    )
-    return _to_table(out)
+    cols = ["n_chars_obs", "n_punct", "n_upper", "n_digit"]
+    return _fold(ds, lambda b: ftext.quality_metrics(b).select(["doc_id", *cols]),
+                 pa.schema({"doc_id": pa.int64(), **dict.fromkeys(cols, pa.int64())}))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +524,8 @@ def q_simhash_pairs(sf_dir: str):
     minhash_pairs at a stricter threshold."""
     from fastpasta_ray.functions.dedup import exact_jaccard_verify, simhash_near_dups
 
-    # blocks=32: see q_minhash_pairs
+    # blocks=32: see q_minhash_pairs. One read: the candidates and the
+    # verify's n-gram sets come from the same blocks
     ds = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=32)
     cand = simhash_near_dups(ds, aggregate=False, as_table=True).select(
         ["doc_a", "doc_b"]
@@ -520,12 +535,11 @@ def q_simhash_pairs(sf_dir: str):
 
 def q_lang_id(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["doc_id", "text", "lang"], blocks=8)
-    out = ds.map_batches(
-        ftext.LangID(), batch_format="pyarrow", concurrency=2
-    ).map_batches(
-        lambda b: b.select(["doc_id", "lang", "lang_pred"]), batch_format="pyarrow"
-    )
-    return _to_table(out)
+    # the stopword patterns are built once here and shipped with the wave
+    # (an actor pool held CPUs for the whole stage)
+    lang_id = ftext.LangID()
+    return _fold(ds, lambda b: lang_id(b).select(["doc_id", "lang", "lang_pred"]),
+                 pa.schema({"doc_id": pa.int64(), "lang": pa.string(), "lang_pred": pa.string()}))
 
 
 def q_hll_distinct_users(sf_dir: str):
@@ -559,7 +573,7 @@ def q_hll_distinct_users(sf_dir: str):
         return pa.table({"n": pa.array([n], type=pa.int64())})
 
     merged = _fold(ds, partial, pa.schema({"registers": pa.binary()}), merge)
-    uniq = ds.map_batches(uniq_rows, batch_format="pyarrow")
+    uniq = ds.view(uniq_rows, pa.schema({"uid": pa.int64()}))
     exact_t = pa.concat_tables(ray.get(hash_exchange(uniq, "uid", count_distinct)))
     n_exact = int(pc.sum(exact_t["n"]).as_py() or 0)
     est = merged.estimate()
@@ -755,7 +769,7 @@ def q_nchars_quantiles(sf_dir: str):
 
 
 # ---------------------------------------------------------------------------
-# word top-k: per-batch partial counts -> groupby sum -> driver top-k
+# word top-k: per-block partial counts -> groupby sum -> driver top-k
 # (explode+shuffle with pre-aggregation — the combiner pattern)
 # ---------------------------------------------------------------------------
 
@@ -776,8 +790,11 @@ def q_word_topk(sf_dir: str):
             }
         )
 
+    # the point of this query is Ray Data's shuffle aggregate: the partial
+    # counts run as a wave over the read's blocks and enter it as they are
+    # (one streaming execution, the aggregate)
     agg = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
+        ray.data.from_arrow_refs(map_blocks(partial_counts, ds))
         .groupby("word")
         .aggregate(Sum("cnt", alias_name="n"))
     )
@@ -809,13 +826,17 @@ def q_embedding_neardups(sf_dir: str):
 
 
 def q_label_stats(sf_dir: str):
-    from ray.data.aggregate import Count as _Count
-
     emb = _rp(sf_dir, "embeddings", ["vec_id", "label"])
-    return emb.groupby("label").aggregate(
-        _Count(alias_name="n_vecs"), Min("vec_id", alias_name="min_vec_id"),
-        Max("vec_id", alias_name="max_vec_id"),
-    )
+
+    def partial(b: pa.Table) -> pa.Table:
+        # a few labels per block
+        return _agg(b, ["label"], n_vecs=([], "count_all"), min_vec_id=("vec_id", "min"),
+                    max_vec_id=("vec_id", "max"))
+
+    schema = pa.schema({"label": pa.int32(), "n_vecs": pa.int64(), "min_vec_id": pa.int64(),
+                        "max_vec_id": pa.int64()})
+    return _fold(emb, partial, schema,
+                 _merge(["label"], n_vecs="sum", min_vec_id="min", max_vec_id="max"))
 
 ORACLES.update(
     {
@@ -944,8 +965,11 @@ def q_source_histogram_salted(sf_dir: str, n_salt: int = 8):
         s = (np.arange(b.num_rows) % n_salt).astype(np.int64)
         return b.append_column("salt", pa.array(s))
 
+    # the point of this query is Ray Data's shuffle aggregate on a salted
+    # key: the salting runs as a wave over the read's blocks, which enter
+    # it as they are (one streaming execution, the aggregate)
     partial = (
-        ds.map_batches(salt, batch_format="pyarrow")
+        ray.data.from_arrow_refs(map_blocks(salt, ds))
         .groupby(["source", "salt"])
         .aggregate(
             Count(alias_name="n_docs"),
@@ -954,10 +978,7 @@ def q_source_histogram_salted(sf_dir: str, n_salt: int = 8):
             Max("n_chars", alias_name="max_chars"),
         )
     )
-    schema = pa.schema({"source": pa.string(), "n_docs": pa.int64(), "total_chars": pa.int64(),
-                        "min_chars": pa.int64(), "max_chars": pa.int64()})
-    return _fold(partial, None, schema, _merge(
-        ["source"], n_docs="sum", total_chars="sum", min_chars="min", max_chars="max"))
+    return _fold(partial, None, _SOURCE_HISTOGRAM, _SOURCE_HISTOGRAM_MERGE)
 
 
 ORACLES["source_histogram_salted"] = ORACLES["source_histogram"]
@@ -1005,7 +1026,7 @@ def q_q3_shipping_priority(sf_dir: str):
     """TPC-H Q3 shape, broadcast-join plan (VERDICT r1 #3): after the
     BUILDING semi-join, surviving orders are ~1/5 of the table — small
     enough to broadcast ``o_orderkey → o_orderdate`` via ray.put and probe
-    with searchsorted inside map_batches over lineitem. NO all-to-all
+    with searchsorted in a wave over lineitem's blocks. NO all-to-all
     shuffle of the fact table; the only exchange is the per-order groupby
     of (orderkey, date, partial revenue) rows. The genuine shuffle-join
     demonstrator (R8) is q_lines_per_orderpriority."""
@@ -1095,7 +1116,7 @@ def q_q5_local_supplier_volume(sf_dir: str):
 
     # broadcast-join plan (VERDICT r1 #3): ASIA orders are a ~1/5 subset —
     # broadcast (o_orderkey → c_nationkey), probe + per-batch partial sum
-    # by nation inside map_batches over lineitem (no fact shuffle at all;
+    # by nation in a wave over lineitem's blocks (no fact shuffle at all;
     # the "reduce" is a ≤25-nation partial merge on the driver)
     schema = pa.schema({"o_orderkey": pa.int64(), "c_nationkey": pa.int64()})
     orders = _fold(_rp(sf_dir, "orders", ["o_orderkey", "o_custkey"]), cust_nation, schema)
@@ -1147,10 +1168,11 @@ QUERIES["q5_local_supplier_volume"] = q_q5_local_supplier_volume
 # ---------------------------------------------------------------------------
 
 def q_value_quantiles_tdigest(sf_dir: str):
-    """Exact grouped float quantiles (per-group map_groups; values of one
-    group must fit a task — documented partitioning assumption) PLUS the
-    mergeable TDigest estimate judged against them as checkable tolerance
-    columns. Oracle: DuckDB quantile_cont + TRUE for the tolerance bits."""
+    """Exact grouped float quantiles (one hash exchange on the event type;
+    values of one type must fit a task — documented partitioning
+    assumption) PLUS the mergeable TDigest estimate judged against them as
+    checkable tolerance columns. Oracle: DuckDB quantile_cont + TRUE for
+    the tolerance bits."""
     import json
 
     from fastpasta_ray.sketches import TDigest
@@ -1168,12 +1190,16 @@ def q_value_quantiles_tdigest(sf_dir: str):
         return pa.table({"event_type": pa.array(uniques, pa.string()), "digest": digests})
 
     def exact_q(g: pa.Table) -> pa.Table:
+        # every value of a type lands in one reduce task, which may hold
+        # several types: one exact quantile pair per type
+        codes, uniques = group_codes(g["event_type"], include_null=True)
         v = g["value"].to_numpy(zero_copy_only=False).astype(np.float64)
+        segs = [v[codes == k] for k in range(len(uniques))]
         return pa.table(
             {
-                "event_type": pa.array([g["event_type"][0].as_py()]),
-                "p50": pa.array([float(np.quantile(v, 0.5))]),
-                "p99": pa.array([float(np.quantile(v, 0.99))]),
+                "event_type": pa.array(uniques, pa.string()),
+                "p50": pa.array([float(np.quantile(x, 0.5)) for x in segs], pa.float64()),
+                "p99": pa.array([float(np.quantile(x, 0.99)) for x in segs], pa.float64()),
             }
         )
 
@@ -1181,7 +1207,8 @@ def q_value_quantiles_tdigest(sf_dir: str):
         ds, partial, pa.schema({"event_type": pa.string(), "digest": pa.string()}),
         _sketches("event_type", "digest", lambda s: TDigest.from_json(json.loads(s))),
     )
-    exact = _to_table(ds.groupby("event_type").map_groups(exact_q, batch_format="pyarrow"))
+    exact = _fold(hash_exchange(ds, "event_type", exact_q), None,
+                  pa.schema({"event_type": pa.string(), "p50": pa.float64(), "p99": pa.float64()}))
     ex = {r["event_type"]: r for r in exact.to_pylist()}
     # judge the tdigest by RANK error (the sketch's actual guarantee: the
     # estimate's empirical CDF position within 0.01 of q; value-space tail
@@ -1226,9 +1253,8 @@ QUERIES["value_quantiles_tdigest"] = q_value_quantiles_tdigest
 def q_q6_forecast_revenue(sf_dir: str):
     import pyarrow.dataset as pads
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
+    ds = _rp(
+        sf_dir, "lineitem", ["l_extendedprice", "l_discount", "l_quantity", "l_shipdate"],
         filter=(
             (pads.field("l_shipdate") >= pads.scalar(pa.scalar(np.datetime64("1996-01-01", "us"))))
             & (pads.field("l_shipdate") < pads.scalar(pa.scalar(np.datetime64("1997-01-01", "us"))))
@@ -1481,18 +1507,14 @@ def q_sequence_packing(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["doc_id", "n_chars"], blocks=1)
 
     def ordered(b: pa.Table) -> pa.Table:
-        # one block → one batch → one packing domain in doc_id order
+        # one block → one packing domain in doc_id order
         return b.sort_by("doc_id").append_column(
             "part", pa.array(["all"] * b.num_rows, type=pa.string())
         )
 
-    bins = _to_table(
-        pack_sequences(
-            ds.map_batches(ordered, batch_format="pyarrow", batch_size=None),
-            context_len=_PACK_CTX,
-            n_tok_col="n_chars",
-        )
-    )
+    packed = pack_sequences(ds.view(ordered, ds.schema.append(pa.field("part", pa.string()))),
+                            context_len=_PACK_CTX, n_tok_col="n_chars")
+    bins = _fold(packed, None, pa.schema({"total_tok": pa.int64(), "n_docs": pa.int64()}))
     return pa.table(
         {
             "n_bins": pa.array([bins.num_rows], type=pa.int64()),
@@ -1540,13 +1562,10 @@ QUERIES["sequence_packing"] = q_sequence_packing
 
 def q_repetition(sf_dir: str):
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(
-        lambda b: ftext.repetition_metrics(b).select(
-            ["doc_id", "n_words", "n_distinct_words", "rep_ratio"]
-        ),
-        batch_format="pyarrow",
-    )
-    return _to_table(out)
+    cols = ["doc_id", "n_words", "n_distinct_words", "rep_ratio"]
+    return _fold(ds, lambda b: ftext.repetition_metrics(b).select(cols),
+                 pa.schema({"doc_id": pa.int64(), "n_words": pa.int64(),
+                            "n_distinct_words": pa.int64(), "rep_ratio": pa.float64()}))
 
 
 ORACLES["repetition"] = """
@@ -1608,9 +1627,10 @@ def _bench_side(bench: bool):
     return f
 
 
-def _bench_split(ds):
-    """(bench, corpus) Datasets of ``ds`` (``_bench_side``)."""
-    return tuple(ds.map_batches(_bench_side(s), batch_format="pyarrow") for s in (True, False))
+def _bench_split(ds: Blocks) -> tuple[Blocks, Blocks]:
+    """(bench, corpus) views of one read (``_bench_side``): each side's
+    filter runs inside the wave that reads it."""
+    return ds.view(_bench_side(True)), ds.view(_bench_side(False))
 
 
 _OVERLAP = pa.schema({"doc_id": pa.int64(), "n_overlap": pa.int64()})
@@ -1625,8 +1645,6 @@ def q_contamination_check(sf_dir: str):
     shuffle (functions/decontam.py)."""
     from fastpasta_ray.functions.decontam import contamination_check
 
-    # the bench side is collected by benchmark_ngram_set, which skips the
-    # empty blocks the ~1/101 filter leaves, so it needs no coalesce
     bench, corpus = _bench_split(_rp(sf_dir, "documents", ["doc_id", "text"], blocks=8))
     out = contamination_check(corpus, bench, ngram_n=3)
     return _fold(out, None, _OVERLAP).sort_by("doc_id")
@@ -1777,9 +1795,9 @@ QUERIES["quantile_filter"] = q_quantile_filter
 
 def q_unigram_logprob(sf_dir: str):
     """Unigram LM quality score (CCNet-style model-free perplexity proxy):
-    corpus word-frequency table (per-batch value_counts partials → one
-    (word, count) groupby), broadcast once via ray.put, then one streaming
-    scoring pass computing each doc's mean log P(word). The filtering step
+    corpus word-frequency table (per-block value_counts partials → one
+    (word, count) hash exchange), broadcast once via ray.put, then one
+    scoring wave computing each doc's mean log P(word). The filtering step
     every LM data pipeline runs before training; exact SQL oracle."""
     from fastpasta_ray.functions.text import (
         unigram_logprob_score,
@@ -1788,7 +1806,8 @@ def q_unigram_logprob(sf_dir: str):
 
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
     vocab, logp, oov = unigram_logprob_table(ds, "text")
-    return _to_table(unigram_logprob_score(ds, vocab, logp, oov))
+    return _fold(unigram_logprob_score(ds, vocab, logp, oov), None,
+                 pa.schema({"doc_id": pa.int64(), "logprob": pa.float64()}))
 
 
 ORACLES["unigram_logprob"] = """
@@ -1937,11 +1956,12 @@ QUERIES["embedding_stats"] = q_embedding_stats
 
 def q_curation_pipeline(sf_dir: str):
     """End-to-end curation composition — the shape of a real pre-training
-    data pass, chained in ONE streaming plan: Gopher-style quality gate
-    (length >= 200 chars, mean word length in [3, 12]) → exact-dedup
-    keep-first (hash-bucketed groupby) → per-source kept counts. Each stage
-    is an existing operator; the point of the query is that they compose
-    without materializing between stages."""
+    data pass, chained over ONE read: Gopher-style quality gate (length >=
+    200 chars, mean word length in [3, 12]) → exact-dedup keep-first (hash
+    exchange on the fingerprint) → per-source kept counts. Each stage is an
+    existing operator; the point of the query is that they compose without
+    materializing between stages (the gate runs inside the exchange's map
+    tasks)."""
     from fastpasta_ray.functions.dedup import drop_exact_dups
     from fastpasta_ray.functions.text import mean_word_length
 
@@ -1956,7 +1976,7 @@ def q_curation_pipeline(sf_dir: str):
         )
         return b.filter(keep).drop_columns(["mean_word_len"])
 
-    kept = drop_exact_dups(ds.map_batches(gate, batch_format="pyarrow"))
+    kept = drop_exact_dups(ds.view(gate))
     return _fold(kept, lambda b: _agg(b, ["source"], n_kept=([], "count_all")),
                  pa.schema({"source": pa.string(), "n_kept": pa.int64()}),
                  _merge(["source"], n_kept="sum"))
@@ -1987,38 +2007,41 @@ def q_budget_trim(sf_dir: str):
     reached — the 'sample N tokens per domain' step of corpus assembly.
 
     Scale shape (VERDICT r4: the giant-source pre-trim was documented
-    advice only): a per-batch EXACT pre-trim keeps, per (batch, source) in
-    doc_id order, the docs whose batch-local prefix sum is <= budget PLUS
+    advice only): a per-block EXACT pre-trim keeps, per (block, source) in
+    doc_id order, the docs whose block-local prefix sum is <= budget PLUS
     the FIRST overflow doc. Exactness: (a) docs with doc_id below the
-    batch's overflow point contribute exactly (all smaller-id batch docs
-    survive); (b) once a batch prefix exceeds the budget at doc d, every
+    block's overflow point contribute exactly (all smaller-id block docs
+    survive); (b) once a block prefix exceeds the budget at doc d, every
     doc anywhere with doc_id > d has global prefix > budget — and keeping
-    d preserves that evidence in the final cumsum (kept_batch + nch(d) >
-    budget), so the group trim classifies every survivor exactly. (The
+    d preserves that evidence in the final cumsum (kept_block + nch(d) >
+    budget), so the per-source trim classifies every survivor exactly. (The
     first r5 draft dropped d too, which removed its n_chars from later
     docs' cumsum and over-kept docs past the budget — caught by the r5
     code review reproducing an oracle mismatch at sf0.1, where documents
-    span multiple batches.) The groupby then shuffles
-    <= budget/min_n_chars + 1 docs per source per batch instead of the
-    whole source; inside a group it's the same sort + cumsum."""
+    span multiple blocks.) The hash exchange on the source then moves
+    <= budget/min_n_chars + 1 docs per source per block instead of the
+    whole source; inside a reduce task it's the same sort + cumsum per
+    source."""
     budget = 5_000
 
     ds = _rp(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
-    def pretrim(b: pa.Table) -> pa.Table:
-        from fastpasta_ray.sketches import group_codes
-
+    def by_source(b: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        """(row order by (source, doc_id), a mask of each source run's
+        first row in that order) of a table with rows."""
         codes, _ = group_codes(b["source"], include_null=True)
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        nch = b["n_chars"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, codes))
-        cs, ns = codes[order], nch[order]
-        run_start = np.r_[True, cs[1:] != cs[:-1]]
+        order = np.lexsort((b["doc_id"].to_numpy(zero_copy_only=False), codes))
+        cs = codes[order]
+        return order, np.r_[True, cs[1:] != cs[:-1]]
+
+    def pretrim(b: pa.Table) -> pa.Table:
+        if not b.num_rows:
+            return b
+        order, run_start = by_source(b)
+        ns = b["n_chars"].to_numpy(zero_copy_only=False)[order]
         starts = np.flatnonzero(run_start)
         cum = np.cumsum(ns)
-        base = np.repeat(
-            cum[starts] - ns[starts], np.diff(np.r_[starts, len(cs)])
-        )
+        base = np.repeat(cum[starts] - ns[starts], np.diff(np.r_[starts, len(ns)]))
         keep = (cum - base) <= budget
         # first overflow doc per source run: its presence keeps the final
         # cumsum over the budget for every later doc_id (see docstring)
@@ -2026,27 +2049,30 @@ def q_budget_trim(sf_dir: str):
         keep |= ~keep & (run_start | prev_keep)
         return b.take(pa.array(np.sort(order[keep])))
 
-    ds = ds.map_batches(pretrim, batch_format="pyarrow")
+    schema = pa.schema({"source": pa.string(), "n_docs": pa.int64(), "n_chars_kept": pa.int64()})
 
     def trim(g: pa.Table) -> pa.Table:
-        ids = g["doc_id"].to_numpy(zero_copy_only=False)
-        order = np.argsort(ids, kind="stable")
-        nch = g["n_chars"].to_numpy(zero_copy_only=False)[order]
-        keep = np.cumsum(nch) <= budget
-        n = int(keep.sum())
-        return pa.table(
+        # every pre-trimmed doc of a source lands in one reduce task, which
+        # may hold several sources: the budget cut per source run
+        if not g.num_rows:
+            return schema.empty_table()
+        order, run_start = by_source(g)
+        starts = np.flatnonzero(run_start)
+        runs = np.split(g["n_chars"].to_numpy(zero_copy_only=False)[order], starts[1:])
+        n = [int((np.cumsum(r) <= budget).sum()) for r in runs]
+        t = pa.table(
             {
-                "source": pa.array([g["source"][0].as_py()]),
-                "n_docs": pa.array([n], type=pa.int64()),
-                "n_chars_kept": pa.array([int(nch[:n].sum())], type=pa.int64()),
+                "source": g["source"].take(order[starts]),
+                "n_docs": pa.array(n, pa.int64()),
+                "n_chars_kept": pa.array([int(r[:k].sum()) for r, k in zip(runs, n)], pa.int64()),
             }
         )
+        # a source whose first doc is over budget keeps nothing: no row,
+        # as the oracle's GROUP BY over the kept docs
+        return t.filter(pc.greater(t["n_docs"], 0))
 
-    out = (
-        ds.groupby("source")
-        .map_groups(trim, batch_format="pyarrow")
-    )
-    return _to_table(out).sort_by([("source", "ascending")])
+    out = hash_exchange(ds.view(pretrim), "source", trim)
+    return _fold(out, None, schema).sort_by([("source", "ascending")])
 
 
 ORACLES["budget_trim"] = """
@@ -2104,12 +2130,12 @@ def q_media_stats(sf_dir: str):
     sampled-frame count (payload seen as a stream of w×h-byte frames,
     every 10th kept).
 
-    Scale shape: one read and one task-pool function that runs both
-    decoders on the same batch, so each media's frames are counted beside
-    its own row — no second execution, no join, and nothing assumed about
-    block boundaries. The fake decoders have no codec setup for an actor
-    pool to amortize (fixed pools held the only CPU of a 1-CPU cluster);
-    a small batch_size bounds payload × batch in worker memory."""
+    Scale shape: one read and one wave of raw tasks that run both decoders
+    on the same 64-row slice, so each media's frames are counted beside its
+    own row — no second pass, no join, and nothing assumed about block
+    boundaries. The fake decoders have no codec setup for an actor pool to
+    amortize (fixed pools held the only CPU of a 1-CPU cluster); the small
+    slices bound payload × batch in worker memory."""
     from fastpasta_ray.functions.multimodal import ImageDecoder, VideoFrameSampler
 
     def decode(b: pa.Table) -> pa.Table:
@@ -2131,9 +2157,16 @@ def q_media_stats(sf_dir: str):
         n = np.bincount(pos.to_numpy(zero_copy_only=False), minlength=len(did))
         return ImageDecoder()(media).append_column("n_frames", pa.array(n, type=pa.int64()))
 
+    schema = pa.schema({"media_id": pa.string(), "pixels": pa.int64(), "mean_value": pa.float64(),
+                        "std_value": pa.float64(), "n_frames": pa.int64()})
+
+    def decode_block(b: pa.Table) -> pa.Table:
+        # 64-row slices bound payload × batch in worker memory
+        return pa.concat_tables([schema.empty_table()] + [
+            decode(b.slice(i, 64)) for i in range(0, b.num_rows, 64)])
+
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    out = ds.map_batches(decode, batch_size=64, batch_format="pyarrow")
-    return _to_table(out).sort_by("media_id")
+    return _fold(ds, decode_block, schema).sort_by("media_id")
 
 
 # byte stats in SQL: the corpus is ASCII, so ascii(char) == payload byte.

@@ -209,6 +209,63 @@ def test_grammar_matches_naive(token_rows):
     assert got == expect
 
 
+def _interior_pad_messages_reduceat(batch: pa.Table, pad: int) -> list:
+    """The interior-PAD rule as one reduceat formulation: per row, the max
+    index of a non-pad token against the min index of a pad token over the
+    flat token array. (row_index, message) per bad row."""
+    from fastpasta_ray import schema as S
+
+    tokens = batch["tokens"].combine_chunks()
+    valid = tokens.is_valid().to_numpy(zero_copy_only=False)
+    lens = tokens.value_lengths().fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
+    flat = tokens.flatten().to_numpy(zero_copy_only=False)
+    starts = np.zeros(len(tokens), dtype=np.int64)
+    np.cumsum(np.where(valid, lens, 0)[:-1], out=starts[1:])
+    is_pad = flat == pad
+    if not is_pad.any():
+        return []
+    idx = np.arange(len(flat), dtype=np.int64)
+    vrows = np.flatnonzero(valid & (lens > 0))
+    last_nonpad = np.maximum.reduceat(np.where(~is_pad, idx, -1), starts[vrows])
+    first_pad = np.minimum.reduceat(np.where(is_pad, idx, np.iinfo(np.int64).max), starts[vrows])
+    bad = np.flatnonzero(first_pad < last_nonpad)
+    rows = batch["row_index"].to_pylist()
+    return [
+        (rows[r], S.format_message(
+            S.E_GRAMMAR_PAD,
+            f"pad token {pad} at interior index {int(i)}"
+            f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r] + i)}]"))
+        for r, i in zip(vrows[bad], (first_pad - starts[vrows])[bad])
+    ]
+
+
+# rows rich in pads: null, empty, all-pad, pad-tail and interior-pad rows
+pad_rows_strategy = st.lists(
+    st.one_of(st.none(), st.just([]), st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), max_size=8)),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pad_rows_strategy, st.integers(0, 3))
+def test_interior_pad_rule_matches_reduceat(token_rows, skip):
+    """The step-based E60 kernel flags the same rows with byte-identical
+    messages as the reduceat formulation, also on a sliced batch (offset
+    list arrays)."""
+    n = len(token_rows)
+    batch = pa.table(
+        {
+            "part": pa.array(["p"] * n),
+            "row_index": pa.array(range(n), type=pa.int64()),
+            "doc_id": pa.array([f"d{i}" for i in range(n)]),
+            "tokens": pa.array(token_rows, type=pa.list_(pa.int32())),
+        }
+    ).slice(min(skip, n - 1))
+    out = run_grammar_checks(batch, GrammarConfig(pad_id=0))
+    got = list(zip(out["row_index"].to_pylist(), out["message"].to_pylist()))
+    assert got == _interior_pad_messages_reduceat(batch, 0)
+
+
 # ---------------------------------------------------------------------------
 # RunningState vs naive scan (across arbitrary batch splits)
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def test_budget_trim_cross_batch_overflow(tmp_path):
     from later docs' global cumsum and over-keeps docs past the budget
     when a source spans batches. Crafted so block 1 overflows (3000+3000)
     and block 2 holds a higher doc_id that must NOT be kept (true cum
-    7000 > 5000)."""
+    7000 > 5000). A source whose first doc alone is over the budget keeps
+    nothing and, as in the oracle, has no row."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -106,15 +107,18 @@ def test_budget_trim_cross_batch_overflow(tmp_path):
     os.makedirs(d)
     t = pa.table(
         {
-            "doc_id": pa.array([1, 2, 3], type=pa.int64()),
-            "source": pa.array(["s", "s", "s"]),
-            "n_chars": pa.array([3000, 3000, 1000], type=pa.int64()),
+            # two blocks: docs 1, 2, 4 and docs 3, 5
+            "doc_id": pa.array([1, 2, 4, 3, 5], type=pa.int64()),
+            "source": pa.array(["s", "s", "t", "s", "t"]),
+            "n_chars": pa.array([3000, 3000, 6000, 1000, 10], type=pa.int64()),
         }
     )
     pq.write_table(t, os.path.join(d, "documents.parquet"))
-    got = QUERIES["budget_trim"](d).to_pydict()
-    # only doc 1 fits the 5000 budget (cum 3000, 6000, 7000)
-    assert got == {"source": ["s"], "n_docs": [1], "n_chars_kept": [3000]}
+    got = QUERIES["budget_trim"](d)
+    # only doc 1 fits the 5000 budget (cum 3000, 6000, 7000); source t's
+    # first doc is over it (cum 6000, 6010)
+    assert got.to_pydict() == {"source": ["s"], "n_docs": [1], "n_chars_kept": [3000]}
+    assert_matches_oracle("budget_trim", got, d)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,10 @@
 """Query-layer block sizing and execution budget: results must not depend
 on how many blocks a read makes (``_rp`` caps every count at 2× cluster
-CPUs), the folded queries must not grow extra streaming executions, the
-multi-pass and exchange-backed queries run one (a read, then raw-task
-waves over its blocks), the ``_fold`` helper keeps its contract, IVF
-search and decontamination give the same rows at any block count, and
-the broadcast-join, media and exchange queries must finish on a 1-CPU
-cluster."""
+CPUs), the board, multi-pass and exchange-backed queries run no streaming
+execution (a raw-task read, then raw-task waves over its blocks), the
+``_fold`` helper keeps its contract, IVF search and decontamination give
+the same rows at any block count, and the broadcast-join, media, exchange
+and ported shuffle/actor-pool queries must finish on a 1-CPU cluster."""
 
 import os
 import signal
@@ -28,14 +27,9 @@ CAPPED = ["lineitem_agg", "quantile_filter", "minhash_pairs", "decontam_clean_co
 
 
 def _read_blocks(monkeypatch, cpus: int, blocks) -> int:
-    """The override_num_blocks ``_rp`` hands to read_parquet at ``cpus``."""
-    seen = []
+    """The number of slices ``_rp``'s read task returns at ``cpus``."""
     monkeypatch.setattr(P, "cluster_cpus", lambda default=8: cpus)
-    monkeypatch.setattr(
-        ray.data, "read_parquet", lambda path, **kw: seen.append(kw["override_num_blocks"])
-    )
-    Q._rp(SF_DIR, "documents", ["doc_id"], blocks=blocks)
-    return seen[0]
+    return len(Q._rp(SF_DIR, "documents", ["doc_id"], blocks=blocks).refs)
 
 
 def test_rp_caps_block_count_at_twice_cluster_cpus(monkeypatch):
@@ -75,7 +69,7 @@ def test_exchange_queries_layout_independent(monkeypatch, n_parts):
 
 
 # streaming executions per board query on sf0.001 before the block cap and
-# the driver folds; none may grow, and the multi-pass ones are now one read
+# the driver folds; each now runs none (a raw-task read, then waves)
 EXECUTIONS_BEFORE = {
     "lineitem_agg": 1,
     "top_orders": 1,
@@ -92,7 +86,9 @@ EXECUTIONS_BEFORE = {
 
 ONE_READ = ("asof_purchase_attribution", "range_join_views_near_purchase",
             "rolling_window_count", "session_stats", "exact_dup_count",
-            "embedding_neardups", "similarity_top10")
+            "embedding_neardups", "similarity_top10", "media_stats",
+            "simhash_pairs", "contamination_check", "contamination_check_dist",
+            "kmeans_assign")
 
 
 def _count_executions(monkeypatch) -> list:
@@ -109,21 +105,62 @@ def _count_executions(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ONE_READ)
 def test_one_execution(monkeypatch, name):
-    """One streaming execution (the read), and the oracle's answer. The
-    exchange-backed queries collect the exchange's refs without a second
-    execution (2 before; the two joins 3, one per filtered side),
-    and similarity_top10 finds its query row in a wave (2 before)."""
+    """One raw-task read, no streaming execution, and the oracle's answer.
+    Executions on a Ray Data read, for comparison: the exchange-backed
+    queries 2 (the two joins 3, one per filtered side), similarity_top10
+    2, media_stats 1, and simhash_pairs 2, contamination_check 2,
+    contamination_check_dist 3 and kmeans_assign 2, each of which now
+    shares one read across its passes."""
     count = _count_executions(monkeypatch)
     assert_matches_oracle(name, Q.QUERIES[name](SF_DIR))
-    assert count[0] == 1
+    assert count[0] == 0
 
 
-def test_media_stats_one_execution(monkeypatch):
-    """Both decoders run in one task-pool plan over one read: one streaming
-    execution, and the result equals the oracle."""
-    count = _count_executions(monkeypatch)
-    assert_matches_oracle("media_stats", Q.QUERIES["media_stats"](SF_DIR))
-    assert count[0] == 1
+def test_rp_fold_layout_and_empty_table(monkeypatch, tmp_path):
+    """``_fold`` over ``_rp``'s raw-task read gives the same answers when
+    the table is read as 1, 3 or 8 blocks, also when a pushed-down filter
+    empties some of them; a zero-row file reads as one typed empty block
+    and folds to typed empty (or SQL-NULL) answers."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    monkeypatch.setattr(P, "cluster_cpus", lambda default=8: 8)
+    t = pa.table({"k": pa.array(["b", None, "a", "b", "c", None, "a"] * 5),
+                  "v": pa.array(range(35), pa.int64())})
+    pq.write_table(t, str(tmp_path / "t.parquet"))
+    pq.write_table(t.slice(0, 0), str(tmp_path / "empty.parquet"))
+    by_k = Q._merge(["k"], v="sum")
+    total = Q._merge([], v="sum")
+    top = Q._top(2, [("v", "descending")], group="k")
+
+    def answers(table: str, n: int, filter=None) -> list:
+        src = Q._rp(str(tmp_path), table, blocks=n, filter=filter)
+        return [
+            len(src.refs),
+            Q._fold(src, lambda b: Q._agg(b, ["k"], v=("v", "sum")), t.schema, by_k),
+            Q._fold(src, lambda b: Q._agg(b, [], v=("v", "sum")), pa.schema({"v": pa.int64()}),
+                    total),
+            Q._fold(src, top, t.schema, top),
+            Q._fold(src, None, t.schema).sort_by("v"),
+        ]
+
+    one = answers("t", 1)
+    assert one[1].to_pydict() == {"k": ["a", "b", "c", None], "v": [180, 155, 90, 170]}
+    assert one[2].to_pydict() == {"v": [595]} and one[4].equals(t)
+    for n in (3, 8):
+        got = answers("t", n)
+        assert got[0] == n and all(a.equals(b) for a, b in zip(got[1:], one[1:]))
+    late = pads.field("v") >= 30  # 5 rows pass: at 8 blocks, 3 slices are empty
+    kept = [answers("t", n, late) for n in (1, 3, 8)]
+    assert kept[0][2].to_pydict() == {"v": [160]}
+    assert all(a.equals(b) for k in kept[1:] for a, b in zip(k[1:], kept[0][1:]))
+
+    n_refs, grouped, summed, topk, rows = answers("empty", 8)
+    assert n_refs == 1
+    assert grouped.num_rows == 0 and grouped.schema == t.schema
+    assert summed.to_pydict() == {"v": [None]}
+    assert topk.num_rows == 0 and rows.num_rows == 0 and rows.schema == t.schema
 
 
 def test_fold_contract():
@@ -160,10 +197,8 @@ def test_board_execution_budget(monkeypatch):
         if isinstance(res, ray.data.Dataset):
             res.to_arrow_refs()
         got[name] = count[0]
-    for name in ("quantile_filter", "ivf_similarity", "decontam_clean_count", "minhash_pairs"):
-        assert got[name] == 1, (name, got[name])
-    over = {n: (got[n], c) for n, c in EXECUTIONS_BEFORE.items() if got[n] > c}
-    assert not over, f"executions (now, before): {over}"
+    ran = {n: c for n, c in got.items() if c}
+    assert not ran, f"streaming executions per board query: {ran}"
 
 
 def _blocks_of(t, n: int):
@@ -283,16 +318,20 @@ def test_decontaminate_layout_and_cap(monkeypatch):
 
 
 # the two broadcast joins and media_stats (a fixed-size actor pool once held
-# the only CPU and starved the read) and every query that runs through
+# the only CPU and starved the read), every query that runs through
 # hash_exchange (asof_purchase_attribution's sort-based union once hung at
-# 1 CPU)
+# 1 CPU), and every query that once used an actor pool or a Ray Data
+# all-to-all operation
 ONE_CPU = (
     "customers_without_orders", "orders_by_segment", "media_stats",
     "asof_purchase_attribution", "range_join_views_near_purchase",
     "rolling_window_count", "session_stats", "nonmonotonic_events",
     "hll_distinct_users", "exact_dup_count", "simhash_pairs",
     "neardup_clusters", "embedding_neardups", "contamination_check_dist",
-    "curation_pipeline",
+    "curation_pipeline", "budget_trim", "value_quantiles_tdigest",
+    "semantic_dedup", "lang_id", "dup_doc_id", "label_stats",
+    "source_histogram", "lines_per_orderpriority", "kmeans_assign",
+    "unigram_logprob", "mixture_sample",
 )
 
 _ONE_CPU_SCRIPT = textwrap.dedent(
