@@ -17,17 +17,19 @@ Scale design (10^12 keys):
    ``fastpasta_ray.exchange``, whose ``shard`` and ``_reduce_task_count``
    it uses. Each map task returns one shard per reduce task
    (``h % n_parts``, ``num_returns=n_parts``); reduce task ``p``
-   concatenates its shards and runs one vectorized run-length scan (pure
-   numpy over the hash-sorted rows — not per-key groups, which die of
-   per-group overhead at 10^12 keys). The scan segments by exact ``h``, so any co-located set of
-   hashes is a valid work unit and ``n_parts`` is sized to the work, not
-   to a bucket count. A reducer fetches only its own shard from each map
-   output, so on a cluster each byte crosses the wire once. Hash
-   partitioning is uniform regardless of source skew. The sequence-side
-   maps are pass 1's validate tasks (stages/validate.py): they cut their
-   shards from the batches they already decoded and hashed, so a fresh run
-   reads each partition once; ``_map_seq_shard`` reads only the partitions
-   pass 1 did not reach in this run.
+   concatenates its shards and runs one sort-merge join (pure numpy — not
+   per-key groups, which die of per-group overhead at 10^12 keys): the
+   sequence and manifest sides are each sorted by hash once, E80 is a
+   uniqueness check over the sorted sequence side, and E71/E72/E701 join
+   the sides with ``searchsorted``. The join keys on exact ``h``, so any
+   co-located set of hashes is a valid work unit and ``n_parts`` is sized
+   to the work, not to a bucket count. A reducer fetches only its own
+   shard from each map output, so on a cluster each byte crosses the wire
+   once. Hash partitioning is uniform regardless of source skew. The
+   sequence-side maps are pass 1's validate tasks (stages/validate.py):
+   they cut their shards from the batches they already decoded and
+   hashed, so a fresh run reads each partition once; ``_map_seq_shard``
+   reads only the partitions pass 1 did not reach in this run.
 3. **Late string materialization.** Violations are detected as (h, loc,
    code) candidates — tiny, capped at hash-run boundaries — then doc_id
    strings are recovered by a targeted ROW-GROUP read of ONLY the
@@ -99,55 +101,106 @@ CANDIDATE_SCHEMA = pa.schema(
 )
 
 
+def _hash_sorted(h: np.ndarray, loc: np.ndarray):
+    """``(order, h[order], first)``: the permutation sorting one side's rows
+    by ``(h, loc)`` and the mask of each hash run's first row in that
+    order. One unstable argsort by ``h``; only the rows of runs longer than
+    one row (duplicate keys, rare) are re-sorted by ``(run, loc)``: an
+    unstable argsort by ``loc`` (unique per row), then a stable one by run
+    number, which costs a third of a two-key lexsort when the rows arrive
+    out of ``loc`` order."""
+    order = np.argsort(h)
+    hs = h[order]
+    first = np.empty(len(hs), dtype=bool)
+    first[:1] = True
+    np.not_equal(hs[1:], hs[:-1], out=first[1:])
+    if not first.all():
+        in_dup = ~first  # every row after its run's first ...
+        in_dup[:-1] |= ~first[1:]  # ... and the first row of a dup run
+        d = np.flatnonzero(in_dup)
+        run = np.cumsum(first[d])  # 1, 1, 2, 2, 2, ...
+        by_loc = np.argsort(loc[order[d]])
+        order[d] = order[d[by_loc[np.argsort(run[by_loc], kind="stable")]]]
+    return order, hs, first
+
+
 def _bucket_candidates(g: pa.Table, with_manifest: bool) -> pa.Table:
-    """Pure-numpy run-length analysis of a set of co-located hashes, one run
-    per exact hash. ``with_manifest`` says the job has a manifest, so a
-    sequence run without a manifest row is an E71 orphan — a job-level
-    fact, never inferred from the rows one partition happens to hold."""
+    """Sort-merge join over a set of co-located hashes, exact hash = key.
+    The sequence side (``loc >= 0``) and the manifest side (``loc < 0``,
+    ``MANIFEST_BASE + row_index``) are each sorted by hash once; the
+    manifest side collapses to one row per hash, and one ``searchsorted``
+    finds each sequence row's manifest hash. Each check is then a boolean
+    lane over one side: E80 (with its _C_DUPREF rider) is uniqueness over
+    the sequence side, E72 and E71 look up the manifest per sequence row,
+    E701 marks the manifest hashes no sequence row found. ``with_manifest``
+    says the job has a manifest, so a sequence row without a manifest row
+    is an E71 orphan — a job-level fact, never inferred from the rows one
+    partition happens to hold. Candidates come out lane by lane, each lane
+    in ``(h, loc)`` order."""
     h, loc, ntok = (g[c].to_numpy(zero_copy_only=False) for c in ("h", "loc", "n_tok"))
     if not len(h):
         return CANDIDATE_SCHEMA.empty_table()
-    # sort by hash, then loc: a run's manifest rows (loc < 0) come first,
-    # then its sequence rows in (part, row_index) order
-    order = np.lexsort((loc, h))
-    h, loc, ntok = h[order], loc[order], ntok[order]
-    new_run = np.r_[True, h[1:] != h[:-1]]
-    start = np.flatnonzero(new_run)
-    run = np.cumsum(new_run) - 1
-    is_m = loc < 0  # manifest rows (MANIFEST_BASE + row_index)
-    n_m = np.add.reduceat(is_m.astype(np.int64), start)
-    n_s = np.diff(np.r_[start, len(h)]) - n_m
-    # expected n_tok of a run = MIN over its manifest rows (deterministic
-    # even if the manifest pathologically contains duplicate doc_ids with
-    # conflicting expectations, regardless of shard arrival order); -1 =
-    # no expectation
-    exp = np.minimum.reduceat(np.where(is_m, ntok, np.iinfo(np.int64).max), start)
-    exp[n_m == 0] = -1
-    s = np.flatnonzero(~is_m)
-    r = run[s]
-    first_s = start + n_m  # each run's first sequence row: the one kept
-    bad = (exp[r] >= 0) & (ntok[s] != exp[r])
-    picks = [
-        (s[s != first_s[r]], _C_DUP),  # E80: every later sequence row
-        (first_s[n_s > 1], _C_DUPREF),
-        (s[bad], _C_NTOK),  # E72
-        # the run's first manifest row: its file position lets recovery
-        # read just that row
-        (start[np.unique(r[bad])], _C_MANREF),
-        (start[(n_m > 0) & (n_s == 0)], _C_EMPTY),  # E701: manifest-only runs
+    is_m = loc < 0
+    sides = []
+    for rows in (np.flatnonzero(~is_m), np.flatnonzero(is_m)):
+        order, hs, first = _hash_sorted(h[rows], loc[rows])
+        rows = rows[order]
+        sides.append((rows, hs, ntok[rows], first))
+    (s, sh, sn, sfirst), (m, mh, mn, mfirst) = sides
+    # one manifest row per hash: its first row (the file position recovery
+    # reads) and the MIN expectation over its rows — deterministic even if
+    # the manifest repeats a doc_id with conflicting expectations
+    mexp = mn
+    if not mfirst.all():
+        mstart = np.flatnonzero(mfirst)
+        mexp = np.minimum.reduceat(mn, mstart)
+        m, mh, mn = m[mstart], mh[mstart], mn[mstart]
+    pos = np.minimum(np.searchsorted(mh, sh), max(len(mh) - 1, 0))
+    has_m = mh[pos] == sh if len(mh) else np.zeros(len(sh), dtype=bool)
+    sexp = np.full(len(sh), -1, dtype=np.int64)  # -1 = no expectation
+    sexp[has_m] = mexp[pos[has_m]]
+    bad = (sexp >= 0) & (sn != sexp)
+    manref = np.zeros(len(mh), dtype=bool)
+    manref[pos[bad]] = True
+    empty = np.ones(len(mh), dtype=bool)
+    empty[pos[has_m]] = False
+    dupref = sfirst.copy()  # the kept first row of a run longer than one
+    dupref[:-1] &= ~sfirst[1:]
+    dupref[-1:] = False
+    seq_lanes = [
+        (~sfirst, _C_DUP),  # E80: every later row of a run
+        (dupref, _C_DUPREF),
+        (bad, _C_NTOK),  # E72
     ]
     if with_manifest:
-        picks.append((s[n_m[r] == 0], _C_ORPHAN))  # E71
-    idx = np.concatenate([i for i, _ in picks])
-    return pa.table(
-        {
-            "h": h[idx],
-            "loc": loc[idx],
-            "n_tok": ntok[idx],
-            "exp_n_tok": exp[run[idx]],
-            "cand": np.concatenate([np.full(len(i), c, dtype=np.int8) for i, c in picks]),
-        },
+        seq_lanes.append((~has_m, _C_ORPHAN))  # E71
+    man_lanes = [
+        # the hash's first manifest row: its file position lets recovery
+        # read just that row
+        (manref, _C_MANREF),
+        (empty, _C_EMPTY),  # E701: no sequence row
+    ]
+    # one record batch per side: each column gathered once, never copied
+    # again into a combined array
+    return pa.Table.from_batches(
+        [
+            _lane_batch(lanes, hs, loc[rows], n, exp)
+            for lanes, hs, rows, n, exp in (
+                (seq_lanes, sh, s, sn, sexp), (man_lanes, mh, m, mn, mexp)
+            )
+        ],
         schema=CANDIDATE_SCHEMA,
+    )
+
+
+def _lane_batch(lanes, h, loc, n_tok, exp) -> pa.RecordBatch:
+    """The candidates of one side's boolean ``(lane, code)`` masks, lane by
+    lane, each lane in row order."""
+    idx = [np.flatnonzero(lane) for lane, _ in lanes]
+    cand = np.repeat(np.array([c for _, c in lanes], dtype=np.int8), [len(i) for i in idx])
+    idx = np.concatenate(idx)
+    return pa.RecordBatch.from_arrays(
+        [h[idx], loc[idx], n_tok[idx], exp[idx], cand], schema=CANDIDATE_SCHEMA
     )
 
 
@@ -378,7 +431,7 @@ def _map_manifest_shard(
 
 @ray.remote
 def _reduce_bucket(with_manifest: bool, *shards: pa.Table) -> pa.Table:
-    """Reduce task ``p``: one run-length scan over every map's shard ``p``."""
+    """Reduce task ``p``: one sort-merge join over every map's shard ``p``."""
     return _bucket_candidates(pa.concat_tables(shards), with_manifest)
 
 
@@ -453,8 +506,8 @@ def key_checks(
 
     The exchange is a direct map/reduce over raw Ray tasks (the R8
     dispatcher-shuffle): map tasks split each partition group's tagged rows
-    into ``n_parts`` hash shards, reduce task ``p`` runs the vectorized
-    candidate scan over every shard ``p``. Chosen over ``Dataset.groupby``
+    into ``n_parts`` hash shards, reduce task ``p`` runs the sort-merge
+    candidate join over every shard ``p``. Chosen over ``Dataset.groupby``
     deliberately: the sort-based shuffle's per-block constant costs
     dominate at skinny-row sizes, while this exchange moves each byte
     exactly once. Returns the materialized violations table (small,

@@ -129,11 +129,12 @@ def run_row_checks(
             # map flat positions back to rows via valid-row lengths
             lens_np = lens.to_numpy(zero_copy_only=False)
             valid_lens = np.where(np.isnan(lens_np), 0, lens_np).astype(np.int64) if lens_np.dtype.kind == "f" else np.where(pc.is_null(lens).to_numpy(zero_copy_only=False), 0, lens_np).astype(np.int64)
-            row_of_flat = np.repeat(np.arange(n, dtype=np.int64), valid_lens)
             starts = np.zeros(n, dtype=np.int64)
             np.cumsum(valid_lens[:-1], out=starts[1:])
             bad_pos = np.flatnonzero(bad)
-            bad_rows_all = row_of_flat[bad_pos]
+            # the row holding a flat position: the last row starting at or
+            # before it (empty rows share their start with the next row)
+            bad_rows_all = np.searchsorted(starts, bad_pos, side="right") - 1
             # first offending token per row (reference reports first failure)
             first_sel = np.ones(len(bad_pos), dtype=bool)
             first_sel[1:] = bad_rows_all[1:] != bad_rows_all[:-1]

@@ -96,18 +96,10 @@ class RunningState:
         the set-once partition ordinal across batches. Returns violation
         rows."""
         doc_id = one_chunk(batch["doc_id"])
-        # extract the partition ordinal + trailing index; malformed → null
-        groups = pc.extract_regex(doc_id, r"/(?P<ord>\d{4})/(?P<idx>\d{8})$")
-        idx = pc.cast(pc.struct_field(groups, "idx"), pa.int64())
-        idx_np = idx.to_numpy(zero_copy_only=False)  # float with NaN where null
-        valid = ~pd_isnan(idx_np)
-        vrows = np.flatnonzero(valid)
+        # the partition ordinal + trailing index; malformed rows are skipped
+        vrows, ords, seq = doc_index_fields(doc_id)
         if len(vrows) == 0:
             return S.VIOLATIONS_SCHEMA.empty_table()
-        ords = pc.cast(pc.struct_field(groups, "ord"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )[vrows].astype(np.int64)
-        seq = idx_np[vrows].astype(np.int64)
         prev = np.empty_like(seq)
         prev[1:] = seq[:-1]
         have_prev = self.last_idx is not None
@@ -289,7 +281,52 @@ class RunningState:
         )
 
 
-def pd_isnan(a: np.ndarray) -> np.ndarray:
-    if a.dtype.kind == "f":
-        return np.isnan(a)
-    return np.zeros(len(a), dtype=bool)
+# "/dddd/dddddddd": the fixed-width tail every well-formed doc_id ends with
+_TAIL = 14
+_ORD, _IDX = slice(1, 5), slice(6, 14)
+_SLASHES = np.array([0, 5])
+_DIGITS = np.r_[_ORD.start : _ORD.stop, _IDX.start : _IDX.stop]
+
+
+def doc_index_fields(doc_id: pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    r"""``(rows, ordinal, index)`` of the doc_ids that end in ``/``, 4 ASCII
+    digits, ``/``, 8 ASCII digits — exactly the strings the regex
+    ``/(\d{4})/(\d{8})$`` matches (RE2's ``\d`` is ASCII and its ``$`` is
+    the end of the text; no multi-byte UTF-8 sequence holds an ASCII byte).
+    A fixed-width parse of each string's last 14 bytes, read from the Arrow
+    offsets and data buffers: no regex, no per-row Python. ``string`` and
+    ``large_string``, sliced or not; null rows never match."""
+    if pa.types.is_large_string(doc_id.type):
+        off_type = np.int64
+    elif pa.types.is_string(doc_id.type):
+        off_type = np.int32
+    else:
+        raise TypeError(f"doc_id must be string or large_string, got {doc_id.type}")
+    n = len(doc_id)
+    none = np.empty(0, np.int64)
+    _, offsets, data = doc_id.buffers()
+    if n == 0 or data is None:  # no rows, or every row empty or null
+        return none, none, none
+    offs = np.frombuffer(offsets, dtype=off_type, count=n + 1,
+                         offset=doc_id.offset * np.dtype(off_type).itemsize)
+    ends = offs[1:].astype(np.int64)
+    ok = ends - offs[:-1] >= _TAIL
+    if doc_id.null_count:
+        ok &= doc_id.is_valid().to_numpy(zero_copy_only=False)
+    rows = np.flatnonzero(ok)
+    if not len(rows):
+        return none, none, none
+    # row r's tail is the window of _TAIL bytes that starts at ends[r] - _TAIL
+    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), _TAIL)
+    tail = windows[ends[rows] - _TAIL]
+    digit = tail - np.uint8(ord("0"))  # a non-digit byte wraps to >= 10
+    good = (
+        (tail[:, _SLASHES] == ord("/")).all(axis=1)
+        & (digit[:, _DIGITS] < 10).all(axis=1)
+    )
+    digit = digit[good]
+    return (
+        rows[good],
+        digit[:, _ORD] @ 10 ** np.arange(3, -1, -1),
+        digit[:, _IDX] @ 10 ** np.arange(7, -1, -1),
+    )

@@ -1,0 +1,57 @@
+"""Bounded cost under adversarial input.
+
+Each case runs one operator in process, without Ray, on a benign input and
+on a crafted input of the same size, and bounds the ratio of their wall
+times. A ratio holds up under CPU steal on a shared host where an absolute
+time would not; each side is the best of a few runs, interleaved.
+"""
+
+import time
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+from fastpasta_ray.checks.key_checks import _C_DUP, _C_DUPREF, _bucket_candidates
+
+N = 200_000
+RATIO_BOUND = 3.0
+REPEATS = 5
+
+
+def _best_wall_ratio(fn, crafted, benign) -> float:
+    """Best crafted wall over best benign wall, the runs interleaved so a
+    burst of load on the host lands on both sides alike."""
+    walls = ([], [])
+    for _ in range(REPEATS):
+        for w, arg in zip(walls, (crafted, benign)):
+            t0 = time.perf_counter()
+            fn(arg)
+            w.append(time.perf_counter() - t0)
+    return min(walls[0]) / min(walls[1])
+
+
+@pytest.mark.parametrize("with_manifest", [False, True])
+def test_key_check_reduce_all_doc_ids_equal(with_manifest):
+    """Key checks, all doc_ids equal: one hash run of N sequence rows (every
+    row but the first is an E80 candidate) against N distinct hashes. The
+    rows arrive out of ``loc`` order, so the crafted run must be re-sorted
+    by ``loc`` in full."""
+    rng = np.random.default_rng(0)
+    loc = rng.permutation(N).astype(np.int64)
+    ntok = rng.integers(1, 64, N).astype(np.int64)
+
+    def table(h):
+        return pa.table({"h": h, "loc": loc, "n_tok": ntok})
+
+    distinct = table(rng.integers(0, 2**63, N, dtype=np.uint64))
+    assert len(np.unique(distinct["h"].to_numpy())) == N
+    equal = table(np.full(N, 0x9E3779B97F4A7C15, dtype=np.uint64))
+
+    out = _bucket_candidates(equal, with_manifest)
+    cand = out["cand"].to_numpy()
+    assert (cand == _C_DUP).sum() == N - 1 and (cand == _C_DUPREF).sum() == 1
+    # the kept row is the run's first in file order
+    assert out["loc"].to_numpy()[cand == _C_DUPREF].tolist() == [0]
+    ratio = _best_wall_ratio(lambda t: _bucket_candidates(t, with_manifest), equal, distinct)
+    assert ratio <= RATIO_BOUND, f"all-equal / distinct wall ratio {ratio:.2f}"

@@ -2,7 +2,7 @@
 agree with naive per-row reference implementations on arbitrary inputs.
 
 Targets the trickiest run-length / offset arithmetic:
-- _bucket_candidates (key-check run analysis over sorted hashes)
+- _bucket_candidates (key-check sort-merge join over hash-sorted sides)
 - IntHistogram.quantile (quantile_disc convention)
 - _shingle_hashes_flat (per-doc shingle windows over a concatenated buffer)
 - grammar checks (BOS/EOS/interior-pad rules)
@@ -25,7 +25,7 @@ import os as _os
 settings.load_profile(_os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 from fastpasta_ray.checks.grammar import GrammarConfig, run_grammar_checks
-from fastpasta_ray.checks.key_checks import _bucket_candidates
+from fastpasta_ray.checks.key_checks import CANDIDATE_SCHEMA, MANIFEST_BASE, _bucket_candidates
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.functions.dedup import _shingle_hashes_flat
 from fastpasta_ray.sketches import IntHistogram
@@ -35,96 +35,78 @@ from fastpasta_ray.sketches import IntHistogram
 # _bucket_candidates vs naive dict-based reference
 # ---------------------------------------------------------------------------
 
-rows_strategy = st.lists(
+seq_strategy = st.lists(
     st.tuples(
         st.integers(0, 7),            # hash (small domain to force runs)
-        st.integers(-1, 50),          # loc; -1 = manifest row
+        # loc: a file position, unique per row; a far part index gives
+        # locs near the top of int64
+        st.one_of(st.integers(0, 50), st.integers(1 << 62, (1 << 62) + 50)),
         st.integers(0, 3),            # n_tok
     ),
-    max_size=40,
+    max_size=30,
+    unique_by=lambda r: r[1],
 )
+# manifest rows: (hash, expected_n_tok); a small hash domain repeats keys
+# with conflicting expectations
+man_strategy = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=15)
 
 
-def naive_candidates(rows):
-    """Per-key reference: dup = every seq row beyond the first (by loc),
-    orphan = seq rows of keys with no manifest row (only when ANY manifest
-    row exists), ntok = seq rows whose n_tok != the key's manifest n_tok
-    (first manifest row by insertion after sorting by loc — our contract:
-    manifest rows sort first, expected = first row of the run), empty =
-    manifest-only keys."""
-    from collections import defaultdict
-
-    byh = defaultdict(list)
-    for h, loc, ntok in rows:
-        byh[h].append((loc, ntok))
-    has_manifest = any(loc == -1 for _, locs in byh.items() for loc, _ in locs)
-    dup = set()
-    orphan = set()
-    ntok_bad = set()
-    empty = set()
-    for h, items in byh.items():
-        items = sorted(items)
-        seq = [(l, n) for l, n in items if l != -1]
-        man = [(l, n) for l, n in items if l == -1]
-        for l, n in seq[1:]:
-            dup.add((h, l))
-        if has_manifest:
-            if seq and not man:
-                for l, n in seq:
-                    orphan.add((h, l))
-            if man and seq:
-                exp = min(n for _, n in man)  # deterministic: min expectation wins
-                for l, n in seq:
-                    if n != exp:
-                        ntok_bad.add((h, l))
-            if man and not seq:
-                empty.add(h)
-    return dup, orphan, ntok_bad, empty
+def naive_candidates(seq, man, with_manifest):
+    """Per-key reference: the sorted candidate multiset
+    ``(h, loc, n_tok, exp_n_tok, cand)``, riders included. Per hash, rows in
+    loc order: exp = the MIN manifest expectation (-1: none); E80 = every
+    sequence row after the first, whose row is the DUPREF rider; E72 =
+    sequence rows whose n_tok != exp, with the first manifest row as the
+    MANREF rider; E701 = the first manifest row of a hash without sequence
+    rows; E71 (only ``with_manifest``) = sequence rows of a hash without
+    manifest rows."""
+    out = []
+    for h in sorted({r[0] for r in seq} | {r[0] for r in man}):
+        s = sorted((loc, n) for hh, loc, n in seq if hh == h)
+        m = sorted((loc, n) for hh, loc, n in man if hh == h)
+        exp = min(n for _, n in m) if m else -1
+        out += [(h, loc, n, exp, 1) for loc, n in s[1:]]
+        if len(s) > 1:
+            out.append((h, *s[0], exp, 5))
+        bad = [(h, loc, n, exp, 3) for loc, n in s if m and n != exp]
+        out += bad
+        if bad:
+            out.append((h, *m[0], exp, 6))
+        if m and not s:
+            out.append((h, *m[0], exp, 4))
+        if with_manifest and not m:
+            out += [(h, loc, n, -1, 2) for loc, n in s]
+    return sorted(out)
 
 
-@settings(max_examples=200, deadline=None)
-@given(rows_strategy)
-def test_bucket_candidates_match_naive(rows):
-    # dedupe (h, loc) pairs for seq rows: identical locs are physically
-    # impossible (loc encodes file+row); keep first occurrence
-    seen = set()
-    uniq = []
-    for h, loc, ntok in rows:
-        if loc != -1:
-            if (h, loc) in seen:
-                continue
-            seen.add((h, loc))
-        uniq.append((h, loc, ntok))
-    rows = uniq
-    t = pa.table(
-        {
-            "h": pa.array([np.uint64(r[0]) for r in rows], type=pa.uint64()),
-            "loc": pa.array([r[1] for r in rows], type=pa.int64()),
-            "n_tok": pa.array([r[2] for r in rows], type=pa.int64()),
-        }
-    )
-    out = _bucket_candidates(t, with_manifest=any(r[1] == -1 for r in rows))
-    got = {
-        1: set(),  # dup
-        2: set(),  # orphan
-        3: set(),  # ntok
-        4: set(),  # empty
-        5: set(),  # dup-ref (verification rider, not a violation)
-        6: set(),  # manifest-ref (E72 verification rider, not a violation)
-    }
-    for h, loc, cand in zip(
-        out["h"].to_pylist(), out["loc"].to_pylist(), out["cand"].to_pylist()
-    ):
-        got[cand].add((h, loc) if cand not in (4, 6) else h)
-    # every dup run must carry exactly one reference row (the kept first)
-    assert {h for h, _ in got[5]} == {h for h, _ in got[1]}
-    # every run with an E72 candidate carries its manifest-reference rider
-    assert got[6] == {h for h, _ in got[3]}
-    dup, orphan, ntok_bad, empty = naive_candidates(rows)
-    assert got[1] == dup
-    assert got[2] == orphan
-    assert got[3] == ntok_bad
-    assert got[4] == empty
+def _candidate_rows(t):
+    cols = ("h", "loc", "n_tok", "exp_n_tok", "cand")
+    return sorted(zip(*(t[c].to_pylist() for c in cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seq_strategy, man_strategy, st.booleans(), st.randoms(use_true_random=False))
+def test_bucket_candidates_match_naive(seq, man, with_manifest, rnd):
+    # manifest rows carry their own file position, unique like a sequence loc
+    man = [(h, int(MANIFEST_BASE) + i, n) for i, (h, n) in enumerate(man)]
+    rows = seq + man
+
+    def table(rows):
+        return pa.table(
+            {
+                "h": pa.array([r[0] for r in rows], type=pa.uint64()),
+                "loc": pa.array([r[1] for r in rows], type=pa.int64()),
+                "n_tok": pa.array([r[2] for r in rows], type=pa.int64()),
+            }
+        )
+
+    out = _bucket_candidates(table(rows), with_manifest)
+    assert out.schema == CANDIDATE_SCHEMA
+    assert _candidate_rows(out) == naive_candidates(seq, man, with_manifest)
+    # the arrival order of the shards never changes the candidates
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert _bucket_candidates(table(shuffled), with_manifest).equals(out)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +280,70 @@ def test_running_state_matches_naive(indices, split):
 
 
 # ---------------------------------------------------------------------------
+# doc_index_fields (fixed-width tail parse) vs the regex it replaces
+# ---------------------------------------------------------------------------
+
+# near-miss material: ASCII digits, '/' and ':' (the bytes around '0'-'9'),
+# plus non-ASCII digits (Arabic-Indic, fullwidth), a multi-byte letter,
+# newline and NUL
+_TAIL_CHARS = list("0123456789/:a ") + ["\u0661", "\uff10", "\u00e9", "\n", "\x00"]
+
+
+def _mutate(s, op, pos, ch):
+    """0: ``s`` as is; 1: replace, 2: drop, 3: insert one character at ``pos``."""
+    pos %= len(s)
+    return (s, s[:pos] + ch + s[pos + 1 :], s[:pos] + s[pos + 1 :], s[:pos] + ch + s[pos:])[op]
+
+
+_doc_ids = st.one_of(
+    st.none(),
+    st.text(alphabet=st.sampled_from(_TAIL_CHARS), max_size=20),  # empty, short, random
+    st.builds(
+        _mutate,
+        st.builds(
+            lambda pre, o, i: f"{pre}/{o:04d}/{i:08d}",
+            st.text(max_size=5),
+            st.integers(0, 9999),
+            st.integers(0, 10**8 - 1),
+        ),
+        st.integers(0, 3),
+        st.integers(0, 30),
+        st.sampled_from(_TAIL_CHARS),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_doc_ids, max_size=12),
+    st.lists(_doc_ids, max_size=3),
+    st.sampled_from([pa.string(), pa.large_string()]),
+    st.lists(st.booleans(), min_size=18, max_size=18),
+)
+def test_doc_index_fields_match_regex(ids, pad, typ, masked):
+    import pyarrow.compute as pc
+
+    from fastpasta_ray.checks.running_checks import doc_index_fields
+
+    full = pa.array(pad + ids + pad, type=typ)
+    # null slots that still hold bytes (a null's offsets may span data)
+    valid = [v is not None and not m for v, m in zip(full.to_pylist(), masked)]
+    full = pa.Array.from_buffers(
+        typ, len(full), [pa.array(valid, pa.bool_()).buffers()[1], *full.buffers()[1:]]
+    )
+    # a slice of a larger array: offsets start past zero
+    arr = full.slice(len(pad), len(ids))
+    groups = pc.extract_regex(arr, r"/(?P<ord>\d{4})/(?P<idx>\d{8})$")
+    want = [
+        (i, int(g["ord"]), int(g["idx"]))
+        for i, g in enumerate(groups.to_pylist())
+        if g is not None
+    ]
+    rows, ords, idx = doc_index_fields(arr)
+    assert list(zip(rows.tolist(), ords.tolist(), idx.tolist())) == want
+
+
+# ---------------------------------------------------------------------------
 # run_row_checks vs naive row loop (the core stateless pass)
 # ---------------------------------------------------------------------------
 
@@ -333,6 +379,7 @@ def test_row_checks_match_naive(rows):
     got = {(r, c) for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist())}
 
     expect = set()
+    e70 = {}
     pat = re.compile(S.DOC_ID_RE)
     for i, (did, toks, ntok, src) in enumerate(rows):
         if toks is None:
@@ -342,6 +389,8 @@ def test_row_checks_match_naive(rows):
                 expect.add((i, "E10"))
             if any(t < 0 or t >= VOCAB for t in toks):
                 expect.add((i, "E70"))
+                j = next(j for j, t in enumerate(toks) if t < 0 or t >= VOCAB)
+                e70[i] = f"[E70] token id {toks[j]} out of range [0, {VOCAB}) at index {j} "
         if src is None or src == "":
             expect.add((i, "E40"))
         elif src not in DOMAIN:
@@ -351,6 +400,12 @@ def test_row_checks_match_naive(rows):
         elif not pat.match(did):
             expect.add((i, "E12"))
     assert got == expect
+    got_e70 = {
+        r: m for r, c, m in zip(v["row_index"].to_pylist(), v["code"].to_pylist(),
+                                v["message"].to_pylist()) if c == "E70"
+    }
+    assert got_e70.keys() == e70.keys()
+    assert all(got_e70[r].startswith(m) for r, m in e70.items())
 
 
 # ---------------------------------------------------------------------------
