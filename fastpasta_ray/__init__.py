@@ -1,14 +1,17 @@
 """fastpasta_ray — a Ray-Data-native schema + constraint validation engine.
 
 A from-scratch reimplementation of the *capabilities* of CramBL/fastPASTA
-(reference at /root/reference) over Parquet tables of pre-tokenized training
-sequences, built Ray-Data-first:
+over Parquet tables of pre-tokenized training sequences, built on raw Ray
+tasks over zero-copy Arrow blocks:
 
-- ``ray.data.Dataset`` pipelines with ``map_batches`` over zero-copy Arrow
-  batches for every per-record transform,
-- actor-pool stages for stateful accumulation (sketches, running checks),
-- explicit hash-partitioned shuffles (``groupby``) only where semantics
-  require co-location (duplicate detection, referential checks),
+- waves of raw tasks, one per block (``exchange.map_blocks``; pass 1's
+  ``stages.validate.validate_task``), for every per-record transform and
+  per-partition pass. The batch type handed from stage to stage is
+  ``exchange.Blocks``: block refs already in the object store, typed by
+  one schema; ``Blocks.view`` fuses a filter or map into the next wave,
+- hash-partitioned raw-task exchanges (``exchange.hash_exchange``, and the
+  key checks' own in ``checks.key_checks``) only where semantics require
+  co-location (duplicate detection, referential checks, joins, windows),
 - mergeable sketch states (counters, HyperLogLog, histograms) combined
   partial→final, mirroring the reference's reader-side pre-aggregation
   (alice_protocol_reader/src/stats.rs:42-119) but as a tree merge instead

@@ -53,6 +53,28 @@ def _ray_session():
     DataContext.get_current().enable_progress_bars = False
 
 
+def _read(path: str):
+    """The parquet input at ``path`` as ``exchange.Blocks``: one Ray Data
+    read, materialized once (so ``rows`` is the exact count, from block
+    metadata); every later pass runs over its blocks."""
+    import ray
+
+    from fastpasta_ray.exchange import blocks
+
+    return blocks(ray.data.read_parquet(path))
+
+
+def _write(out, path: str) -> int:
+    """Write ``out`` (``exchange.Blocks``) as parquet files under
+    ``path``; returns the rows written."""
+    import ray
+
+    from fastpasta_ray.exchange import map_blocks
+
+    ray.data.from_arrow_refs(map_blocks(None, out)).write_parquet(path)
+    return ray.data.read_parquet(path).count()
+
+
 def cmd_check(args) -> int:
     from fastpasta_ray.sources.parquet import sequence_files
 
@@ -223,8 +245,6 @@ def cmd_dedup(args) -> int:
     """Training-data dedup over a documents parquet (exact / minhash /
     simhash); writes the pairs (or surviving docs for exact) as parquet."""
     _ray_session()
-    import ray
-
     if args.clusters and args.method == "exact":
         print(
             "error: --clusters requires --method minhash or simhash "
@@ -232,35 +252,20 @@ def cmd_dedup(args) -> int:
             file=sys.stderr,
         )
         return 2
-    ds = ray.data.read_parquet(args.input)
+    ds = _read(args.input)
     id_col = args.id_col
     if args.method in ("minhash", "simhash"):
         # the pair exchanges ship slim int64 ids; string-id corpora get an
         # auto surrogate (ADVICE r2 — was a hard crash deep in the exchange)
-        import glob as _glob
-
         import pyarrow as pa
-        import pyarrow.parquet as pq
 
-        if args.input.endswith(".parquet"):
-            sniff = args.input
-        else:
-            # recursive: ray.data.read_parquet reads nested layouts too
-            cands = sorted(
-                _glob.glob(os.path.join(args.input, "**", "*.parquet"), recursive=True)
-            )
-            if not cands:
-                print(f"error: no parquet files found under {args.input!r}", file=sys.stderr)
-                return 2
-            sniff = cands[0]
-        schema = pq.read_schema(sniff)
-        if args.id_col not in schema.names:
+        if args.id_col not in ds.schema.names:
             print(
                 f"error: id column {args.id_col!r} not in input schema "
-                f"{schema.names}", file=sys.stderr,
+                f"{ds.schema.names}", file=sys.stderr,
             )
             return 2
-        if not pa.types.is_integer(schema.field(args.id_col).type):
+        if not pa.types.is_integer(ds.schema.field(args.id_col).type):
             from fastpasta_ray.functions.dedup import with_hashed_ids
 
             ds = with_hashed_ids(ds, args.id_col)
@@ -287,23 +292,18 @@ def cmd_dedup(args) -> int:
     else:  # simhash
         from fastpasta_ray.functions.dedup import exact_jaccard_verify, simhash_near_dups
 
-        cand = simhash_near_dups(
-            ds, id_col=args.id_col, text_col=args.text_col, aggregate=False
-        ).select_columns(["doc_a", "doc_b"])
+        cand = simhash_near_dups(ds, id_col=args.id_col, text_col=args.text_col, aggregate=False)
         out = exact_jaccard_verify(
             cand, ds, threshold=args.threshold, id_col=args.id_col, text_col=args.text_col
         )
     if args.clusters:
         # connected components over the verified pairs → (doc_id,
         # cluster_id) assignments, the standard fuzzy-dedup final step
+        from fastpasta_ray.exchange import blocks
         from fastpasta_ray.functions.dedup import near_dup_clusters
 
-        out = near_dup_clusters(out)
-        import ray.data as _rd
-
-        out = _rd.from_arrow(out)
-    out.write_parquet(args.output)
-    n = ray.data.read_parquet(args.output).count()
+        out = blocks(near_dup_clusters(out))
+    n = _write(out, args.output)
     print(json.dumps({"method": args.method, "rows_out": n, "output": args.output}))
     return 0
 
@@ -359,29 +359,18 @@ def cmd_semdedup(args) -> int:
     _ray_session()
     import numpy as np
     import pyarrow as pa
-    import pyarrow.compute as pc
     import ray
 
+    from fastpasta_ray.exchange import collect
     from fastpasta_ray.functions.similarity import kmeans_fit, semantic_dedup
 
-    ds = ray.data.read_parquet(args.input)
-    # the dedup stage re-reads the corpus; materialize the (usually pruned)
-    # input once so kmeans passes and the dedup pass share blocks
-    ds = ds.materialize()
+    # the kmeans passes and the dedup pass share the one read's blocks
+    ds = _read(args.input)
     cent = kmeans_fit(ds, k=args.k, n_iter=args.iters, emb_col=args.emb_col, id_col=args.id_col)
     dropped = semantic_dedup(
         ds, cent, threshold=args.threshold, id_col=args.id_col, emb_col=args.emb_col
     )
-    drop_ids = np.sort(
-        np.concatenate(
-            [
-                b[args.id_col].to_numpy(zero_copy_only=False)
-                for b in dropped.iter_batches(batch_format="pyarrow", batch_size=None)
-                if b.num_rows
-            ]
-            or [np.array([], dtype=np.int64)]
-        )
-    )
+    drop_ids = np.sort(collect(dropped)[args.id_col].to_numpy(zero_copy_only=False))
     ref = ray.put(drop_ids)
 
     def keep(b: pa.Table) -> pa.Table:
@@ -393,9 +382,7 @@ def cmd_semdedup(args) -> int:
         is_dropped = (pos < len(d)) & (d[np.minimum(pos, len(d) - 1)] == ids)
         return b.filter(pa.array(~is_dropped))
 
-    kept = ds.map_batches(keep, batch_format="pyarrow")
-    kept.write_parquet(args.output)
-    n = ray.data.read_parquet(args.output).count()
+    n = _write(ds.view(keep), args.output)
     print(
         json.dumps(
             {
@@ -414,20 +401,18 @@ def cmd_text_stats(args) -> int:
     """Per-document text-quality signals (token counts, quality metrics,
     language ID, repetition, fingerprints) written as parquet."""
     _ray_session()
-    import ray
-
     from fastpasta_ray.functions import text as ftext
 
-    ds = ray.data.read_parquet(args.input)
-    out = (
+    lang_id = ftext.LangID()
+
+    def stats(b):
         # repetition_metrics already carries n_words; token_count would
         # duplicate the column
-        ds.map_batches(ftext.quality_metrics, batch_format="pyarrow")
-        .map_batches(ftext.repetition_metrics, batch_format="pyarrow")
-        .map_batches(ftext.mean_word_length, batch_format="pyarrow")
-        .map_batches(ftext.LangID(), batch_format="pyarrow", concurrency=2)
-        .map_batches(ftext.fingerprint, batch_format="pyarrow")
-    )
+        b = ftext.mean_word_length(ftext.repetition_metrics(ftext.quality_metrics(b)))
+        return ftext.fingerprint(lang_id(b))
+
+    ds = _read(args.input)
+    out = ds.view(stats, stats(ds.schema.empty_table()).schema)
     if getattr(args, "logprob", False):
         # unigram-LM quality score: fit the frequency table on this corpus
         # (one extra counting pass), then score in-pipeline — the table is
@@ -435,11 +420,7 @@ def cmd_text_stats(args) -> int:
         # so unseen words stay finite when the fitted table is reused
         vocab, logp, oov = ftext.unigram_logprob_table(ds, alpha=0.5)
         out = ftext.unigram_logprob_score(out, vocab, logp, oov, append=True)
-    out = out.map_batches(
-        lambda b: b.drop_columns(["text"]), batch_format="pyarrow"
-    )
-    out.write_parquet(args.output)
-    n = ray.data.read_parquet(args.output).count()
+    n = _write(out.select_columns([c for c in out.schema.names if c != "text"]), args.output)
     print(json.dumps({"rows_out": n, "output": args.output}))
     return 0
 
@@ -448,20 +429,16 @@ def cmd_decontam(args) -> int:
     """Benchmark decontamination: flag (default) or drop corpus documents
     that share word n-grams with an eval set."""
     _ray_session()
-    import ray
-
-    from fastpasta_ray.exchange import map_blocks
     from fastpasta_ray.functions.decontam import contamination_check, decontaminate
 
-    docs = ray.data.read_parquet(args.input)
-    bench = ray.data.read_parquet(args.benchmark)
+    docs = _read(args.input)
+    bench = _read(args.benchmark)
     try:
         if args.drop:
-            kept = decontaminate(
+            out = decontaminate(
                 docs, bench, text_col=args.text_col,
                 ngram_n=args.ngram, min_overlap=args.min_overlap,
             )
-            out = ray.data.from_arrow_refs(map_blocks(None, kept))
         else:
             out = contamination_check(
                 docs, bench, id_col=args.id_col, text_col=args.text_col,
@@ -470,15 +447,13 @@ def cmd_decontam(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    out.write_parquet(args.output)
-    n_in = docs.count()
-    n_out = ray.data.read_parquet(args.output).count()
+    n_out = _write(out, args.output)
     print(
         json.dumps(
             {
                 "mode": "drop" if args.drop else "flag",
                 "ngram": args.ngram,
-                "rows_in": n_in,
+                "rows_in": docs.rows,
                 "rows_out": n_out,
                 "output": args.output,
             }
@@ -491,8 +466,6 @@ def cmd_mixture(args) -> int:
     """Rebalance a corpus to an exact target stratum mixture with
     deterministic hash thresholds; prints the per-stratum thresholds."""
     _ray_session()
-    import ray
-
     from fastpasta_ray.functions.sampling import mixture_sample
 
     try:
@@ -506,7 +479,7 @@ def cmd_mixture(args) -> int:
             f"(got {args.weights!r})", file=sys.stderr,
         )
         return 2
-    ds = ray.data.read_parquet(args.input)
+    ds = _read(args.input)
     try:
         sampled, thr = mixture_sample(
             ds, key_col=args.key_col, stratum_col=args.stratum_col,
@@ -515,8 +488,7 @@ def cmd_mixture(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    sampled.write_parquet(args.output)
-    n_out = ray.data.read_parquet(args.output).count()
+    n_out = _write(sampled, args.output)
     print(
         json.dumps(
             {

@@ -1,14 +1,14 @@
 """One hash exchange over raw Ray tasks: brings every row of one key to one
 place, for every bucketed shuffle in the engine.
 
-Map side: each side's blocks (``blocks``: the refs of a Dataset
-materialized once, one driver-held table, or block refs the caller already
-holds, such as a ``map_blocks`` wave's output) are grouped so the map
-task count is about the CPU count. A map task hashes the ``key`` column (``splitmix64``
-for integer keys, ``hash_strings`` otherwise) and cuts one typed shard per
-reduce task by ``h % n_parts`` (``num_returns=n_parts``). With one reduce
-task there is nothing to cut, and the blocks go to it as they are (unless
-a view must first run on them).
+Map side: each side's blocks (``Blocks`` the caller already holds, such
+as a raw-task read or a ``map_blocks`` wave's output, or one driver-held
+table) are grouped so the map task count is about the CPU count. A map
+task hashes the ``key`` column (``splitmix64`` for integer keys,
+``hash_strings`` otherwise) and cuts one typed shard per reduce task by
+``h % n_parts`` (``num_returns=n_parts``). With one reduce task there is
+nothing to cut, and the blocks go to it as they are (unless a view must
+first run on them).
 
 Reduce side: reduce task ``p`` concatenates shard ``p`` of every map of a
 side and calls ``fn`` once, with one table per side. That table holds
@@ -22,16 +22,16 @@ Sizing: ``n_parts`` follows the exchanged rows and the cluster's CPUs
 rows. At 1 CPU the exchange is a single reduce task. ``fn`` must accept
 any co-located set of keys: it segments by exact key inside.
 
-The same module holds the query layer's other primitive: ``Blocks`` are a
-side already in the object store, and ``map_blocks`` runs one raw task per
+The same module holds the engine's batch type: ``Blocks`` are a side
+already in the object store, and ``map_blocks`` runs one raw task per
 block. A query reads each table as ``Blocks`` with one raw read task
-(``pipelines.queries._rp``) and runs every pass as a ``map_blocks`` wave
-or a ``hash_exchange`` over them, never as a Ray Data streaming execution
+(``pipelines.queries._rp``), every ``functions/`` entry point takes and
+returns ``Blocks``, and every pass runs as a ``map_blocks`` wave or a
+``hash_exchange`` over them, never as a Ray Data streaming execution
 (measured at 1 Ray CPU on a shared 4-vCPU host: about 7 ms for a 2-block
-wave, 50-90 ms of fixed cost an execution). ``blocks`` turns anything else
-(a Dataset, materialized once; a driver-held table) into ``Blocks``.
-``Blocks.view`` fuses a filter or map into whichever wave reads the blocks
-next.
+wave, 50-90 ms of fixed cost an execution). ``Blocks.view`` fuses a
+filter or map into whichever wave reads the blocks next; ``collect``
+brings a small result to the driver.
 
 Chosen over ``Dataset.groupby(...).map_groups``: the sort-based shuffle
 samples its input, pays per-block constant costs, emits schema-less empty
@@ -101,11 +101,13 @@ def _concat(tables, schema: pa.Schema) -> pa.Table:
 
 class Blocks(NamedTuple):
     """A side already in the object store: its block refs (at least one,
-    and a typed one if the side has no rows), the schema that types it,
-    its row count (an upper bound once ``pre`` filters) and ``pre``, a
-    per-block transform that every task over these blocks applies first.
-    A filter or projection set with ``view`` thus runs inside the next
-    wave, not as one of its own, and copies nothing."""
+    and a typed one if the side has no rows), the schema that types every
+    block it yields, ``rows`` and ``pre``, a per-block transform that every
+    task over these blocks applies first. A filter or projection set with
+    ``view`` thus runs inside the next wave, not as one of its own, and
+    copies nothing. ``rows`` is a sizing estimate for the exchanges that
+    read these blocks, not a count: a filter leaves it unchanged, and an
+    exchange's output carries its input's row count."""
 
     refs: list
     schema: pa.Schema
@@ -125,14 +127,13 @@ class Blocks(NamedTuple):
 
 
 def blocks(side) -> Blocks:
-    """``side`` as ``Blocks``: a Dataset is materialized once (its refs,
-    count and schema then come from metadata, never from a second
-    execution; a Dataset that ``from_arrow_refs`` built costs none), a
-    driver-held table is put once, ``Blocks`` pass through. A zero-row
-    read keeps the parquet schema its lazy plan reports: Ray holds only
-    schema-less empty blocks after it runs, so the side becomes one typed
-    empty block instead. The blocks stay pinned in the object store (which
-    spills to disk) while the caller holds the refs."""
+    """``side`` as ``Blocks``: ``Blocks`` pass through, a driver-held table
+    is put once, and a Ray Data Dataset (the CLI's ``read_parquet``) is
+    materialized once: its refs, count and schema then come from metadata.
+    A zero-row read keeps the parquet schema its lazy plan reports: Ray
+    holds only schema-less empty blocks after it runs, so the side becomes
+    one typed empty block instead. The blocks stay pinned in the object
+    store (which spills to disk) while the caller holds the refs."""
     if isinstance(side, Blocks):
         return side
     if isinstance(side, pa.Table):
@@ -149,6 +150,17 @@ def blocks(side) -> Blocks:
     rows = [meta.num_rows for b in side.iter_internal_ref_bundles() for _, meta in b.blocks]
     refs = [r for r, n in zip(side.to_arrow_refs(), rows) if n]
     return Blocks(refs or [ray.put(schema.empty_table())], schema, sum(rows))
+
+
+def collect(side) -> pa.Table:
+    """Every row of ``side`` (``Blocks``, or a table, returned as it is) as
+    one driver-held table, typed by its schema when it has no rows: for the
+    small results a caller finishes on the driver (candidate pairs, drop
+    ids). A view runs first as one ``map_blocks`` wave."""
+    if isinstance(side, pa.Table):
+        return side
+    refs = side.refs if side.pre is None else map_blocks(None, side)
+    return _concat(ray.get(refs), side.schema)
 
 
 @ray.remote
@@ -185,14 +197,17 @@ def _reduce_side(fn, schemas: list, counts: list, *shards: pa.Table) -> pa.Table
 def hash_exchange(sides, key: str, fn) -> list:
     """Run ``fn(*tables)`` once per reduce task, over every row of every
     key routed to it, one table per side. ``sides`` is one side or a tuple
-    of them; a side is a Dataset, a table or ``Blocks`` (block refs the
-    caller already holds, e.g. a ``map_blocks`` wave's output), and every
-    side carries the ``key`` column. Returns one output ref per reduce
-    task: pass them to ``map_blocks``, concatenate ``ray.get`` of them or
-    wrap them with ``ray.data.from_arrow_refs``."""
+    of them; a side is ``Blocks`` or a driver-held table, and every side
+    must carry the ``key`` column (checked here, before any task starts).
+    Returns one output ref per reduce task: callers hold them as ``Blocks``
+    with ``fn``'s output schema."""
     if isinstance(sides, Blocks) or not isinstance(sides, (tuple, list)):
         sides = (sides,)
     inputs = [blocks(s) for s in sides]
+    for b in inputs:
+        if key not in b.schema.names:
+            raise ValueError(f"hash_exchange: key {key!r} is not a column of a side "
+                             f"(columns: {b.schema.names})")
     cpus = cluster_cpus()
     n_parts = _reduce_task_count(cpus, sum(b.rows for b in inputs))
     counts, shard_lists = [], []

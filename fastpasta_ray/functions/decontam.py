@@ -49,16 +49,16 @@ MAX_BENCH_NGRAMS = 1 << 27
 
 
 def benchmark_ngram_set(
-    bench: "ray.data.Dataset | Blocks",
+    bench: "Blocks | pa.Table",
     *,
     text_col: str = "text",
     ngram_n: int = 3,
 ) -> np.ndarray:
     """Sorted unique word-n-gram hashes of the benchmark corpus.
 
-    Per-block unique sets are computed in one wave of raw tasks (a Dataset
-    is materialized once); the driver only merges the (already-deduped)
-    partials — bounded by MAX_BENCH_NGRAMS, enforced loudly."""
+    Per-block unique sets are computed in one wave of raw tasks; the
+    driver only merges the (already-deduped) partials — bounded by
+    MAX_BENCH_NGRAMS, enforced loudly."""
 
     def partial(b: pa.Table) -> np.ndarray:
         return np.unique(word_ngram_hashes_flat(b[text_col], ngram_n)[0])
@@ -99,22 +99,22 @@ def _overlap_counts(batch: pa.Table, bs: np.ndarray, text_col: str, ngram_n: int
 
 
 def contamination_check(
-    docs: "ray.data.Dataset | Blocks",
-    bench: "ray.data.Dataset | Blocks",
+    docs: "Blocks | pa.Table",
+    bench: "Blocks | pa.Table",
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
     ngram_n: int = 3,
     min_overlap: int = 1,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Per-document benchmark overlap: (id, n_overlap) for every corpus
     doc whose DISTINCT word-n-gram overlap with the benchmark set is
     ≥ ``min_overlap``.
 
-    One broadcast (sorted benchmark hash set), one wave of per-block
-    tasks over the corpus (a Dataset is materialized once); the membership
-    test and per-doc counts are fully vectorized (searchsorted +
-    reduceat)."""
+    One broadcast (sorted benchmark hash set, built by one wave); the flag
+    is a view of the corpus blocks, so it runs inside the next wave that
+    reads them. The membership test and per-doc counts are fully
+    vectorized (searchsorted + reduceat)."""
     if min_overlap < 1:
         raise ValueError(f"min_overlap must be >= 1 (got {min_overlap})")
     bset = benchmark_ngram_set(bench, text_col=text_col, ngram_n=ngram_n)
@@ -136,12 +136,13 @@ def contamination_check(
             }
         )
 
-    return ray.data.from_arrow_refs(map_blocks(flag, blocks(docs)))
+    src = blocks(docs)
+    return src.view(flag, pa.schema([src.schema.field(id_col), ("n_overlap", pa.int64())]))
 
 
 def decontaminate(
-    docs: "ray.data.Dataset | Blocks",
-    bench: "ray.data.Dataset | Blocks",
+    docs: "Blocks | pa.Table",
+    bench: "Blocks | pa.Table",
     *,
     text_col: str = "text",
     ngram_n: int = 3,
@@ -150,8 +151,8 @@ def decontaminate(
     """The drop side of ``contamination_check``: the corpus with
     contaminated documents (overlap ≥ ``min_overlap``) removed, all
     columns preserved. One wave builds the broadcast benchmark set; the
-    result is a view of the corpus blocks (a Dataset is materialized
-    once), so the drop runs inside whichever wave reads it next
+    result is a view of the corpus blocks, so the drop runs inside
+    whichever wave reads it next
     (``exchange.map_blocks``; ``map_blocks(None, out)`` yields the kept
     blocks)."""
     if min_overlap < 1:
@@ -166,22 +167,21 @@ def decontaminate(
 
 
 def contamination_check_distributed(
-    docs: "ray.data.Dataset | Blocks",
-    bench: "ray.data.Dataset | Blocks",
+    docs: "Blocks | pa.Table",
+    bench: "Blocks | pa.Table",
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
     ngram_n: int = 3,
     min_overlap: int = 1,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """The shuffle path of ``contamination_check`` for when the benchmark
     side is itself corpus-sized (beyond MAX_BENCH_NGRAMS, where the
     broadcast would not fit): a hash-partitioned n-gram semi-join.
 
-    Both sides are read once (a Dataset is materialized), and the
-    exchange's map tasks emit slim n-gram rows — corpus (sh, doc),
-    benchmark (sh): hash 8 B + id 8 B per DISTINCT (doc, n-gram); text
-    never shuffles. A two-sided ``hash_exchange`` on the n-gram hash
+    Both sides' blocks are read where they are, and the exchange's map
+    tasks emit slim n-gram rows — corpus (sh, doc), benchmark (sh): hash
+    8 B + id 8 B per DISTINCT (doc, n-gram); text never shuffles. A two-sided ``hash_exchange`` on the n-gram hash
     co-partitions them, and reduce task ``p`` counts, per corpus doc, its
     n-grams that also occur in the benchmark's shard ``p`` (sorted-merge
     membership, no Python loops). A second exchange on the doc id folds
@@ -232,5 +232,6 @@ def contamination_check_distributed(
     bench_sh = blocks(bench).view(bench_rows, pa.schema([("sh", pa.uint64())]))
     partial = hash_exchange((corpus, bench_sh), "sh", overlap)
     # the partial counts: at most one row per corpus doc per reduce task
-    counts = Blocks(partial, pa.schema([(id_col, pa.int64()), ("n_overlap", pa.int64())]), src.rows)
-    return ray.data.from_arrow_refs(hash_exchange(counts, id_col, fold))
+    schema = pa.schema([(id_col, pa.int64()), ("n_overlap", pa.int64())])
+    counts = Blocks(partial, schema, src.rows)
+    return Blocks(hash_exchange(counts, id_col, fold), schema, src.rows)

@@ -1,10 +1,10 @@
 """Deduplication operators: exact, MinHash+LSH, SimHash, n-gram Jaccard.
 
 Scale design (the part that matters at 10^12 docs):
-- exact: fingerprint (64-bit content hash) per doc in map_batches, then ONE
-  ``hash_exchange`` on the fingerprint — only (id, fingerprint) pairs
-  move through the shuffle, never the text.
-- MinHash+LSH: per-doc signatures computed vectorized in map_batches,
+- exact: fingerprint (64-bit content hash) per doc in the exchange's map
+  tasks, then ONE ``hash_exchange`` on the fingerprint — only (id,
+  fingerprint) pairs move through the shuffle, never the text.
+- MinHash+LSH: per-doc signatures computed vectorized in map tasks,
   banded into (id, band_hash) keys (16 B/row × bands — signatures never
   shuffle), one exchange on the band hash → candidate pairs (capped,
   drops LOGGED), then ``exact_jaccard_verify``: a distributed exact
@@ -17,7 +17,8 @@ Scale design (the part that matters at 10^12 docs):
   popcount-LUT Hamming verify within each combo key, then the same
   exact-Jaccard verify.
 
-All return plain datasets so callers can write/inspect; nothing
+The dedup and pair operators take ``Blocks`` or a table and return
+``Blocks`` (``exchange``), so callers fold, write or chain them; nothing
 materializes the corpus on the driver.
 """
 
@@ -31,7 +32,7 @@ import pyarrow.compute as pc
 
 import ray
 
-from fastpasta_ray.exchange import Blocks, blocks, hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, collect, hash_exchange
 from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64, utf8_parts
 
 logger = logging.getLogger(__name__)
@@ -54,22 +55,24 @@ def _require_int_ids(col, id_col: str, op: str):
         raise ValueError(
             f"{op} requires an integer id column; {id_col!r} is {col.type}. "
             "Add an int64 surrogate first (fastpasta_ray.functions.dedup."
-            f"with_hashed_ids(ds, {id_col!r})) and pass id_col='doc_id64'."
+            f"with_hashed_ids(src, {id_col!r})) and pass id_col='doc_id64'."
         )
 
 
 def with_hashed_ids(
-    ds: "ray.data.Dataset", id_col: str = "doc_id", out_col: str = "doc_id64"
-) -> "ray.data.Dataset":
+    src: "Blocks | pa.Table", id_col: str = "doc_id", out_col: str = "doc_id64"
+) -> Blocks:
     """Append an int64 surrogate id (64-bit content hash of the id string)
     so string-id corpora can run the minhash/simhash pair exchanges, which
-    ship slim int ids only. Collision odds are ~n²/2⁶⁵ (birthday bound)."""
+    ship slim int ids only. Collision odds are ~n²/2⁶⁵ (birthday bound).
+    A view: the hash runs inside the next wave over the blocks."""
 
     def add(b: pa.Table) -> pa.Table:
         h = hash_strings(b[id_col]).astype(np.int64)
         return b.append_column(out_col, pa.array(h))
 
-    return ds.map_batches(add, batch_format="pyarrow")
+    src = blocks(src)
+    return src.view(add, src.schema.append(pa.field(out_col, pa.int64())))
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +80,8 @@ def with_hashed_ids(
 # ---------------------------------------------------------------------------
 
 def exact_dup_groups(
-    ds: "ray.data.Dataset | Blocks", id_col: str = "doc_id", text_col: str = "text",
-) -> "ray.data.Dataset":
+    src: "Blocks | pa.Table", id_col: str = "doc_id", text_col: str = "text",
+) -> Blocks:
     """Groups of exact-duplicate documents: (fingerprint, n, keep_id, dup_ids).
 
     One hash exchange over (id, fingerprint) only."""
@@ -106,15 +109,17 @@ def exact_dup_groups(
             }
         )
 
-    src = blocks(ds)
+    src = blocks(src)
     # the fingerprints are computed inside the exchange's map tasks
     fps = src.view(fp, pa.schema([src.schema.field(id_col), ("fingerprint", pa.uint64())]))
-    return ray.data.from_arrow_refs(hash_exchange(fps, "fingerprint", dups))
+    schema = pa.schema([("fingerprint", pa.uint64()), ("n_copies", pa.int64()),
+                        ("keep_id", pa.int64())])
+    return Blocks(hash_exchange(fps, "fingerprint", dups), schema, src.rows)
 
 
 def drop_exact_dups(
-    ds: "ray.data.Dataset | Blocks", id_col: str = "doc_id", text_col: str = "text",
-) -> "ray.data.Dataset":
+    src: "Blocks | pa.Table", id_col: str = "doc_id", text_col: str = "text",
+) -> Blocks:
     """Keep the first (min id) doc per fingerprint — hash-partition +
     per-group first, the canonical exact-dedup plan."""
 
@@ -135,9 +140,9 @@ def drop_exact_dups(
         keep_idx = keep_idx[np.argsort(ids[keep_idx], kind="stable")]
         return g.take(pa.array(keep_idx, type=pa.int64())).drop_columns(["fingerprint"])
 
-    src = blocks(ds)
+    src = blocks(src)
     fps = src.view(fp, src.schema.append(pa.field("fingerprint", pa.uint64())))
-    return ray.data.from_arrow_refs(hash_exchange(fps, "fingerprint", first))
+    return Blocks(hash_exchange(fps, "fingerprint", first), src.schema, src.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +321,8 @@ def _segment_pair_indices(ks: np.ndarray, cap: int):
 
 
 def exact_jaccard_verify(
-    pairs: "ray.data.Dataset",
-    docs: "ray.data.Dataset | Blocks",
+    pairs: "Blocks | pa.Table",
+    docs: "Blocks | pa.Table",
     *,
     threshold: float,
     id_col: str = "doc_id",
@@ -325,15 +330,13 @@ def exact_jaccard_verify(
     ngram_n: int = 3,
     max_pairs: int = 5_000_000,
     min_copies: int = 1,
-    as_table: bool = False,
-):
+) -> Blocks:
     """Distributed exact word-n-gram Jaccard verification of candidate
     pairs in ONE hash exchange. ``min_copies``: drop pairs whose
     summed ``copies`` column (e.g. number of agreeing LSH bands) is below
     this — the cheap signature-space pre-filter that keeps weak
-    candidates out of the exact verify. ``as_table``: return a pa.Table
-    instead of a Dataset — the verified pairs are small by construction
-    (bounded by max_pairs).
+    candidates out of the exact verify. Returns the verified
+    ``(doc_a, doc_b, jaccard)`` pairs, at most ``max_pairs`` rows.
 
     Plan:
 
@@ -344,8 +347,7 @@ def exact_jaccard_verify(
     2. The exchange's map tasks compute word-n-gram sets ONLY for docs
        referenced by a candidate pair (0.01% candidate rate ⇒ 99.99% of
        the tokenize+hash work skipped), each tagged with its component,
-       over the corpus blocks (a Dataset is materialized once; ``Blocks``
-       a caller already holds are read where they are).
+       over the corpus blocks where they are.
     3. One two-sided ``hash_exchange`` on the component brings each pair
        together with BOTH sets; the reduce computes |A∩B| / |A∪B| fully
        vectorized (duplicate-count over concatenated (pair, value) rows —
@@ -353,28 +355,13 @@ def exact_jaccard_verify(
        reduce task.
 
     Sets never materialize on the driver; the only driver-side objects are
-    the capped pair list and its component labels. ``pairs`` may be a
-    Dataset or a plain pa.Table (callers that already extracted pairs
-    driver-side skip a whole dataset execution)."""
-    if isinstance(pairs, pa.Table):
-        parts = [pairs] if pairs.num_rows else []
-    else:
-        pairs = pairs.materialize()
-        # pull the materialized blocks by ref (zero-copy plasma reads):
-        # iter_batches' streaming iterator costs ~2 s of per-block prefetch
-        # latency over dozens of tiny blocks (measured)
-        parts = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_rows]
-    if parts:
-        a = np.concatenate(
-            [t["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64) for t in parts]
-        )
-        b = np.concatenate(
-            [t["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64) for t in parts]
-        )
-        if any("copies" in t.column_names for t in parts):
-            copies = np.concatenate(
-                [t["copies"].to_numpy(zero_copy_only=False).astype(np.int64) for t in parts]
-            )
+    the capped pair list and its component labels."""
+    pairs = collect(pairs)
+    if pairs.num_rows:
+        a = pairs["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
+        b = pairs["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if "copies" in pairs.column_names:
+            copies = pairs["copies"].to_numpy(zero_copy_only=False).astype(np.int64)
         else:
             copies = np.ones(len(a), dtype=np.int64)
         # lexsort dedup with copy-count sums (np.unique(axis=0)'s
@@ -418,8 +405,7 @@ def exact_jaccard_verify(
     )
     if len(ab) == 0:
         # zero candidates: skip the corpus scan AND the exchange entirely
-        empty = out_schema.empty_table()
-        return empty if as_table else ray.data.from_arrow(empty)
+        return blocks(out_schema.empty_table())
     # route by near-dup component: both docs of a pair share one, so every
     # pair meets both its sets in one reduce task while each doc's set
     # crosses the exchange ONCE (routing by pair would copy a doc's set
@@ -515,12 +501,11 @@ def exact_jaccard_verify(
     # after the candidate-id pushdown the set rows are O(candidate docs);
     # the view runs set_rows inside the exchange's map tasks
     sets = blocks(docs).view(set_rows, set_schema)
-    out = hash_exchange((pair_tbl, sets), "cluster", verify)
-    return pa.concat_tables(ray.get(out)) if as_table else ray.data.from_arrow_refs(out)
+    return Blocks(hash_exchange((pair_tbl, sets), "cluster", verify), out_schema, len(ab))
 
 
 class MinHasher:
-    """Actor-pool stage: MinHash signatures via One-Permutation Hashing
+    """Per-block transform: MinHash signatures via One-Permutation Hashing
     with rotation densification (Li/Owen/Zhang 2012 — public method).
 
     O(total shingles) instead of O(shingles × perms): each shingle hash is
@@ -578,7 +563,7 @@ class MinHasher:
 
 
 def minhash_lsh_pairs(
-    ds: "ray.data.Dataset",
+    src: "Blocks | pa.Table",
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
@@ -588,8 +573,7 @@ def minhash_lsh_pairs(
     threshold: float = 0.5,
     ngram_n: int = 3,
     min_band_matches: int = 2,
-    as_table: bool = False,
-):
+) -> Blocks:
     """Near-duplicate pairs via banded MinHash LSH candidates, verified by
     EXACT word-``ngram_n``-gram Jaccard ≥ threshold (DuckDB-checkable: a
     SQL DISTINCT-shingle self-join computes the identical value).
@@ -686,7 +670,7 @@ def minhash_lsh_pairs(
     # ONE read: the band keys (slim ints, 16 B/row × bands) are computed
     # inside the exchange's map tasks, and the verify's n-gram sets come
     # from the same blocks
-    src = blocks(ds)
+    src = blocks(src)
     keys_schema = pa.schema([(id_col, src.schema.field(id_col).type), ("band_hash", pa.uint64())])
     keys = src.view(band_keys, keys_schema)._replace(rows=src.rows * bands)
     pairs = audit_and_filter(
@@ -694,7 +678,7 @@ def minhash_lsh_pairs(
     )
     return exact_jaccard_verify(
         pairs, src, threshold=threshold, id_col=id_col, text_col=text_col,
-        ngram_n=ngram_n, min_copies=min_band_matches, as_table=as_table,
+        ngram_n=ngram_n, min_copies=min_band_matches,
     )
 
 
@@ -703,7 +687,7 @@ def minhash_lsh_pairs(
 # ---------------------------------------------------------------------------
 
 class SimHasher:
-    """Actor-pool stage: 64-bit SimHash over unique char shingles.
+    """Per-block transform: 64-bit SimHash over unique char shingles.
 
     Fully vectorized across the batch (VERDICT r1 #3): one flat shingle
     pass, per-doc dedup via lexsort, bit expansion via np.unpackbits, and
@@ -755,14 +739,13 @@ _SIMHASH_COMBOS = [(i, j) for i in range(9) for j in range(i + 1, 9)]  # C(9,2)=
 
 
 def simhash_near_dups(
-    ds: "ray.data.Dataset",
+    src: "Blocks | pa.Table",
     *,
     id_col: str = "doc_id",
     text_col: str = "text",
     max_hamming: int = 7,
     aggregate: bool = True,
-    as_table: bool = False,
-):
+) -> Blocks:
     """Near-dups by SimHash: bucket by every pair of the 9 bit-blocks (36
     combos of ≤15 bits). Pigeonhole: ≤7 differing bits dirty at most 7 of
     9 blocks, so some TWO blocks are clean and the pair shares that combo
@@ -832,7 +815,7 @@ def simhash_near_dups(
 
     # ONE read: the signatures and combo keys (36 rows per doc) are
     # computed inside the exchange's map tasks
-    src = blocks(ds)
+    src = blocks(src)
     hasher = SimHasher()
     keys_schema = pa.schema([(id_col, src.schema.field(id_col).type), ("qkey", pa.uint64()),
                              ("simhash", pa.uint64())])
@@ -841,13 +824,14 @@ def simhash_near_dups(
     # raw candidates (a pair may appear once per shared combo key) —
     # callers that feed exact_jaccard_verify skip the aggregate since the
     # verify exchange dedups pairs anyway
-    out = hash_exchange(keys, "qkey", verify)
-    if aggregate:
-        pairs_schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
-                                  ("hamming", pa.int64())])
-        out = hash_exchange(Blocks(out, pairs_schema, src.rows), "doc_a", min_hamming)
-    # as_table: the (capped) pair set is small and already typed
-    return pa.concat_tables(ray.get(out)) if as_table else ray.data.from_arrow_refs(out)
+    pairs = Blocks(hash_exchange(keys, "qkey", verify),
+                   pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                              ("hamming", pa.int64())]), src.rows)
+    if not aggregate:
+        return pairs
+    schema = pa.schema([("doc_a", pa.int64()), ("doc_b", pa.int64()),
+                        ("min(hamming)", pa.int64())])
+    return Blocks(hash_exchange(pairs, "doc_a", min_hamming), schema, src.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +851,7 @@ def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
 # near-duplicate clustering (connected components over verified pairs)
 # ---------------------------------------------------------------------------
 
-def near_dup_clusters(pairs: "ray.data.Dataset | pa.Table") -> pa.Table:
+def near_dup_clusters(pairs: "Blocks | pa.Table") -> pa.Table:
     """Connected components over verified near-dup pairs → (doc_id,
     cluster_id), cluster_id = the component's minimum doc id. The standard
     final step of fuzzy dedup: keep one doc per cluster, drop the rest.
@@ -880,10 +864,8 @@ def near_dup_clusters(pairs: "ray.data.Dataset | pa.Table") -> pa.Table:
     duplicate-heavy, in which case the caps fire first. Docs in no pair
     (singleton clusters) are not emitted — matching the SQL
     connected-components oracle over the edge list."""
-    if not isinstance(pairs, pa.Table):
-        tabs = [t for t in ray.get(pairs.materialize().to_arrow_refs()) if t.num_rows]
-        pairs = pa.concat_tables(tabs) if tabs else None
-    if pairs is None or pairs.num_rows == 0:
+    pairs = collect(pairs)
+    if pairs.num_rows == 0:
         return pa.table(
             {
                 "doc_id": pa.array([], type=pa.int64()),

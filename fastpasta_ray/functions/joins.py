@@ -23,26 +23,30 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray
-
-from fastpasta_ray.exchange import hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange
 
 
 def asof_join(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
+    left: "Blocks | pa.Table",
+    right: "Blocks | pa.Table",
     *,
     on: str,
     by: str,
     right_cols: list[str] | None = None,
     direction: str = "backward",
-) -> "ray.data.Dataset":
-    """As-of join of two datasets on time column ``on`` within key ``by``."""
+) -> Blocks:
+    """As-of join of two sides on time column ``on`` within key ``by``:
+    every left column, then ``{on}_right`` and the right side's other
+    columns (NULL where no right row matches)."""
 
     if direction not in ("backward", "forward"):
         raise ValueError(f"asof_join: unsupported direction {direction!r}")
+    left, right = blocks(left), blocks(right)
     if right_cols:
         right = right.select_columns([by, on] + right_cols)
+    fields = {f.name: f for f in left.schema}
+    fields[f"{on}_right"] = right.schema.field(on).with_name(f"{on}_right")
+    fields.update({f.name: f for f in right.schema if f.name not in (on, by)})
 
     def _sortable(col: pa.ChunkedArray) -> np.ndarray:
         v = col.to_numpy(zero_copy_only=False)
@@ -92,12 +96,13 @@ def asof_join(
                 cols[c] = pc.take(r[c], take)
         return pa.table(cols)
 
-    return ray.data.from_arrow_refs(hash_exchange((left, right), by, merge))
+    return Blocks(hash_exchange((left, right), by, merge), pa.schema(list(fields.values())),
+                  left.rows)
 
 
 def range_join_count(
-    left: "ray.data.Dataset",
-    right: "ray.data.Dataset",
+    left: "Blocks | pa.Table",
+    right: "Blocks | pa.Table",
     *,
     by: str,
     left_ts: str = "ts",
@@ -105,7 +110,7 @@ def range_join_count(
     before_seconds: float = 0.0,
     after_seconds: float = 300.0,
     count_col: str = "n_matches",
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Range (interval) join Ray Data lacks natively, in COUNT form: for
     each left row, the number of right rows of the same key with
     ``right_ts ∈ [left_ts − before, left_ts + after]`` (inclusive).
@@ -152,5 +157,7 @@ def range_join_count(
             )
         return pa.table({by: l[by], "__ts": l_us, count_col: pa.array(cnt)})
 
-    sides = (left.select_columns([by, left_ts]), right.select_columns([by, right_ts]))
-    return ray.data.from_arrow_refs(hash_exchange(sides, by, count))
+    left = blocks(left).select_columns([by, left_ts])
+    schema = pa.schema([left.schema.field(by), ("__ts", pa.timestamp("us")), (count_col, pa.int64())])
+    sides = (left, blocks(right).select_columns([by, right_ts]))
+    return Blocks(hash_exchange(sides, by, count), schema, left.rows)

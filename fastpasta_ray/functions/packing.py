@@ -11,7 +11,9 @@
   ``splitmix64(hash(key) ^ salt)``. Unlike ``ds.random_shuffle`` the
   result is a pure function of the data (layout/cluster independent), so
   a resumed or re-run job trains on the identical order. One sort
-  (all-to-all) — the unavoidable cost of a global shuffle.
+  (all-to-all) — the unavoidable cost of a global shuffle. It stays a Ray
+  Data ``sort``: the global order is its whole point, and no hash
+  exchange gives one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pyarrow as pa
 
 import ray
 
-from fastpasta_ray.exchange import Blocks, blocks, map_blocks
+from fastpasta_ray.exchange import Blocks, blocks
 from fastpasta_ray.sketches import hash_strings, splitmix64
 
 
@@ -53,19 +55,19 @@ def next_fit_bins(n_tok: np.ndarray, context_len: int) -> np.ndarray:
 
 
 def pack_sequences(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     *,
     context_len: int,
     n_tok_col: str = "n_tok",
     id_col: str = "doc_id",
     part_col: str = "part",
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Per-partition next-fit packing summary: one row per bin —
-    (part, bin, n_docs, total_tok, fill_ratio, first_doc). One raw task
-    per block of the input (a Dataset is materialized once; zero shuffle)
-    over per-file ordered blocks; blocks spanning several files are split
-    by ``part_col`` so bins NEVER cross partition files and a resumed run
-    repacks only unfinished partitions.
+    (part, bin, n_docs, total_tok, fill_ratio, first_doc). A view of the
+    input's blocks, packed inside the next wave that reads them (zero
+    shuffle), over per-file ordered blocks; blocks spanning several files
+    are split by ``part_col`` so bins NEVER cross partition files and a
+    resumed run repacks only unfinished partitions.
     Bin ids are the first row's ``row_index`` when positions are present
     (unique within a part even across batch splits); a mid-file batch
     split starts a fresh bin at the boundary (documented divergence from
@@ -124,7 +126,11 @@ def pack_sequences(
         ]
         return pa.concat_tables(outs)
 
-    return ray.data.from_arrow_refs(map_blocks(pack, blocks(ds)))
+    src = blocks(ds)
+    schema = pa.schema([("part", pa.string()), ("bin", pa.int64()), ("n_docs", pa.int64()),
+                        ("total_tok", pa.int64()), ("fill_ratio", pa.float64()),
+                        ("first_doc", src.schema.field(id_col).type)])
+    return src.view(pack, schema)
 
 
 def deterministic_shuffle(
@@ -132,7 +138,9 @@ def deterministic_shuffle(
 ) -> "ray.data.Dataset":
     """Reproducible global shuffle: order = sort by splitmix64(hash(key) ^
     salt). Layout- and cluster-independent (a pure function of the rows);
-    ``salt`` selects independent permutations per epoch."""
+    ``salt`` selects independent permutations per epoch. The one entry
+    point here that takes and returns a Dataset: a global sort is what a
+    shuffle is, so it stays Ray Data's ``sort``."""
 
     def keyed(b: pa.Table) -> pa.Table:
         col = b[key_col]

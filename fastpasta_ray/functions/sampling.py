@@ -9,7 +9,8 @@ independent of block layout, worker count, or execution order.
 - ``hash_sample``: uniform deterministic sample at rate num/denom.
 - ``stratified_sample``: per-stratum rates (e.g. downsample the 70%-mass
   head source, keep the tail) — the standard source-rebalancing step.
-Both are plain ``map_batches`` filters: zero shuffle, streaming.
+Both are filters returned as a view of the input's ``Blocks``: zero
+shuffle, and the filter runs inside the next wave that reads the blocks.
 """
 
 from __future__ import annotations
@@ -49,19 +50,16 @@ def _stratum_thresholds(
 
 
 def hash_sample(
-    ds: "ray.data.Dataset",
+    src: "Blocks | pa.Table",
     *,
     key_col: str,
     num: int,
     denom: int = 1000,
     salt: int = 0,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Keep rows where hash(key, salt) % denom < num — reproducible,
     layout-independent, resumable. ``salt`` selects independent samples."""
-    return ds.map_batches(
-        hash_filter, batch_format="pyarrow",
-        fn_kwargs=dict(key_col=key_col, num=num, denom=denom, salt=salt),
-    )
+    return blocks(src).view(lambda b: hash_filter(b, key_col, num, denom, salt))
 
 
 def hash_filter(batch: pa.Table, key_col: str, num: int, denom: int, salt: int = 0) -> pa.Table:
@@ -73,7 +71,7 @@ def hash_filter(batch: pa.Table, key_col: str, num: int, denom: int, salt: int =
 
 
 def stratified_sample(
-    ds: "ray.data.Dataset",
+    src: "Blocks | pa.Table",
     *,
     key_col: str,
     stratum_col: str,
@@ -81,7 +79,7 @@ def stratified_sample(
     default_rate: float = 1.0,
     denom: int = 1_000_000,
     salt: int = 0,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Per-stratum deterministic sampling: ``rates[stratum]`` is the keep
     probability (the source-rebalancing step for skewed corpora)."""
     thresholds = {k: int(round(v * denom)) for k, v in rates.items()}
@@ -94,18 +92,18 @@ def stratified_sample(
         thr = _stratum_thresholds(batch, stratum_col, thresholds, default_thr)
         return batch.filter(pa.array((h % np.uint64(denom)) < thr))
 
-    return ds.map_batches(f, batch_format="pyarrow")
+    return blocks(src).view(f)
 
 
 def mixture_sample(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     *,
     key_col: str,
     stratum_col: str,
     weights: dict[str, int],
     denom: int = 1000,
     hash_keys: bool = True,
-) -> tuple["ray.data.Dataset", dict[str, int]]:
+) -> tuple[Blocks, dict[str, int]]:
     """Deterministically downsample toward a target mixture (the data-mixing
     step of training-corpus assembly: "20% code, 30% web, ..."). Strata
     not in ``weights`` are dropped. The thresholds are exact integer math;
@@ -121,12 +119,11 @@ def mixture_sample(
     splitmix64-hashed key passes the same test (``hash_keys=True`` — the
     production default for non-uniform keys).
 
-    The input is materialized once (a Dataset; ``Blocks`` are read where
-    they are) and consumed by two waves of per-block tasks: per-block
-    partial counts merged on the driver (one tiny row per stratum per
-    block — no sort-groupby), then the zero-shuffle filter. Returns
-    ``(sampled dataset, thresholds)``. int64-safe up to count 10^12 x
-    denom 10^3 x weight 10^2."""
+    One wave of per-block tasks counts the strata (one tiny row per
+    stratum per block, merged on the driver — no sort-groupby); the
+    zero-shuffle filter is a view of the input's blocks, run by the next
+    wave that reads them. Returns ``(sampled blocks, thresholds)``.
+    int64-safe up to count 10^12 x denom 10^3 x weight 10^2."""
     W = sum(weights.values())
     if W <= 0:
         raise ValueError("mixture_sample: weights must sum to a positive value")
@@ -169,4 +166,4 @@ def mixture_sample(
         t = _stratum_thresholds(batch, stratum_col, thr, 0)
         return batch.filter(pa.array((h % np.uint64(denom)) < t))
 
-    return ray.data.from_arrow_refs(map_blocks(f, src)), thr
+    return src.view(f), thr

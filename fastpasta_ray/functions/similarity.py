@@ -11,10 +11,9 @@
   the answer still equals brute force. Centroids are the broadcast small
   side.
 
-Every function here materializes a Dataset input once
-(``exchange.blocks``) and runs every pass as a wave of raw tasks or a
-``hash_exchange`` over its blocks, never as another streaming execution;
-each also takes ``Blocks`` a caller already holds.
+Every function here takes ``Blocks`` (or a table) and runs every pass as
+a wave of raw tasks or a ``hash_exchange`` over its blocks, never as a
+streaming execution; the row-level results come back as ``Blocks``.
 """
 
 from __future__ import annotations
@@ -96,7 +95,7 @@ def _candidates(src: Blocks, q: np.ndarray, k: int, id_col: str, emb_col: str,
 
 
 def cosine_topk(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     query: np.ndarray,
     k: int = 10,
     *,
@@ -105,7 +104,7 @@ def cosine_topk(
     round_to: int | None = 4,
 ) -> pa.Table:
     """Global top-k per query: one wave of per-block top-k tasks over the
-    input's blocks (a Dataset is materialized once), then the final reduce
+    input's blocks, then the final reduce
     over the tiny candidate set (k × blocks rows per query) on the driver."""
     q = _normalize(np.atleast_2d(np.asarray(query, dtype=np.float64)))
     return _topk_per_group(_candidates(blocks(ds), q, k, id_col, emb_col), k, id_col, round_to)
@@ -149,7 +148,7 @@ def _block_sample(batch: pa.Table, id_col: str, emb_col: str, num: int,
 
 
 def build_ivf_centroids(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     n_centroids: int = 16,
     emb_col: str = "embedding",
     sample_rows: int = 2048,
@@ -189,8 +188,8 @@ def build_ivf_centroids(
 
 
 class HyperplaneHasher:
-    """Actor-pool stage: random-hyperplane signatures (embedding SimHash).
-    Hyperplanes drawn once per actor from a fixed seed."""
+    """Per-block transform: random-hyperplane signatures (embedding
+    SimHash). Hyperplanes drawn once, from a fixed seed."""
 
     def __init__(self, n_bits: int = 16, dim: int = 64, seed: int = 42,
                  id_col: str = "vec_id", emb_col: str = "embedding"):
@@ -199,9 +198,10 @@ class HyperplaneHasher:
         self.id_col, self.emb_col = id_col, emb_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        m = _normalize(_emb_matrix(batch, self.emb_col))
-        bits = (m @ self.planes) > 0
-        sig = (bits * (1 << np.arange(bits.shape[1]))).sum(axis=1).astype(np.int64)
+        sig = np.zeros(0, dtype=np.int64)
+        if batch.num_rows:
+            bits = (_normalize(_emb_matrix(batch, self.emb_col)) @ self.planes) > 0
+            sig = (bits * (1 << np.arange(bits.shape[1]))).sum(axis=1).astype(np.int64)
         # the exchange key: the verify segments by exact sig
         return pa.table(
             {
@@ -213,14 +213,14 @@ class HyperplaneHasher:
 
 
 def embedding_near_dup_pairs(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     *,
     threshold: float = 0.99,
     n_bits: int = 16,
     dim: int = 64,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Embedding-cosine near-duplicate pairs: random-hyperplane bucket
     (near-identical vectors share all hyperplane signs w.h.p.) → exact
     cosine verify within each signature. One ``hash_exchange`` on the
@@ -267,8 +267,8 @@ def embedding_near_dup_pairs(
             outs.append(
                 pa.table(
                     {
-                        "vec_a": pa.array(np.minimum(a, b)),
-                        "vec_b": pa.array(np.maximum(a, b)),
+                        "vec_a": pa.array(np.minimum(a, b).astype(np.int64)),
+                        "vec_b": pa.array(np.maximum(a, b).astype(np.int64)),
                         "cosine": pa.array(np.round(sims[iu][hit], 4)),
                     }
                 )
@@ -280,7 +280,7 @@ def embedding_near_dup_pairs(
     sigs = src.view(HyperplaneHasher(n_bits, dim, id_col=id_col, emb_col=emb_col),
                     pa.schema([src.schema.field(id_col), ("sig", pa.int64()),
                                src.schema.field(emb_col)]))
-    return ray.data.from_arrow_refs(hash_exchange(sigs, "sig", verify))
+    return Blocks(hash_exchange(sigs, "sig", verify), empty.schema, src.rows)
 
 
 def _block_radii(batch: pa.Table, cent: np.ndarray, emb_col: str) -> np.ndarray:
@@ -296,7 +296,7 @@ def _block_radii(batch: pa.Table, cent: np.ndarray, emb_col: str) -> np.ndarray:
 
 
 def cluster_radii(
-    ds: "ray.data.Dataset | Blocks", cent: np.ndarray, emb_col: str = "embedding"
+    ds: "Blocks | pa.Table", cent: np.ndarray, emb_col: str = "embedding"
 ) -> np.ndarray:
     """Per-cluster max angle (radians) of any member to its centroid —
     one wave of per-block maxima, merged on the driver."""
@@ -304,7 +304,7 @@ def cluster_radii(
 
 
 def ivf_topk_exact(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     query: np.ndarray,
     k: int = 10,
     *,
@@ -321,8 +321,8 @@ def ivf_topk_exact(
     corpus the second wave prunes most of the data; on an unclustered one
     it degrades gracefully to a full scan — never to a wrong answer.
 
-    A Dataset is materialized once; the centroid sample, the radii and
-    both probe waves are raw-task waves over its blocks."""
+    The centroid sample, the radii and both probe waves are raw-task
+    waves over the input's blocks."""
     src = blocks(ds)
     cent = build_ivf_centroids(src, n_centroids, emb_col, id_col=id_col)
     radii = cluster_radii(src, cent, emb_col)
@@ -367,7 +367,7 @@ def _block_lloyd(batch: pa.Table, c: np.ndarray, emb_col: str) -> tuple[np.ndarr
 
 
 def kmeans_fit(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     *,
     k: int = 8,
     emb_col: str = "embedding",
@@ -379,11 +379,10 @@ def kmeans_fit(
     cosine assignment, mean-renormalized centroids) — the clustering step
     of embedding-based data curation (e.g. cluster-balanced sampling).
 
-    Scale shape: the input is materialized once (Lloyd's consumes it
-    n_iter+1 times, and a lazy upstream must not re-run per iteration).
-    Each iteration broadcasts the centroids once via ``ray.put`` and runs
-    one wave of per-block tasks, each returning its (sums, counts) partial
-    (k x dim floats per block); the driver adds them up with numpy and
+    Scale shape: the input's blocks are read where they are (Lloyd's
+    consumes them n_iter+1 times). Each iteration broadcasts the centroids
+    once via ``ray.put`` and runs one wave of per-block tasks, each
+    returning its (sums, counts) partial (k x dim floats per block); the driver adds them up with numpy and
     renormalizes. No shuffle, no per-row driver work; assignment is a
     blocked matmul. Deterministic init via the hash-sampled mini-k-means
     (``build_ivf_centroids``) unless ``init`` is given. Empty clusters
@@ -405,23 +404,25 @@ def kmeans_fit(
 
 
 def kmeans_assign(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     centroids: np.ndarray,
     *,
     emb_col: str = "embedding",
     id_col: str = "vec_id",
-) -> "ray.data.Dataset":
-    """Assign every row to its nearest (cosine) centroid — one broadcast,
-    one wave of per-block tasks; ties break to the lowest cluster index
+) -> Blocks:
+    """Assign every row to its nearest (cosine) centroid: ``(id, cluster,
+    cosine)``. One broadcast; the assignment is a view, so it runs inside
+    the next wave over the blocks. Ties break to the lowest cluster index
     (numpy argmax semantics, mirrored by the SQL oracle's ORDER BY sim
     DESC, cluster ASC)."""
-    cent = _normalize(np.asarray(centroids, dtype=np.float64))
-    ref = ray.put(cent)
+    ref = ray.put(_normalize(np.asarray(centroids, dtype=np.float64)))
+    src = blocks(ds)
+    schema = pa.schema([src.schema.field(id_col), ("cluster", pa.int64()), ("cosine", pa.float64())])
 
     def assign(batch: pa.Table) -> pa.Table:
-        c = ray.get(ref)
-        m = _normalize(_emb_matrix(batch, emb_col))
-        sims = m @ c.T
+        if not batch.num_rows:
+            return schema.empty_table()
+        sims = _normalize(_emb_matrix(batch, emb_col)) @ ray.get(ref).T
         return pa.table(
             {
                 id_col: batch[id_col],
@@ -430,11 +431,11 @@ def kmeans_assign(
             }
         )
 
-    return ray.data.from_arrow_refs(map_blocks(assign, blocks(ds)))
+    return src.view(assign, schema)
 
 
 def semantic_dedup(
-    ds: "ray.data.Dataset | Blocks",
+    ds: "Blocks | pa.Table",
     centroids: np.ndarray,
     *,
     threshold: float = 0.9,
@@ -442,7 +443,7 @@ def semantic_dedup(
     emb_col: str = "embedding",
     max_cluster_rows: int = 100_000,
     block: int = 1024,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """SemDeDup (Abbas et al. 2023, arXiv:2303.09540): semantic dedup of an
     embedding corpus — cluster with cosine k-means, then drop within-cluster
     near-duplicates. Returns the DROPPED rows as ``(cluster, id)``.
@@ -465,14 +466,10 @@ def semantic_dedup(
 
     def assign(batch: pa.Table) -> pa.Table:
         c = ray.get(ref)
-        m = _normalize(_emb_matrix(batch, emb_col))
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "cluster": pa.array((m @ c.T).argmax(axis=1).astype(np.int64)),
-                emb_col: batch[emb_col],
-            }
-        )
+        cluster = np.zeros(0, dtype=np.int64)
+        if batch.num_rows:
+            cluster = (_normalize(_emb_matrix(batch, emb_col)) @ c.T).argmax(axis=1).astype(np.int64)
+        return pa.table({id_col: batch[id_col], "cluster": pa.array(cluster), emb_col: batch[emb_col]})
 
     out_schema = pa.schema([("cluster", pa.int64()), (id_col, pa.int64())])
 
@@ -515,4 +512,4 @@ def semantic_dedup(
     src = blocks(ds)
     assigned = src.view(assign, pa.schema([src.schema.field(id_col), ("cluster", pa.int64()),
                                            src.schema.field(emb_col)]))
-    return ray.data.from_arrow_refs(hash_exchange(assigned, "cluster", drop_dups))
+    return Blocks(hash_exchange(assigned, "cluster", drop_dups), out_schema, src.rows)

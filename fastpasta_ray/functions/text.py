@@ -1,8 +1,8 @@
 """Text-analysis operators for training-data pipelines.
 
 All vectorized over Arrow batches (pyarrow.compute / numpy); stateful setup
-(compiled regexes, stopword tables) happens once per actor in ``__init__``
-of the callable classes — the actor-pool pattern for map_batches stages.
+(compiled regexes, stopword tables) happens once in ``__init__`` of the
+callable classes, which then ship with the wave that runs them.
 """
 
 from __future__ import annotations
@@ -10,6 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+
+import ray
+
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange
+from fastpasta_ray.sketches import hash_strings, one_chunk
 
 # minimal public stopword lists per language (for the n-gram/stopword
 # language-ID heuristic — the classic "count function words" approach)
@@ -27,16 +32,6 @@ def token_count(batch: pa.Table, text_col: str = "text") -> pa.Table:
     SQL ``string_split(text, ' ')`` semantics for the oracle)."""
     toks = pc.split_pattern(batch[text_col], " ")
     return batch.append_column("n_words", pc.cast(pc.list_value_length(toks), pa.int64()))
-
-
-def bpe_ish_token_count(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """A BPE-ish token estimate: count regex word pieces + punctuation marks
-    (the public GPT-2 pre-tokenizer shape: contractions, letter runs, digit
-    runs, punctuation runs)."""
-    n = pc.count_substring_regex(
-        batch[text_col], r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]+"
-    )
-    return batch.append_column("n_tokens_est", pc.cast(n, pa.int64()))
 
 
 def quality_metrics(batch: pa.Table, text_col: str = "text") -> pa.Table:
@@ -61,8 +56,8 @@ def quality_metrics(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class QualityScorer:
-    """Actor-pool stage: composite quality score in [0,1] from the metric
-    columns. Weights fixed at init (once per actor)."""
+    """Composite quality score in [0,1] from the metric columns. Weights
+    fixed at init."""
 
     def __init__(self, min_len: int = 50, max_punct_ratio: float = 0.1):
         self.min_len = min_len
@@ -82,8 +77,8 @@ class QualityScorer:
 
 
 class LangID:
-    """Actor-pool stage: stopword-vote language ID. Stopword regexes are
-    compiled once per actor (init), applied vectorized per batch."""
+    """Stopword-vote language ID. Stopword regexes are compiled once
+    (init), applied vectorized per batch."""
 
     def __init__(self, langs: dict[str, tuple] | None = None):
         self.langs = langs or STOPWORDS
@@ -192,7 +187,7 @@ def fingerprint(batch: pa.Table, text_col: str = "text") -> pa.Table:
 # ---------------------------------------------------------------------------
 
 def unigram_logprob_table(
-    ds,
+    ds: "Blocks | pa.Table",
     text_col: str = "text",
     *,
     max_vocab: int = 5_000_000,
@@ -208,17 +203,13 @@ def unigram_logprob_table(
     Scale shape: per-block ``pc.value_counts`` pre-aggregates inside the
     map tasks of one hash exchange on the word, so the exchange carries
     (word, count) partials — bounded by distinct words per block (Zipf),
-    not corpus size. A Dataset is materialized once; ``Blocks`` are read
-    where they are. The merged table is vocab-sized; above ``max_vocab``
-    only the top entries by count are kept (drop LOGGED) and dropped words
-    score at ``oov_logprob``, so the broadcast stays bounded at any corpus
-    size. ``alpha`` > 0 applies
-    add-alpha smoothing (required for scoring text outside the fitted
-    corpus; the exact-oracle path uses alpha=0 over its own corpus)."""
-    import ray
-
-    from fastpasta_ray.exchange import blocks, hash_exchange
-    from fastpasta_ray.sketches import one_chunk
+    not corpus size. The input's blocks are read where they are. The
+    merged table is vocab-sized; above ``max_vocab`` only the top entries
+    by count are kept (drop LOGGED) and dropped words score at
+    ``oov_logprob``, so the broadcast stays bounded at any corpus size.
+    ``alpha`` > 0 applies add-alpha smoothing (required for scoring text
+    outside the fitted corpus; the exact-oracle path uses alpha=0 over its
+    own corpus)."""
 
     def partial(b: pa.Table) -> pa.Table:
         toks = one_chunk(pc.split_pattern(b[text_col], " "))
@@ -262,7 +253,7 @@ def unigram_logprob_table(
 
 
 def unigram_logprob_score(
-    ds,
+    ds: "Blocks | pa.Table",
     vocab: pa.Array,
     logprob: np.ndarray,
     oov_logprob: float,
@@ -270,9 +261,9 @@ def unigram_logprob_score(
     text_col: str = "text",
     id_col: str = "doc_id",
     append: bool = False,
-):
-    """Per-document mean unigram log-probability — one wave of per-block
-    tasks over ``ds`` (a Dataset is materialized once).
+) -> Blocks:
+    """Per-document mean unigram log-probability — a view of ``ds``'s
+    blocks, scored inside the next wave that reads them.
 
     The lookup table is prepared ONCE at broadcast time: vocab words are
     hashed (in-job Arrow-buffer hash) and sorted, so each task does a
@@ -285,10 +276,6 @@ def unigram_logprob_score(
     unlike reduceat). With ``append=True`` the score rides the input batch
     as ``unigram_logprob`` (pipeline composition); default output is the
     slim (id, logprob) projection."""
-    import ray
-
-    from fastpasta_ray.exchange import blocks, map_blocks
-    from fastpasta_ray.sketches import hash_strings
 
     h = hash_strings(vocab)
     order = np.argsort(h, kind="stable")
@@ -304,8 +291,6 @@ def unigram_logprob_score(
     ref = ray.put((hs, lps, float(oov_logprob)))
 
     def score(b: pa.Table) -> pa.Table:
-        from fastpasta_ray.sketches import hash_strings, one_chunk
-
         hs_, lps_, oov = ray.get(ref)
         toks = one_chunk(pc.split_pattern(pc.fill_null(b[text_col], ""), " "))
         flat = one_chunk(toks.flatten())
@@ -326,4 +311,7 @@ def unigram_logprob_score(
             return b.append_column("unigram_logprob", col)
         return pa.table({id_col: b[id_col], "logprob": col})
 
-    return ray.data.from_arrow_refs(map_blocks(score, blocks(ds)))
+    src = blocks(ds)
+    field = pa.field("unigram_logprob" if append else "logprob", pa.float64())
+    return src.view(score, src.schema.append(field) if append
+                    else pa.schema([src.schema.field(id_col), field]))

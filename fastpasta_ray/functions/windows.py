@@ -18,18 +18,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-import ray
-
-from fastpasta_ray.exchange import hash_exchange
+from fastpasta_ray.exchange import Blocks, blocks, hash_exchange
 
 
 def rolling_count(
-    ds: "ray.data.Dataset",
+    ds: "Blocks | pa.Table",
     *,
     key_col: str = "user_id",
     ts_col: str = "ts",
     window_seconds: float = 300.0,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Per-row trailing-range window count: for each event, the number of
     events of the same key with ``ts ∈ [ts - window, ts]`` (inclusive) —
     the RANGE-frame window aggregate Ray Data lacks natively.
@@ -66,21 +64,27 @@ def rolling_count(
             hi[s:e] = s + np.searchsorted(ts[s:e], ts[s:e], side="right")
         return gs.append_column("n_in_window", pa.array(hi - lo))
 
-    return ray.data.from_arrow_refs(hash_exchange(ds, key_col, scan))
+    src = blocks(ds)
+    schema = src.schema.append(pa.field("n_in_window", pa.int64()))
+    return Blocks(hash_exchange(src, key_col, scan), schema, src.rows)
 
 
 def sessionize(
-    ds: "ray.data.Dataset",
+    ds: "Blocks | pa.Table",
     *,
     key_col: str = "user_id",
     ts_col: str = "ts",
     gap_seconds: float = 1800.0,
-) -> "ray.data.Dataset":
+) -> Blocks:
     """Session summary rows: (key, session_id, session_start, session_end,
     n_events). Vectorized gaps-and-islands per ``hash_exchange`` reduce
     task."""
 
     gap_us = np.int64(round(gap_seconds * 1_000_000))
+    src = blocks(ds)
+    schema = pa.schema([src.schema.field(key_col), ("session_start", pa.timestamp("us")),
+                        ("session_end", pa.timestamp("us")), ("n_events", pa.int64()),
+                        ("session_id", pa.int64())])
 
     def sessions(g: pa.Table) -> pa.Table:
         # Arrow C-kernel sort + pure-numpy gaps-and-islands (no pandas —
@@ -91,15 +95,7 @@ def sessionize(
         ts64 = gs[ts_col].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         ts = ts64.astype(np.int64)
         if not len(ts):
-            return pa.table(
-                {
-                    key_col: pa.array([], type=g[key_col].type),
-                    "session_start": pa.array([], type=pa.timestamp("us")),
-                    "session_end": pa.array([], type=pa.timestamp("us")),
-                    "n_events": pa.array([], type=pa.int64()),
-                    "session_id": pa.array([], type=pa.int64()),
-                }
-            )
+            return schema.empty_table()
         new_key = np.r_[True, keys[1:] != keys[:-1]]
         gap = np.r_[False, (ts[1:] - ts[:-1]) > gap_us]
         new_session = new_key | gap
@@ -112,7 +108,7 @@ def sessionize(
         session_id = np.arange(len(starts)) - np.repeat(key_first, per_key_n)
         return pa.table(
             {
-                key_col: pa.array(keys[starts]),
+                key_col: pa.array(keys[starts], type=schema.field(key_col).type),
                 "session_start": pa.array(ts64[starts]).cast(pa.timestamp("us")),
                 "session_end": pa.array(ts64[ends - 1]).cast(pa.timestamp("us")),
                 "n_events": pa.array(n_events.astype(np.int64)),
@@ -120,4 +116,4 @@ def sessionize(
             }
         )
 
-    return ray.data.from_arrow_refs(hash_exchange(ds, key_col, sessions))
+    return Blocks(hash_exchange(src, key_col, sessions), schema, src.rows)

@@ -102,12 +102,6 @@ def filter_sequences(
     }
 
 
-def read_filtered(out_dir: str) -> "ray.data.Dataset":
-    return ray.data.read_parquet(sorted(
-        os.path.join(out_dir, f) for f in os.listdir(out_dir) if f.endswith(".parquet")
-    ))
-
-
 def filter_expr_read(
     input_dir: str, sources: tuple[str, ...]
 ) -> "ray.data.Dataset":

@@ -1,7 +1,7 @@
 """Query pipelines over the driver testdata tables + their DuckDB oracles.
 
-Each ``q_*`` function takes ``sf_dir`` and returns a Dataset / pyarrow
-Table whose column NAMES and VALUES match the oracle SQL in ``ORACLES``
+Each ``q_*`` function takes ``sf_dir`` and returns a pyarrow Table whose
+column NAMES and VALUES match the oracle SQL in ``ORACLES``
 (the driver hash-compares after sorting columns by name). Floating
 aggregates are rounded identically on both sides.
 
@@ -96,11 +96,11 @@ def _round_col(t: pa.Table, col: str, nd: int = 2) -> pa.Table:
 def _fold(src, partial, schema: pa.Schema, combine=None) -> pa.Table:
     """Run ``partial`` on each block of ``src`` (None: take the blocks as
     they are), collect the partials once through ``_to_table`` and pass
-    them to ``combine`` (None: return them). ``src`` is ``Blocks`` (``_rp``
-    or a view of it), block refs, or anything ``exchange.blocks`` takes (a
-    Dataset is materialized once); ``partial`` runs as one ``map_blocks``
-    wave. ``schema`` types the table when no partial has rows: only the
-    caller knows the partial's columns."""
+    them to ``combine`` (None: return them). ``src`` is ``Blocks`` (``_rp``,
+    a view of it or a ``functions/`` result), a table, or block refs;
+    ``partial`` runs as one ``map_blocks`` wave. ``schema`` types the table
+    when no partial has rows: only the caller knows the partial's
+    columns."""
     if not isinstance(src, list):
         src = blocks(src)
         src = src.refs if partial is None and src.pre is None else map_blocks(partial, src)
@@ -453,8 +453,8 @@ def q_exact_dup_count(sf_dir: str):
     from fastpasta_ray.functions.dedup import exact_dup_groups
 
     ds = _rp(sf_dir, "documents", ["doc_id", "text"])
-    groups = blocks(exact_dup_groups(ds)).refs  # the exchange's outputs, no execution
-    n = _fold(groups, None, pa.schema({"n_copies": pa.int64()}))["n_copies"]
+    groups = exact_dup_groups(ds)
+    n = _fold(groups, None, groups.schema)["n_copies"]
     n_dups = (pc.sum(n).as_py() or 0) - len(n)
     return pa.table({"n_exact_dups": pa.array([n_dups], type=pa.int64())})
 
@@ -485,7 +485,7 @@ def _query_vector(sf_dir: str) -> tuple[np.ndarray, Blocks]:
     """(the embedding of vec_id 0, a view of every other row) over one
     read of ``embeddings``: a wave finds the query row, and each later
     wave drops it inside its own tasks."""
-    emb = blocks(_rp(sf_dir, "embeddings", ["vec_id", "embedding"]))
+    emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
     q = _fold(emb, lambda b: b.filter(pc.equal(b["vec_id"], 0)), emb.schema)["embedding"][0]
     return np.asarray(q.as_py()), emb.view(lambda b: b.filter(pc.not_equal(b["vec_id"], 0)))
 
@@ -512,14 +512,12 @@ def q_minhash_pairs(sf_dir: str):
     # blocks=32: small signature tasks shorten a throttled core's straggler
     # tail on many CPUs; _rp caps the count at 2× cluster CPUs
     ds = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=32)
-    # as_table: the verified pairs are already driver-held; wrapping them in
-    # a Dataset would cost one more streaming-executor launch to consume.
-    # exact_jaccard_verify types the table even when it has no pairs.
-    return minhash_lsh_pairs(ds, threshold=0.5, as_table=True)
+    pairs = minhash_lsh_pairs(ds, threshold=0.5)
+    return _fold(pairs, None, pairs.schema)
 
 
 def q_simhash_pairs(sf_dir: str):
-    """SimHash candidates (Hamming ≤ 6 guaranteed by 8-block combo keys)
+    """SimHash candidates (Hamming ≤ 7 guaranteed by 9-block combo keys)
     verified by EXACT word-3gram Jaccard ≥ 0.8 — same SQL oracle shape as
     minhash_pairs at a stricter threshold."""
     from fastpasta_ray.functions.dedup import exact_jaccard_verify, simhash_near_dups
@@ -527,10 +525,8 @@ def q_simhash_pairs(sf_dir: str):
     # blocks=32: see q_minhash_pairs. One read: the candidates and the
     # verify's n-gram sets come from the same blocks
     ds = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=32)
-    cand = simhash_near_dups(ds, aggregate=False, as_table=True).select(
-        ["doc_a", "doc_b"]
-    )
-    return exact_jaccard_verify(cand, ds, threshold=0.8, as_table=True)
+    pairs = exact_jaccard_verify(simhash_near_dups(ds, aggregate=False), ds, threshold=0.8)
+    return _fold(pairs, None, pairs.schema)
 
 
 def q_lang_id(sf_dir: str):
@@ -725,8 +721,8 @@ def q_session_stats(sf_dir: str):
     from fastpasta_ray.functions.windows import sessionize
 
     ds = _rp(sf_dir, "events", ["user_id", "ts"])
-    s = blocks(sessionize(ds, gap_seconds=1800.0)).refs
-    t = _fold(s, None, pa.schema({"n_events": pa.int64()}))
+    s = sessionize(ds, gap_seconds=1800.0)
+    t = _fold(s, None, s.schema)
     # SUM and MAX over no sessions are NULL, as in SQL
     return pa.table(
         {
@@ -799,7 +795,10 @@ def q_word_topk(sf_dir: str):
         .aggregate(Sum("cnt", alias_name="n"))
     )
     top = _top(20, [("n", "descending"), ("word", "ascending")])
-    return _fold(agg, None, pa.schema({"word": pa.string(), "n": pa.int64()}), top)
+    schema = pa.schema({"word": pa.string(), "n": pa.int64()})
+    # materialized first: to_arrow_refs on a lazy Dataset runs the plan a
+    # second time to fetch its schema
+    return _fold(agg.materialize().to_arrow_refs(), None, schema, top)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +821,7 @@ def q_embedding_neardups(sf_dir: str):
 
     emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"], blocks=8)
     schema = pa.schema({"vec_a": pa.int64(), "vec_b": pa.int64(), "cosine": pa.float64()})
-    return _fold(blocks(embedding_near_dup_pairs(emb, threshold=0.95)).refs, None, schema)
+    return _fold(embedding_near_dup_pairs(emb, threshold=0.95), None, schema)
 
 
 def q_label_stats(sf_dir: str):
@@ -916,12 +915,12 @@ def _event_side(ev: Blocks, kind: str, cols: list[str]) -> Blocks:
 def q_asof_purchase_attribution(sf_dir: str):
     from fastpasta_ray.functions.joins import asof_join
 
-    ev = blocks(_rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]))
+    ev = _rp(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     purchases = _event_side(ev, "purchase", ["event_id", "ts", "user_id"])
     views = _event_side(ev, "view", ["user_id", "ts"])
     t = asof_join(purchases, views, on="ts", by="user_id", right_cols=[])
     ts = ev.schema.field("ts").type
-    t = _fold(blocks(t).refs, None, pa.schema({"ts": ts, "ts_right": ts}))
+    t = _fold(t, None, pa.schema({"ts": ts, "ts_right": ts}))
     v = t.filter(pc.is_valid(t["ts_right"]))
     # exact integer microseconds on both sides (duckdb date_diff('second')
     # counts boundary crossings, not elapsed time — avoid it)
@@ -978,7 +977,8 @@ def q_source_histogram_salted(sf_dir: str, n_salt: int = 8):
             Max("n_chars", alias_name="max_chars"),
         )
     )
-    return _fold(partial, None, _SOURCE_HISTOGRAM, _SOURCE_HISTOGRAM_MERGE)
+    return _fold(partial.materialize().to_arrow_refs(), None, _SOURCE_HISTOGRAM,
+                 _SOURCE_HISTOGRAM_MERGE)
 
 
 ORACLES["source_histogram_salted"] = ORACLES["source_histogram"]
@@ -1302,8 +1302,8 @@ def q_neardup_clusters(sf_dir: str):
     from fastpasta_ray.functions.dedup import minhash_lsh_pairs, near_dup_clusters
 
     ds = _rp(sf_dir, "documents", ["doc_id", "text"], blocks=8)
-    pairs = minhash_lsh_pairs(ds, threshold=0.5, as_table=True)
-    return near_dup_clusters(pairs).sort_by([("doc_id", "ascending")])
+    pairs = minhash_lsh_pairs(ds, threshold=0.5)
+    return near_dup_clusters(_fold(pairs, None, pairs.schema)).sort_by([("doc_id", "ascending")])
 
 
 # connected components via fixpoint label propagation: reach(id, root)
@@ -1422,8 +1422,8 @@ def q_rolling_window_count(sf_dir: str):
     from fastpasta_ray.functions.windows import rolling_count
 
     ds = _rp(sf_dir, "events", ["event_id", "ts", "user_id"])
-    out = blocks(rolling_count(ds, window_seconds=300.0)).refs
-    t = _fold(out, None, pa.schema({"n_in_window": pa.int64()}))
+    out = rolling_count(ds, window_seconds=300.0)
+    t = _fold(out, None, out.schema)
     # SUM and MAX over no events are NULL, as in SQL
     return pa.table(
         {
@@ -1454,12 +1454,12 @@ def q_range_join_views_near_purchase(sf_dir: str):
     ±30 minutes — summarized as (n_purchases, total_matches, max_matches)."""
     from fastpasta_ray.functions.joins import range_join_count
 
-    ev = blocks(_rp(sf_dir, "events", ["ts", "user_id", "event_type"]))
+    ev = _rp(sf_dir, "events", ["ts", "user_id", "event_type"])
     out = range_join_count(
         _event_side(ev, "purchase", ["ts", "user_id"]), _event_side(ev, "view", ["ts", "user_id"]),
         by="user_id", before_seconds=1800.0, after_seconds=1800.0,
     )
-    t = _fold(blocks(out).refs, None, pa.schema({"n_matches": pa.int64()}))
+    t = _fold(out, None, out.schema)
     # SUM and MAX over no purchases are NULL, as in SQL
     return pa.table(
         {
@@ -2215,7 +2215,7 @@ def q_decontam_clean_count(sf_dir: str):
     (tiny: sources x blocks rows, folded driver-side)."""
     from fastpasta_ray.functions.decontam import decontaminate
 
-    docs = blocks(_rp(sf_dir, "documents", ["doc_id", "source", "text"], blocks=8))
+    docs = _rp(sf_dir, "documents", ["doc_id", "source", "text"], blocks=8)
     clean = decontaminate(docs.view(_bench_side(False)), docs.view(_bench_side(True)), ngram_n=3)
     return _fold(clean, lambda b: _agg(b, ["source"], n_clean=([], "count_all")),
                  pa.schema({"source": pa.string(), "n_clean": pa.int64()}),

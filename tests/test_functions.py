@@ -7,6 +7,15 @@ import pytest
 
 import ray
 
+from fastpasta_ray.exchange import Blocks, collect
+
+
+def split(t: pa.Table, k: int) -> Blocks:
+    """``t`` as ``Blocks`` of ``k`` contiguous slices: a many-block layout."""
+    cuts = [i * t.num_rows // k for i in range(k + 1)]
+    return Blocks([ray.put(t.slice(a, b - a)) for a, b in zip(cuts[:-1], cuts[1:])],
+                  t.schema, t.num_rows)
+
 
 def docs_table(texts, ids=None):
     n = len(texts)
@@ -26,12 +35,12 @@ def _exact_dedup_case():
     from fastpasta_ray.functions.dedup import drop_exact_dups, exact_dup_groups
 
     texts = ["hello world " * 5, "foo bar " * 5, "hello world " * 5, "unique text here"]
-    ds = ray.data.from_arrow(docs_table(texts))
-    groups = exact_dup_groups(ds).to_pandas()
+    ds = docs_table(texts)
+    groups = collect(exact_dup_groups(ds)).to_pandas()
     assert len(groups) == 1
     assert groups.iloc[0]["n_copies"] == 2
     assert groups.iloc[0]["keep_id"] == 0
-    kept = drop_exact_dups(ds).to_pandas()
+    kept = collect(drop_exact_dups(ds)).to_pandas()
     assert sorted(kept["doc_id"]) == [0, 1, 3]
 
 
@@ -54,8 +63,8 @@ def test_simhash_near_dups():
 
     base = "this is a long document about data processing " * 4
     texts = [base, base.replace("data", "info", 1), "completely different content entirely " * 4]
-    ds = ray.data.from_arrow(docs_table(texts))
-    pairs = simhash_near_dups(ds, max_hamming=8).to_pandas()
+    ds = docs_table(texts)
+    pairs = collect(simhash_near_dups(ds, max_hamming=8)).to_pandas()
     assert (0, 1) in set(zip(pairs["doc_a"], pairs["doc_b"]))
 
 
@@ -70,7 +79,7 @@ def test_cosine_topk_matches_numpy():
             "embedding": pa.FixedSizeListArray.from_arrays(pa.array(m.reshape(-1)), 16),
         }
     )
-    ds = ray.data.from_arrow(t).repartition(4)
+    ds = split(t, 4)
     q = m[0].astype(np.float64)
     top = cosine_topk(ds, q, k=5, round_to=None).to_pandas()
     mm = m.astype(np.float64)
@@ -100,8 +109,8 @@ def _embedding_near_dup_case():
             ),
         }
     )
-    ds = ray.data.from_arrow(t).repartition(4)
-    pairs = embedding_near_dup_pairs(ds, threshold=0.99).to_pandas()
+    ds = split(t, 4)
+    pairs = collect(embedding_near_dup_pairs(ds, threshold=0.99)).to_pandas()
     assert (10, 50) in set(zip(pairs["vec_a"], pairs["vec_b"]))
 
 
@@ -185,7 +194,7 @@ def _sessionize_case():
             "ts": pa.array(ts, type=pa.timestamp("us")),
         }
     )
-    out = sessionize(ray.data.from_arrow(t), gap_seconds=1800).to_pandas()
+    out = collect(sessionize(t, gap_seconds=1800)).to_pandas()
     u1 = out[out["user_id"] == 1].sort_values("session_start")
     assert len(u1) == 2
     assert list(u1["n_events"]) == [2, 1]
@@ -201,17 +210,17 @@ def test_hash_sample_deterministic_and_layout_independent():
             "v": pa.array(range(5000)),
         }
     )
-    a = set(hash_sample(ray.data.from_arrow(t), key_col="doc_id", num=100, denom=1000).to_pandas()["v"])
+    a = set(collect(hash_sample(t, key_col="doc_id", num=100, denom=1000)).to_pandas()["v"])
     # different block layout → identical sample
     b = set(
-        hash_sample(ray.data.from_arrow(t).repartition(7), key_col="doc_id", num=100, denom=1000)
+        collect(hash_sample(split(t, 7), key_col="doc_id", num=100, denom=1000))
         .to_pandas()["v"]
     )
     assert a == b
     assert abs(len(a) / 5000 - 0.1) < 0.02  # ~10% rate
     # different salt → a different (independent) sample
     c = set(
-        hash_sample(ray.data.from_arrow(t), key_col="doc_id", num=100, denom=1000, salt=7)
+        collect(hash_sample(t, key_col="doc_id", num=100, denom=1000, salt=7))
         .to_pandas()["v"]
     )
     assert c != a
@@ -228,12 +237,12 @@ def test_stratified_sample_rates():
             "source": pa.array(strata),
         }
     )
-    out = stratified_sample(
-        ray.data.from_arrow(t),
+    out = collect(stratified_sample(
+        t,
         key_col="doc_id",
         stratum_col="source",
         rates={"head": 0.1, "tail": 1.0},
-    ).to_pandas()
+    )).to_pandas()
     vc = out["source"].value_counts()
     assert vc.get("tail", 0) == n // 4          # keep-all stratum intact
     assert abs(vc.get("head", 0) / (3 * n // 4) - 0.1) < 0.03
@@ -268,13 +277,13 @@ def _asof_string_keys_case():
         }
     )
     out = (
-        asof_join(
-            ray.data.from_arrow(left),
-            ray.data.from_arrow(right),
+        collect(asof_join(
+            left,
+            right,
             on="ts",
             by="user",
             right_cols=["tag"],
-        )
+        ))
         .to_pandas()
         .sort_values(["user", "ts"])
         .reset_index(drop=True)
@@ -411,7 +420,7 @@ def _rolling_count_case(seed):
         }
     )
     out = (
-        rolling_count(ray.data.from_arrow(t), window_seconds=300.0)
+        collect(rolling_count(t, window_seconds=300.0))
         .to_pandas()
         .sort_values("event_id")
         .reset_index(drop=True)
@@ -448,10 +457,10 @@ def _range_join_count_case(seed):
     left = pa.table({"user_id": pa.array(lu, type=pa.int64()), "ts": pa.array(lt)})
     right = pa.table({"user_id": pa.array(ru, type=pa.int64()), "ts": pa.array(rt)})
     out = (
-        range_join_count(
-            ray.data.from_arrow(left), ray.data.from_arrow(right),
+        collect(range_join_count(
+            left, right,
             by="user_id", before_seconds=600.0, after_seconds=600.0,
-        )
+        ))
         .to_pandas()
         .sort_values(["user_id", "__ts"])
         .reset_index(drop=True)
@@ -493,7 +502,7 @@ def test_pack_sequences_operator():
             "n_tok": pa.array([100, 200, 300, 250, 900], type=pa.int32()),
         }
     )
-    out = pack_sequences(ray.data.from_arrow(t), context_len=512).to_pandas()
+    out = collect(pack_sequences(t, context_len=512)).to_pandas()
     out = out.sort_values("bin").reset_index(drop=True)
     assert list(out["n_docs"]) == [2, 1, 1, 1]
     assert list(out["total_tok"]) == [300, 300, 250, 900]
@@ -525,14 +534,15 @@ def test_pack_sequences_over_fixture(tmp_path):
     """Packing over a real sequences fixture (per-partition bins; every doc
     packed exactly once; fill never exceeds the context unless a single
     doc does)."""
+    from fastpasta_ray.exchange import blocks
     from fastpasta_ray.functions.packing import pack_sequences
     from fastpasta_ray.sources.parquet import read_sequences
     from fastpasta_ray.synth import SynthSpec, write_fixture
 
     d = str(tmp_path / "fix")
     write_fixture(d, SynthSpec(n_rows=500, n_parts=3, mean_n_tok=64), manifest=False)
-    ds = read_sequences(d, columns=["doc_id", "n_tok"])
-    bins = pack_sequences(ds, context_len=1024).to_pandas()
+    ds = blocks(read_sequences(d, columns=["doc_id", "n_tok"]))
+    bins = collect(pack_sequences(ds, context_len=1024)).to_pandas()
     assert set(bins["part"]) == {"part-0000", "part-0001", "part-0002"}
     assert bins["n_docs"].sum() == 1500          # every doc packed once
     # every bin fits the context OR is an oversize singleton
@@ -540,7 +550,7 @@ def test_pack_sequences_over_fixture(tmp_path):
     # (part, bin) keys unique even if a file split across batches
     assert not bins.duplicated(subset=["part", "bin"]).any()
     # deterministic: re-run gives identical bins
-    bins2 = pack_sequences(ds, context_len=1024).to_pandas()
+    bins2 = collect(pack_sequences(ds, context_len=1024)).to_pandas()
     pdcols = ["part", "bin", "n_docs", "total_tok"]
     import pandas as pd
     pd.testing.assert_frame_equal(
@@ -589,21 +599,20 @@ def test_contamination_check():
             ],
         }
     )
-    bds = ray.data.from_arrow(bench_docs)
-    cds = ray.data.from_arrow(corpus)
+    bds, cds = bench_docs, corpus
     bset = benchmark_ngram_set(bds, ngram_n=3)
     assert len(bset) == 4  # 3 grams from doc 100, 1 from doc 101
-    out = contamination_check(cds, bds, ngram_n=3).take_all()
+    out = collect(contamination_check(cds, bds, ngram_n=3)).to_pylist()
     by_id = {r["doc_id"]: r["n_overlap"] for r in out}
     assert by_id == {1: 2, 3: 1}
 
     # min_overlap gate drops the single-gram hit
-    out2 = contamination_check(cds, bds, ngram_n=3, min_overlap=2).take_all()
+    out2 = collect(contamination_check(cds, bds, ngram_n=3, min_overlap=2)).to_pylist()
     assert [r["doc_id"] for r in out2] == [1]
 
     # empty benchmark: nothing flagged, no crash
-    empty = ray.data.from_arrow(bench_docs.slice(0, 0))
-    assert contamination_check(cds, empty, ngram_n=3).take_all() == []
+    empty = bench_docs.slice(0, 0)
+    assert collect(contamination_check(cds, empty, ngram_n=3)).to_pylist() == []
 
     # min_overlap < 1 fails loudly (0 used to flag everything / drop all)
     with pytest.raises(ValueError):
@@ -622,13 +631,13 @@ def test_mixture_sample_exact_mix_and_determinism():
         srcs.extend([s] * k)
         base += k
     t = pa.table({"doc_id": pa.array(ids, type=pa.int64()), "source": srcs})
-    ds = ray.data.from_arrow(t)
+    ds = t
     # target 1:1:1 — c is the limiting stratum (500 * 3 = 1500 total)
     sampled, thr = mixture_sample(
         ds, key_col="doc_id", stratum_col="source",
         weights={"a": 1, "b": 1, "c": 1}, denom=1000,
     )
-    out = sampled.take_all()
+    out = collect(sampled).to_pylist()
     got = {}
     for r in out:
         got[r["source"]] = got.get(r["source"], 0) + 1
@@ -642,7 +651,7 @@ def test_mixture_sample_exact_mix_and_determinism():
         weights={"a": 1, "b": 1, "c": 1}, denom=1000,
     )
     assert thr2 == thr
-    assert sorted(r["doc_id"] for r in sampled2.take_all()) == sorted(
+    assert sorted(r["doc_id"] for r in collect(sampled2).to_pylist()) == sorted(
         r["doc_id"] for r in out
     )
     # weighted stratum with zero rows fails loudly
@@ -679,10 +688,10 @@ def test_kmeans_fit_recovers_blobs():
             "embedding": pa.array(list(pts.astype(np.float32)), type=pa.list_(pa.float32())),
         }
     )
-    ds = ray.data.from_arrow(t)
+    ds = t
     cent = kmeans_fit(ds, k=3, n_iter=6)
     assert cent.shape == (3, dim)
-    out = kmeans_assign(ds, cent).take_all()
+    out = collect(kmeans_assign(ds, cent)).to_pylist()
     # every blob should land in exactly one cluster
     lab = np.array([r["cluster"] for r in sorted(out, key=lambda r: r["vec_id"])])
     for g in range(3):
@@ -713,7 +722,7 @@ def test_kmeans_partial_large_k():
             "embedding": pa.array(list(pts.astype(np.float32)), type=pa.list_(pa.float32())),
         }
     )
-    ds = ray.data.from_arrow(t)
+    ds = t
     cent = kmeans_fit(ds, k=k, n_iter=1, init=pts)
     assert cent.shape == (k, dim)
     # float32 storage round-trip: compare against the float32-cast points
@@ -811,14 +820,14 @@ def test_exchange_reduce_count_equivalence(monkeypatch):
     )
 
     def run():
-        ds = ray.data.from_arrow(t)
-        mh = dd.minhash_lsh_pairs(ds, threshold=0.5).to_pandas()
+        ds = t
+        mh = collect(dd.minhash_lsh_pairs(ds, threshold=0.5)).to_pandas()
         cand = dd.simhash_near_dups(ds, aggregate=False).select_columns(
             ["doc_a", "doc_b"]
         )
-        sh = dd.exact_jaccard_verify(
-            cand, ray.data.from_arrow(t), threshold=0.5
-        ).to_pandas()
+        sh = collect(dd.exact_jaccard_verify(
+            cand, t, threshold=0.5
+        )).to_pandas()
         key = lambda df: sorted(map(tuple, df.values.tolist()))
         return key(mh), key(sh)
 
@@ -866,19 +875,13 @@ def test_two_sided_exchange_with_an_empty_side(monkeypatch):
             "ts": pa.array([], type=pa.timestamp("ns")),
         }
     )
-    def table(ds):
-        return pa.concat_tables(ray.get(ds.to_arrow_refs()))
-
-    out = table(asof_join(ray.data.from_arrow(purchases), ray.data.from_arrow(views),
-                          on="ts", by="user_id"))
+    out = collect(asof_join(purchases, views, on="ts", by="user_id"))
     assert out.num_rows == 3 and out["ts_right"].null_count == 3
     assert out.schema.field("ts_right").type == pa.timestamp("ns")
-    none = table(asof_join(ray.data.from_arrow(purchases.slice(0, 0)),
-                           ray.data.from_arrow(views), on="ts", by="user_id"))
+    none = collect(asof_join(purchases.slice(0, 0), views, on="ts", by="user_id"))
     assert none.num_rows == 0
     assert none.column_names == ["user_id", "ts", "amount", "ts_right"]
-    counts = range_join_count(ray.data.from_arrow(purchases), ray.data.from_arrow(views),
-                              by="user_id").to_pandas()
+    counts = collect(range_join_count(purchases, views, by="user_id")).to_pandas()
     assert list(counts["n_matches"]) == [0, 0, 0]
 
 
@@ -902,11 +905,11 @@ def _contamination_distributed_case():
     t = pa.table(
         {"doc_id": pa.array(list(range(120)), type=pa.int64()), "text": texts}
     )
-    docs = ray.data.from_arrow(t.slice(0, 100)).repartition(4)
-    bench = ray.data.from_arrow(t.slice(100, 20)).repartition(2)
+    docs = split(t.slice(0, 100), 4)
+    bench = split(t.slice(100, 20), 2)
 
     def rows(ds):
-        return sorted((r["doc_id"], r["n_overlap"]) for r in ds.take_all())
+        return sorted((r["doc_id"], r["n_overlap"]) for r in collect(ds).to_pylist())
 
     for mo in (1, 3):
         a = rows(contamination_check(docs, bench, ngram_n=3, min_overlap=mo))
@@ -928,37 +931,32 @@ def test_unigram_logprob_oov_and_cap():
 
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from fastpasta_ray.functions.text import (
         unigram_logprob_score,
         unigram_logprob_table,
     )
 
-    corpus = rd.from_arrow(
-        pa.table({"doc_id": [0, 1], "text": ["a a a b", "a b c"]})
-    )
+    corpus = pa.table({"doc_id": [0, 1], "text": ["a a a b", "a b c"]})
     vocab, logp, oov = unigram_logprob_table(corpus)
     lut = dict(zip(vocab.to_pylist(), logp))
     assert math.isclose(lut["a"], math.log(4 / 7))
     assert math.isclose(lut["c"], math.log(1 / 7))
     assert oov < min(logp)  # OOV scores below every in-vocab word
     # score docs containing an OOV word + an empty doc
-    probe = rd.from_arrow(
-        pa.table({"doc_id": [10, 11], "text": ["a zz", ""]})
-    )
-    got = {r["doc_id"]: r["logprob"] for r in unigram_logprob_score(
+    probe = pa.table({"doc_id": [10, 11], "text": ["a zz", ""]})
+    got = {r["doc_id"]: r["logprob"] for r in collect(unigram_logprob_score(
         probe, vocab, logp, oov
-    ).take_all()}
+    )).to_pylist()}
     assert math.isclose(got[10], round((lut["a"] + oov) / 2, 4), abs_tol=1e-4)
     assert np.isfinite(got[11])  # '' splits to one (OOV) empty word
     # vocab cap: keep top-2 by count, dropped word scores at oov
     vocab2, logp2, oov2 = unigram_logprob_table(corpus, max_vocab=2)
     assert len(vocab2) == 2 and "c" not in vocab2.to_pylist()
-    got2 = unigram_logprob_score(
-        rd.from_arrow(pa.table({"doc_id": [0], "text": ["c"]})),
+    got2 = collect(unigram_logprob_score(
+        pa.table({"doc_id": [0], "text": ["c"]}),
         vocab2, logp2, oov2,
-    ).take_all()[0]["logprob"]
+    )).to_pylist()[0]["logprob"]
     assert math.isclose(got2, round(oov2, 4), abs_tol=1e-4)
 
 
@@ -968,7 +966,6 @@ def test_semantic_dedup_planted():
     and the blocked strip kernel equals the naive O(n^2) rule."""
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
 
     from fastpasta_ray.functions.similarity import semantic_dedup
 
@@ -982,16 +979,16 @@ def test_semantic_dedup_planted():
         ids.append(i)
     rows.append(c1 + 0.3 * rng.normal(size=4)); ids.append(100)  # lone in cluster 1
     emb = pa.array([list(map(float, r)) for r in rows], type=pa.list_(pa.float32()))
-    ds = rd.from_arrow(pa.table({"vec_id": pa.array(ids, pa.int64()), "embedding": emb}))
+    ds = pa.table({"vec_id": pa.array(ids, pa.int64()), "embedding": emb})
     cents = np.stack([c0, c1])
-    out = semantic_dedup(ds, cents, threshold=0.9999, block=3).take_all()
+    out = collect(semantic_dedup(ds, cents, threshold=0.9999, block=3)).to_pylist()
     dropped = sorted(r["vec_id"] for r in out)
     # every odd id is a copy of the preceding even id -> dropped; the lone
     # cluster-1 row survives
     assert dropped == [i for i in range(20) if i % 2 == 1]
     assert all(r["cluster"] == 0 for r in out)
     # oversized cluster: skipped (returns empty), not stalled
-    out2 = semantic_dedup(ds, cents, threshold=0.9999, max_cluster_rows=5).take_all()
+    out2 = collect(semantic_dedup(ds, cents, threshold=0.9999, max_cluster_rows=5)).to_pylist()
     assert [r["vec_id"] for r in out2] == []
 
 
@@ -1112,7 +1109,6 @@ def test_unigram_layout_independence():
     a commutative sum and the lookup table is sorted, so 1-block and
     4-block inputs give identical scores."""
     import pyarrow as pa
-    import ray.data as rd
 
     from fastpasta_ray.functions.text import (
         unigram_logprob_score,
@@ -1123,11 +1119,11 @@ def test_unigram_layout_independence():
     t = pa.table({"doc_id": list(range(40)), "text": texts})
 
     def scores(n_blocks):
-        ds = rd.from_arrow(t).repartition(n_blocks)
+        ds = split(t, n_blocks)
         vocab, logp, oov = unigram_logprob_table(ds)
         return {
             r["doc_id"]: r["logprob"]
-            for r in unigram_logprob_score(ds, vocab, logp, oov).take_all()
+            for r in collect(unigram_logprob_score(ds, vocab, logp, oov)).to_pylist()
         }
 
     assert scores(1) == scores(4)

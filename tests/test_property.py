@@ -499,19 +499,17 @@ def test_unigram_logprob_matches_naive(texts):
     from collections import Counter
 
     import pyarrow as pa
-    import ray.data as rd
 
+    from fastpasta_ray.exchange import collect
     from fastpasta_ray.functions.text import (
         unigram_logprob_score,
         unigram_logprob_table,
     )
 
-    ds = rd.from_arrow(
-        pa.table({"doc_id": list(range(len(texts))), "text": texts})
-    )
+    ds = pa.table({"doc_id": list(range(len(texts))), "text": texts})
     vocab, logp, oov = unigram_logprob_table(ds)
     got = {r["doc_id"]: r["logprob"] for r in
-           unigram_logprob_score(ds, vocab, logp, oov).take_all()}
+           collect(unigram_logprob_score(ds, vocab, logp, oov)).to_pylist()}
     # naive: single-space split (including empty words), corpus frequency
     words = [t.split(" ") for t in texts]
     freq = Counter(w for ws in words for w in ws)
@@ -533,30 +531,28 @@ def test_unigram_logprob_matches_naive(texts):
 )
 def test_semantic_dedup_blocked_kernel_matches_naive(n, block, seed):
     import pyarrow as pa
-    import ray.data as rd
 
+    from fastpasta_ray.exchange import collect
     from fastpasta_ray.functions.similarity import _normalize, semantic_dedup
 
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(n, 6))
     ids = rng.permutation(n) * 3 + 1  # non-contiguous, shuffled ids
     thr = 0.6
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "vec_id": pa.array(ids, type=pa.int64()),
-                "embedding": pa.array(
-                    [list(map(float, r)) for r in m], type=pa.list_(pa.float32())
-                ),
-            }
-        )
+    ds = pa.table(
+        {
+            "vec_id": pa.array(ids, type=pa.int64()),
+            "embedding": pa.array(
+                [list(map(float, r)) for r in m], type=pa.list_(pa.float32())
+            ),
+        }
     )
     # one centroid -> everything in one cluster, kernel fully exercised
     got = sorted(
         r["vec_id"]
-        for r in semantic_dedup(
+        for r in collect(semantic_dedup(
             ds, m[:1], threshold=thr, block=block
-        ).take_all()
+        )).to_pylist()
     )
     # naive: float32-roundtripped vectors, any lower-id neighbor >= thr
     mf = _normalize(m.astype(np.float32).astype(np.float64))
@@ -661,6 +657,7 @@ def test_segment_fatal_carry_batch_split_invariant(seg_specs_rows, split):
 def test_seed_centroids_layout_independent(vec_ids, n_blocks):
     import ray
 
+    from fastpasta_ray.exchange import Blocks
     from fastpasta_ray.pipelines.queries import _seed_centroids
 
     rng = np.random.default_rng(7)
@@ -673,7 +670,7 @@ def test_seed_centroids_layout_independent(vec_ids, n_blocks):
     )
     step = max(1, len(vec_ids) // n_blocks)
     blocks = [t.slice(i, step) for i in range(0, len(vec_ids), step)]
-    got = _seed_centroids(ray.data.from_arrow(blocks), 8)
+    got = _seed_centroids(Blocks([ray.put(b) for b in blocks], t.schema, t.num_rows), 8)
     order = np.argsort(np.asarray(vec_ids))[:8]
     expected = emb[order]
     assert np.array_equal(got, expected)

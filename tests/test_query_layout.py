@@ -317,22 +317,11 @@ def test_decontaminate_layout_and_cap(monkeypatch):
         D.decontaminate(_blocks_of(corpus, 3), _blocks_of(bench, 3), ngram_n=3)
 
 
-# the two broadcast joins and media_stats (a fixed-size actor pool once held
-# the only CPU and starved the read), every query that runs through
-# hash_exchange (asof_purchase_attribution's sort-based union once hung at
-# 1 CPU), and every query that once used an actor pool or a Ray Data
-# all-to-all operation
-ONE_CPU = (
-    "customers_without_orders", "orders_by_segment", "media_stats",
-    "asof_purchase_attribution", "range_join_views_near_purchase",
-    "rolling_window_count", "session_stats", "nonmonotonic_events",
-    "hll_distinct_users", "exact_dup_count", "simhash_pairs",
-    "neardup_clusters", "embedding_neardups", "contamination_check_dist",
-    "curation_pipeline", "budget_trim", "value_quantiles_tdigest",
-    "semantic_dedup", "lang_id", "dup_doc_id", "label_stats",
-    "source_histogram", "lines_per_orderpriority", "kmeans_assign",
-    "unigram_logprob", "mixture_sample",
-)
+# every query: the ones that once held the only CPU (a fixed-size actor
+# pool starved media_stats' read; asof_purchase_attribution's sort-based
+# union hung), every hash_exchange and functions/ call site, and the two
+# queries still on a Ray Data shuffle (word_topk, source_histogram_salted)
+ONE_CPU = tuple(Q.QUERIES)
 
 _ONE_CPU_SCRIPT = textwrap.dedent(
     f"""
