@@ -124,7 +124,12 @@ def run_row_checks(
     # cheap global min/max gate first: the expensive per-token mask (and its
     # len(vals)-sized temp) only runs when a violation actually exists
     if len(vals) and (vmin < 0 or vmax >= vocab):
-        bad = (vals < 0) | (vals >= vocab)
+        if vals.dtype == np.int32 and 0 <= vocab <= 2**31:
+            # one compare, one temporary: viewed unsigned, a negative id is
+            # at least 2**31, so it fails the upper bound too
+            bad = vals.view(np.uint32) >= np.uint32(vocab)
+        else:
+            bad = (vals < 0) | (vals >= vocab)
         if bad.any():
             # map flat positions back to rows via valid-row lengths
             lens_np = lens.to_numpy(zero_copy_only=False)

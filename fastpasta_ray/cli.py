@@ -1,4 +1,4 @@
-"""CLI — the fastPASTA command-surface analog on Ray Data.
+"""CLI — the fastPASTA command-surface analog on Ray.
 
     fastpasta check sanity        → fastpasta-ray check <dir> --sanity-only
     fastpasta check all           → fastpasta-ray check <dir>
@@ -48,31 +48,6 @@ def _ray_session():
             ray.init(
                 address=addr, ignore_reinit_error=True, logging_level="ERROR"
             )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
-
-def _read(path: str):
-    """The parquet input at ``path`` as ``exchange.Blocks``: one Ray Data
-    read, materialized once (so ``rows`` is the exact count, from block
-    metadata); every later pass runs over its blocks."""
-    import ray
-
-    from fastpasta_ray.exchange import blocks
-
-    return blocks(ray.data.read_parquet(path))
-
-
-def _write(out, path: str) -> int:
-    """Write ``out`` (``exchange.Blocks``) as parquet files under
-    ``path``; returns the rows written."""
-    import ray
-
-    from fastpasta_ray.exchange import map_blocks
-
-    ray.data.from_arrow_refs(map_blocks(None, out)).write_parquet(path)
-    return ray.data.read_parquet(path).count()
 
 
 def cmd_check(args) -> int:
@@ -200,7 +175,6 @@ def cmd_generate_config(args) -> int:
 
 
 def cmd_view(args) -> int:
-    _ray_session()
     from fastpasta_ray.pipelines.view import (
         view_doc_data,
         view_doc_frames,
@@ -245,6 +219,8 @@ def cmd_dedup(args) -> int:
     """Training-data dedup over a documents parquet (exact / minhash /
     simhash); writes the pairs (or surviving docs for exact) as parquet."""
     _ray_session()
+    from fastpasta_ray.sources.parquet import read_blocks, write_blocks
+
     if args.clusters and args.method == "exact":
         print(
             "error: --clusters requires --method minhash or simhash "
@@ -252,7 +228,7 @@ def cmd_dedup(args) -> int:
             file=sys.stderr,
         )
         return 2
-    ds = _read(args.input)
+    ds = read_blocks(args.input)
     id_col = args.id_col
     if args.method in ("minhash", "simhash"):
         # the pair exchanges ship slim int64 ids; string-id corpora get an
@@ -303,7 +279,7 @@ def cmd_dedup(args) -> int:
         from fastpasta_ray.functions.dedup import near_dup_clusters
 
         out = blocks(near_dup_clusters(out))
-    n = _write(out, args.output)
+    n = write_blocks(out, args.output)
     print(json.dumps({"method": args.method, "rows_out": n, "output": args.output}))
     return 0
 
@@ -363,9 +339,10 @@ def cmd_semdedup(args) -> int:
 
     from fastpasta_ray.exchange import collect
     from fastpasta_ray.functions.similarity import kmeans_fit, semantic_dedup
+    from fastpasta_ray.sources.parquet import read_blocks, write_blocks
 
     # the kmeans passes and the dedup pass share the one read's blocks
-    ds = _read(args.input)
+    ds = read_blocks(args.input)
     cent = kmeans_fit(ds, k=args.k, n_iter=args.iters, emb_col=args.emb_col, id_col=args.id_col)
     dropped = semantic_dedup(
         ds, cent, threshold=args.threshold, id_col=args.id_col, emb_col=args.emb_col
@@ -382,7 +359,7 @@ def cmd_semdedup(args) -> int:
         is_dropped = (pos < len(d)) & (d[np.minimum(pos, len(d) - 1)] == ids)
         return b.filter(pa.array(~is_dropped))
 
-    n = _write(ds.view(keep), args.output)
+    n = write_blocks(ds.view(keep), args.output)
     print(
         json.dumps(
             {
@@ -402,6 +379,7 @@ def cmd_text_stats(args) -> int:
     language ID, repetition, fingerprints) written as parquet."""
     _ray_session()
     from fastpasta_ray.functions import text as ftext
+    from fastpasta_ray.sources.parquet import read_blocks, write_blocks
 
     lang_id = ftext.LangID()
 
@@ -411,7 +389,7 @@ def cmd_text_stats(args) -> int:
         b = ftext.mean_word_length(ftext.repetition_metrics(ftext.quality_metrics(b)))
         return ftext.fingerprint(lang_id(b))
 
-    ds = _read(args.input)
+    ds = read_blocks(args.input)
     out = ds.view(stats, stats(ds.schema.empty_table()).schema)
     if getattr(args, "logprob", False):
         # unigram-LM quality score: fit the frequency table on this corpus
@@ -420,7 +398,7 @@ def cmd_text_stats(args) -> int:
         # so unseen words stay finite when the fitted table is reused
         vocab, logp, oov = ftext.unigram_logprob_table(ds, alpha=0.5)
         out = ftext.unigram_logprob_score(out, vocab, logp, oov, append=True)
-    n = _write(out.select_columns([c for c in out.schema.names if c != "text"]), args.output)
+    n = write_blocks(out.select_columns([c for c in out.schema.names if c != "text"]), args.output)
     print(json.dumps({"rows_out": n, "output": args.output}))
     return 0
 
@@ -430,9 +408,10 @@ def cmd_decontam(args) -> int:
     that share word n-grams with an eval set."""
     _ray_session()
     from fastpasta_ray.functions.decontam import contamination_check, decontaminate
+    from fastpasta_ray.sources.parquet import read_blocks, write_blocks
 
-    docs = _read(args.input)
-    bench = _read(args.benchmark)
+    docs = read_blocks(args.input)
+    bench = read_blocks(args.benchmark)
     try:
         if args.drop:
             out = decontaminate(
@@ -447,7 +426,7 @@ def cmd_decontam(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    n_out = _write(out, args.output)
+    n_out = write_blocks(out, args.output)
     print(
         json.dumps(
             {
@@ -467,6 +446,7 @@ def cmd_mixture(args) -> int:
     deterministic hash thresholds; prints the per-stratum thresholds."""
     _ray_session()
     from fastpasta_ray.functions.sampling import mixture_sample
+    from fastpasta_ray.sources.parquet import read_blocks, write_blocks
 
     try:
         weights = {
@@ -479,7 +459,7 @@ def cmd_mixture(args) -> int:
             f"(got {args.weights!r})", file=sys.stderr,
         )
         return 2
-    ds = _read(args.input)
+    ds = read_blocks(args.input)
     try:
         sampled, thr = mixture_sample(
             ds, key_col=args.key_col, stratum_col=args.stratum_col,
@@ -488,7 +468,7 @@ def cmd_mixture(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    n_out = _write(sampled, args.output)
+    n_out = write_blocks(sampled, args.output)
     print(
         json.dumps(
             {

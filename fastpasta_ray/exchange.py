@@ -24,10 +24,11 @@ any co-located set of keys: it segments by exact key inside.
 
 The same module holds the engine's batch type: ``Blocks`` are a side
 already in the object store, and ``map_blocks`` runs one raw task per
-block. A query reads each table as ``Blocks`` with one raw read task
-(``pipelines.queries._rp``), every ``functions/`` entry point takes and
-returns ``Blocks``, and every pass runs as a ``map_blocks`` wave or a
-``hash_exchange`` over them, never as a Ray Data streaming execution
+block. Parquet is read as ``Blocks`` with one raw read task per file
+(``sources.parquet.read_blocks``, which the queries and the CLI call),
+every ``functions/`` entry point takes and returns ``Blocks``, and every
+pass runs as a ``map_blocks`` wave or a ``hash_exchange`` over them,
+never as a Ray Data streaming execution
 (measured at 1 Ray CPU on a shared 4-vCPU host: about 7 ms for a 2-block
 wave, 50-90 ms of fixed cost an execution). ``Blocks.view`` fuses a
 filter or map into whichever wave reads the blocks next; ``collect``
@@ -127,29 +128,14 @@ class Blocks(NamedTuple):
 
 
 def blocks(side) -> Blocks:
-    """``side`` as ``Blocks``: ``Blocks`` pass through, a driver-held table
-    is put once, and a Ray Data Dataset (the CLI's ``read_parquet``) is
-    materialized once: its refs, count and schema then come from metadata.
-    A zero-row read keeps the parquet schema its lazy plan reports: Ray
-    holds only schema-less empty blocks after it runs, so the side becomes
-    one typed empty block instead. The blocks stay pinned in the object
-    store (which spills to disk) while the caller holds the refs."""
+    """``side`` as ``Blocks``: ``Blocks`` pass through, and a driver-held
+    table is put once. Parquet on disk becomes ``Blocks`` through
+    ``sources.parquet.read_blocks``."""
     if isinstance(side, Blocks):
         return side
     if isinstance(side, pa.Table):
         return Blocks([ray.put(side)], side.schema, side.num_rows)
-    known = side.schema(fetch_if_missing=False)
-    side = side.materialize()
-    schema = side.schema()
-    schema = known if schema is None else schema
-    if schema is None:
-        raise ValueError("blocks: a Dataset with no blocks and no schema")
-    schema = schema.base_schema
-    # empty blocks are left out: one may come back without columns, and a
-    # task over it would fail on its first column lookup
-    rows = [meta.num_rows for b in side.iter_internal_ref_bundles() for _, meta in b.blocks]
-    refs = [r for r, n in zip(side.to_arrow_refs(), rows) if n]
-    return Blocks(refs or [ray.put(schema.empty_table())], schema, sum(rows))
+    raise TypeError(f"blocks: expected Blocks or a pyarrow Table, got {type(side).__name__}")
 
 
 def collect(side) -> pa.Table:

@@ -104,9 +104,9 @@ def pack_sequences(
         )
 
     def pack(batch: pa.Table) -> pa.Table:
-        # a batch may span several partition FILES (file_dataset groups
-        # files per task at low CPU counts and Ray coalesces the per-file
-        # yields): pack each part independently so bins never cross files
+        # a block may span several partition FILES (a caller may
+        # concatenate per-file batches into one block): pack each part
+        # independently so bins never cross files
         if part_col not in batch.column_names or batch.num_rows == 0:
             return pack_one(batch, "")
         from fastpasta_ray.sketches import group_codes

@@ -44,7 +44,7 @@ from fastpasta_ray.checks.key_checks import key_checks, plan_exchange
 # they are cross-partition and recomputed every run)
 KEY_CODES = (S.E_DUP_DOCID, S.E_ORPHAN, S.E_MANIFEST_NTOK, S.E_EMPTY_DOC)
 from fastpasta_ray.sketches import PartStats
-from fastpasta_ray.sources.parquet import cluster_cpus, part_of, sequence_files
+from fastpasta_ray.sources.parquet import cluster_cpus, file_groups, part_of, sequence_files
 from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles, validate_task
 
 
@@ -66,15 +66,6 @@ def collect_table(refs: list, schema: pa.Schema) -> pa.Table:
     partition) into one Arrow table on the driver."""
     tables = [t.cast(schema) for t in ray.get(refs) if t.num_rows]
     return pa.concat_tables(tables) if tables else schema.empty_table()
-
-
-def _pass1_groups(todo: list[int], cpus: int) -> list[list[int]]:
-    """Contiguous groups of file indexes, one per pass-1 task: at most
-    ``4 × cpus`` tasks (the fine-grained balance the Ray Data pass had),
-    so each task's ``1 + n_parts`` returned objects amortize over several
-    files once files outnumber cores."""
-    k = min(len(todo), 4 * cpus)
-    return [todo[len(todo) * j // k : len(todo) * (j + 1) // k] for j in range(k)]
 
 
 def _split_sentinel(
@@ -146,7 +137,7 @@ def run_check(
         validate_task.options(num_returns=1 + n_parts).remote(
             validator, [files[i] for i in idxs], idxs, n_parts
         )
-        for idxs in _pass1_groups(todo, cluster_cpus())
+        for idxs in file_groups(todo, cluster_cpus())
     ]
     # num_returns=1 yields a bare ref, else [table, *shards]
     outs = [o if isinstance(o, list) else [o] for o in outs]

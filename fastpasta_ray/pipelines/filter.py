@@ -5,24 +5,51 @@ reader's link filter (input_scanner.rs:263-286,306-318) straight to the
 BufferedWriter (writer.rs:26-141) which re-serializes records byte-exactly,
 and the report counts filtered records.
 
-Ray-Data-native: predicate-pushdown read (only matching row groups /
-columns leave storage where possible), `map_batches` filter, partitioned
-parquet sink (one directory per input partition — resumable layout), and
-the filtered-count report. Row content is carried through byte-exactly
-(tokens list buffers are never touched).
+Analog: raw Ray tasks over the same contiguous file groups as pass 1
+(``sources.parquet.file_groups``). Each task streams its files in order
+(``iter_file_batches``), filters each batch and writes what it keeps
+straight to that partition's output file (``write_file``: one file per
+input partition, committed atomically, typed and empty when the partition
+keeps no row). Each task returns its rows seen and kept; the driver sums
+them into the report. Row content is carried through byte-exactly (tokens
+list buffers are never touched).
 """
 
 from __future__ import annotations
 
 import os
+from functools import reduce
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.dataset as pads
 
 import ray
 
-from fastpasta_ray.sources.parquet import file_dataset, iter_file_batches, sequence_files
+from fastpasta_ray import schema as S
+from fastpasta_ray.sources.parquet import (
+    cluster_cpus,
+    file_groups,
+    iter_file_batches,
+    part_of,
+    sequence_files,
+    write_file,
+)
+
+
+@ray.remote
+def _filter_files(paths: list[str], out_dir: str, keep) -> tuple[int, int]:
+    """Read → filter → write for each file in ``paths``; returns the rows
+    seen and kept over all of them."""
+    seen = kept = 0
+    for path in paths:
+        def batches():
+            nonlocal seen
+            for b in iter_file_batches(path):
+                seen += b.num_rows
+                yield keep(b).drop_columns(["part", "row_index"])
+
+        kept += write_file(os.path.join(out_dir, f"{part_of(path)}.parquet"), batches())
+    return seen, kept
 
 
 def filter_sequences(
@@ -36,80 +63,35 @@ def filter_sequences(
 ) -> dict:
     """Filter a sequences fixture and write it back, preserving the
     one-file-per-partition layout (the filter-target analog: link ≙ part,
-    FEE id ≙ source). Returns the report dict (kept/filtered counts)."""
+    FEE id ≙ source). Every selected partition gets its output file, so a
+    re-run into the same ``out_dir`` replaces each one. Returns the report
+    dict (kept/filtered counts)."""
     files = sequence_files(input_dir)
     if part_names is not None:
-        files = [f for f in files if os.path.splitext(os.path.basename(f))[0] in part_names]
+        files = [f for f in files if part_of(f) in part_names]
     os.makedirs(out_dir, exist_ok=True)
+    src_set = S.source_set(sources) if sources is not None else None
 
-    def filter_file(fd: pa.Table):
-        import pyarrow.parquet as pq
+    def keep(b: pa.Table) -> pa.Table:
+        masks = []
+        if src_set is not None:
+            masks.append(S.source_mask(b["source"], src_set))
+        if min_n_tok is not None:
+            masks.append(pc.greater_equal(b["n_tok"], min_n_tok))
+        if max_n_tok is not None:
+            masks.append(pc.less_equal(b["n_tok"], max_n_tok))
+        return b.filter(reduce(pc.and_, masks)) if masks else b
 
-        out_rows = []
-        for path in fd["path"].to_pylist():
-            part = os.path.splitext(os.path.basename(path))[0]
-            kept = 0
-            seen = 0
-            writer = None
-            dest = os.path.join(out_dir, f"{part}.parquet")
-            tmp = dest + ".tmp"
-            for batch in iter_file_batches(path):
-                seen += batch.num_rows
-                mask = pa.array([True] * batch.num_rows)
-                if sources is not None:
-                    mask = pc.and_(
-                        mask,
-                        pc.fill_null(
-                            pc.is_in(batch["source"], value_set=pa.array(list(sources))),
-                            False,
-                        ),
-                    )
-                if min_n_tok is not None:
-                    mask = pc.and_(mask, pc.greater_equal(batch["n_tok"], min_n_tok))
-                if max_n_tok is not None:
-                    mask = pc.and_(mask, pc.less_equal(batch["n_tok"], max_n_tok))
-                f = batch.filter(mask).drop_columns(["part", "row_index"])
-                kept += f.num_rows
-                if f.num_rows:
-                    if writer is None:
-                        writer = pq.ParquetWriter(tmp, f.schema)
-                    writer.write_table(f)
-            if writer is not None:
-                writer.close()
-                os.replace(tmp, dest)  # atomic per-partition commit
-            out_rows.append(
-                pa.table(
-                    {
-                        "part": pa.array([part], type=pa.string()),
-                        "rows_seen": pa.array([seen], type=pa.int64()),
-                        "rows_kept": pa.array([kept], type=pa.int64()),
-                    }
-                )
-            )
-        return pa.concat_tables(out_rows)
-
-    res = (
-        file_dataset(files)
-        .map_batches(filter_file, batch_format="pyarrow", batch_size=None)
-        .to_pandas()
-    )
+    keep_ref = ray.put(keep)
+    totals = ray.get([
+        _filter_files.remote([files[i] for i in idxs], out_dir, keep_ref)
+        for idxs in file_groups(list(range(len(files))), cluster_cpus())
+    ])
+    seen, kept = sum(t[0] for t in totals), sum(t[1] for t in totals)
     return {
-        "parts": int(len(res)),
-        "rows_seen": int(res["rows_seen"].sum()),
-        "rows_kept": int(res["rows_kept"].sum()),
-        "rows_filtered": int(res["rows_seen"].sum() - res["rows_kept"].sum()),
+        "parts": len(files),
+        "rows_seen": seen,
+        "rows_kept": kept,
+        "rows_filtered": seen - kept,
         "out_dir": out_dir,
     }
-
-
-def filter_expr_read(
-    input_dir: str, sources: tuple[str, ...]
-) -> "ray.data.Dataset":
-    """Predicate-pushdown variant: the filter travels to the parquet scan
-    (only matching row groups are decoded) — the reader-side filter analog
-    (M6/M7: the scanner seeks past non-matching records without
-    materializing payloads)."""
-    files = sequence_files(input_dir)
-    return ray.data.read_parquet(
-        files, filter=pads.field("source").isin(list(sources))
-    )

@@ -19,7 +19,6 @@ from functools import reduce
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 from ray.data.aggregate import Count, Max, Min, Sum
@@ -27,51 +26,19 @@ from ray.data.aggregate import Count, Max, Min, Sum
 from fastpasta_ray.exchange import Blocks, blocks, hash_exchange, map_blocks
 from fastpasta_ray.functions import text as ftext
 from fastpasta_ray.sketches import group_codes, one_chunk
-
-
-@ray.remote
-def _read(path: str, columns, filter, k: int):
-    """One parquet file as ``k`` contiguous zero-copy slices of near-equal
-    size (``num_returns=k``; a bare table when ``k == 1``)."""
-    t = pq.read_table(path, columns=columns, filters=filter)
-    cuts = [-(-i * t.num_rows // k) for i in range(k + 1)]
-    parts = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
-    return parts[0] if k == 1 else tuple(parts)
+from fastpasta_ray.sources.parquet import read_blocks
 
 
 def _rp(sf_dir: str, table: str, columns=None, blocks: int | None = None,
         filter=None) -> Blocks:
-    """Column-pruned read of one table as ``Blocks``: one raw Ray task
-    reads the file with pyarrow (``filter``, a ``pyarrow.dataset``
-    expression, is pushed into that read) and returns it as k slices. No
-    Ray Data streaming execution runs: at 1 CPU each one cost 50-90 ms of
-    fixed overhead, most of a small query's time.
-
-    k is SIZE-AWARE: one block per ~75k rows, at least 2 — small tables
-    stay cheap, big tables still fan out to the waves that read them.
-    Compute-heavy callers pass ``blocks`` explicitly. Every count, default
-    or explicit, is capped at 2× the cluster's CPUs: beyond that a block is
-    one more queued task, not more parallelism (blocks=32 keeps its 32
-    tasks on 16+ CPUs, and reads 500 documents as 2 blocks, not 32, on 1
-    CPU); and at the row count, so no slice is empty unless ``filter``
-    empties it. A zero-row file is one typed empty block."""
-    from fastpasta_ray.sources.parquet import cluster_cpus
-
-    path = os.path.join(sf_dir, f"{table}.parquet")
-    f = pq.ParquetFile(path)
-    rows = f.metadata.num_rows
-    schema = f.schema_arrow
-    if columns is not None:
-        schema = pa.schema([schema.field(c) for c in columns])
-    if blocks is None:
-        # ~75k rows per block (sweep: lineitem 600k rows is fastest at 8
-        # blocks; 2 blocks pays serial sort, 64 blocks pays per-block
-        # shuffle overhead)
-        blocks = max(2, rows // 75_000 + 1)
-    k = int(max(1, min(blocks, 2 * cluster_cpus(), rows)))
-    refs = _read.options(num_returns=k).remote(path, columns, filter, k)
-    # rows is an upper bound once ``filter`` drops rows, as Blocks allows
-    return Blocks(refs if k > 1 else [refs], schema, rows)
+    """Column-pruned read of one table, ``{table}.parquet``, as ``Blocks``:
+    ``read_blocks``' one raw pyarrow task, whose slice count follows the
+    table's rows unless ``blocks`` is given, capped at 2× the cluster's
+    CPUs (blocks=32 keeps its 32 tasks on 16+ CPUs, and reads 500
+    documents as 2 blocks, not 32, on 1 CPU). No Ray Data streaming
+    execution runs: at 1 CPU each one cost 50-90 ms of fixed overhead, most
+    of a small query's time."""
+    return read_blocks(os.path.join(sf_dir, f"{table}.parquet"), columns, blocks, filter)
 
 
 def _to_table(src: list) -> pa.Table | None:

@@ -3,45 +3,42 @@
 
 The reference streams every record through a row formatter to stdout; at
 100 TB that is only ever useful for a bounded sample, so these take
-``limit`` rows (ds.limit streams only the needed blocks) and format
-driver-side — formatting is presentation, not a distributed concern.
+``limit`` rows and format them on the driver: presentation, not a
+distributed concern. The driver streams the partition files in order
+(``iter_file_batches``) and stops reading at ``limit`` rows, so no Ray
+task runs and rows always come out in ``(part, row_index)`` order.
 """
 
 from __future__ import annotations
 
-
-from fastpasta_ray.sources.parquet import read_sequences
+from fastpasta_ray import schema as S
+from fastpasta_ray.sources.parquet import iter_file_batches, sequence_files
 
 HEADER = f"{'PART':<12} {'ROW':>8} {'DOC_ID':<28} {'SOURCE':<10} {'N_TOK':>6}  TOKENS[:8]"
 
 
-def _scoped(input_dir: str, limit: int, sources: tuple | None):
-    """Limit-bounded sequence read, optionally scoped to sources (the
+def _scoped(input_dir: str, limit: int, sources: tuple | None) -> list[dict]:
+    """The first ``limit`` sequence rows, optionally scoped to sources (the
     global --filter-link analog, config.rs:75-103 — the reference's views
-    honour the same filter group as checks). Vectorized batch filter, then
-    ds.limit streams only the needed blocks."""
-    ds = read_sequences(input_dir)
-    if sources is not None:
-        import pyarrow as pa
-
-        from fastpasta_ray.schema import source_mask, source_set
-
-        src_set = source_set(sources)
-
-        def keep(b: pa.Table) -> pa.Table:
-            return b.filter(source_mask(b["source"], src_set))
-
-        ds = ds.map_batches(keep, batch_format="pyarrow")
-    return ds.limit(limit)
+    honour the same filter group as checks, through ``S.source_mask``)."""
+    src_set = S.source_set(sources) if sources is not None else None
+    rows: list[dict] = []
+    for path in sequence_files(input_dir):
+        for b in iter_file_batches(path):
+            if src_set is not None:
+                b = b.filter(S.source_mask(b["source"], src_set))
+            rows += b.slice(0, limit - len(rows)).to_pylist()
+            if len(rows) >= limit:
+                return rows
+    return rows
 
 
 def view_sequences(
     input_dir: str, limit: int = 20, *, sources: tuple | None = None
 ) -> list[str]:
     """Per-record pretty rows (rdh_view.rs:4-31 analog)."""
-    ds = _scoped(input_dir, limit, sources)
     lines = [HEADER]
-    for row in ds.take(limit):
+    for row in _scoped(input_dir, limit, sources):
         toks = row["tokens"]
         head = ",".join(str(t) for t in (toks[:8] if toks is not None else []))
         tail = "…" if toks is not None and len(toks) > 8 else ""
@@ -57,9 +54,8 @@ def view_doc_frames(
 ) -> list[str]:
     """Frame-level view (its_readout_frame_view.rs analog): one line per
     document with its token span summary."""
-    ds = _scoped(input_dir, limit, sources)
     lines = [f"{'DOC_ID':<28} {'SOURCE':<10} {'N_TOK':>6} {'TOK_MIN':>8} {'TOK_MAX':>8}"]
-    for row in ds.take(limit):
+    for row in _scoped(input_dir, limit, sources):
         toks = row["tokens"] or []
         lines.append(
             f"{row['doc_id'] or '∅':<28} {row['source'] or '∅':<10} {row['n_tok']:>6} "
@@ -86,11 +82,10 @@ def view_doc_data(
     ``words_per_line`` tokens with its token offset and a per-token
     classification lane — the analog of the reference's per-GBT-word
     formatted view with memory positions."""
-    ds = _scoped(input_dir, limit, sources)
     classes = {bos_id: "B", eos_id: "E", pad_id: "P", delim_id: "D"}
     classes.pop(None, None)
     lines = [TOKEN_CLASS_LEGEND]
-    for row in ds.take(limit):
+    for row in _scoped(input_dir, limit, sources):
         toks = row["tokens"] if row["tokens"] is not None else []
         lines.append(
             f"=== {row['part']}:{row['row_index']} {row['doc_id'] or '∅'} "

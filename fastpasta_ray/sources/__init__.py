@@ -1,1 +1,1 @@
-from fastpasta_ray.sources.parquet import read_sequences, sequence_files  # noqa: F401
+from fastpasta_ray.sources.parquet import sequence_files  # noqa: F401

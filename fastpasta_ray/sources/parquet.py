@@ -1,25 +1,33 @@
-"""Sequence-table sources: per-file ordered streaming reads with positions.
+"""The engine's parquet reader and writer, as raw Ray tasks.
 
-The reference reads one file sequentially and attaches a memory offset to
-every record (input_scanner.rs:141-189). Our analog: each partition file is
-read by ONE Ray task, sequentially, in row-group order, attaching
-``part`` (file stem) and ``row_index`` (0-based row within the file).
-Parallelism is across files — exactly the reference's per-link ordering
-contract (SURVEY.md §4 "Ordering assumption"). At 100 TB the file count is
-large, so per-file parallelism saturates the cluster; within-file order is
-what the running checks (R1 analogs) require.
+The reference has one reader (input_scanner.rs:141-189), which reads one
+file sequentially and attaches a memory offset to every record, and one
+writer (writer.rs:26-141), fed directly by the link filter. The analogs:
 
-For operators that do NOT need order (shuffle checks, stats over scalar
-columns) use :func:`read_sequences` with ``columns=`` pruning — only the
-needed columns leave storage (the tokens payload dominates bytes, so a
-scalar-only second pass is cheap).
+- :func:`iter_file_batches` streams one partition file in row-group order,
+  attaching ``part`` (file stem) and ``row_index`` (0-based row within the
+  file). Passes that need within-file order (the running checks, the
+  filter, the views) read a file with it inside one task, and
+  :func:`file_groups` gives each task a contiguous group of files.
+  Parallelism is across files, the reference's per-link ordering contract
+  (SURVEY.md §4 "Ordering assumption").
+- :func:`read_blocks` reads a file or a directory of files as
+  ``exchange.Blocks`` with one raw task per file, for operators that do
+  not need positions (the queries, the ``functions/`` CLI commands).
+  ``columns=`` prunes and ``filter=`` pushes a predicate into the read.
+- :func:`write_file` writes one parquet file with an atomic
+  tmp-then-rename commit; :func:`write_blocks` writes one file per block
+  of a side, each from its own raw task.
+
+None of them starts a Ray Data streaming execution (50-90 ms of fixed cost
+each at 1 CPU, measured on the query layer).
 """
 
 from __future__ import annotations
 
 import glob
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -106,44 +114,108 @@ def iter_file_batches(
         )
 
 
-class _ReadFiles:
-    """map_batches callable: a batch of file descriptors → stream of row
-    batches with positions. Generator output keeps memory bounded (Ray Data
-    treats yielded tables as separate output blocks — streaming, not
-    accumulate-then-return)."""
-
-    def __init__(self, columns: list[str] | None, batch_rows: int):
-        self.columns = columns
-        self.batch_rows = batch_rows
-
-    def __call__(self, fd: pa.Table) -> Iterator[pa.Table]:
-        for path in fd["path"].to_pylist():
-            yield from iter_file_batches(path, self.columns, self.batch_rows)
+def file_groups(todo: list[int], cpus: int) -> list[list[int]]:
+    """Contiguous groups of file indexes, one per task: at most ``4 × cpus``
+    tasks, so each task's fixed cost (for pass 1, its ``1 + n_parts``
+    returned objects) amortizes over several files once files outnumber
+    cores."""
+    k = min(len(todo), 4 * cpus)
+    return [todo[len(todo) * j // k : len(todo) * (j + 1) // k] for j in range(k)]
 
 
-def file_dataset(files: list[str]) -> "ray.data.Dataset":
-    """File-descriptor dataset; each file is processed by exactly one task
-    (per-file order is the contract). Block count = min(n_files, 4×CPUs):
-    at high CPU counts that is one block per file (fine-grained balance);
-    at low counts several files share a task, trimming per-task scheduling
-    overhead that would otherwise dominate the serial ladder."""
-    blocks = max(1, min(len(files), cluster_cpus() * 4))
-    return ray.data.from_items([{"path": p} for p in files], override_num_blocks=blocks)
+@ray.remote
+def _read(path: str, columns, filter, k: int):
+    """One parquet file as ``k`` contiguous zero-copy slices of near-equal
+    size (``num_returns=k``; a bare table when ``k == 1``)."""
+    t = pq.read_table(path, columns=columns, filters=filter)
+    cuts = [-(-i * t.num_rows // k) for i in range(k + 1)]
+    parts = [t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    return parts[0] if k == 1 else tuple(parts)
 
 
-def read_sequences(
-    input_dir_or_files: str | list[str],
-    columns: list[str] | None = None,
-    batch_rows: int = DEFAULT_BATCH_ROWS,
-) -> "ray.data.Dataset":
-    """Dataset of sequence rows with (part, row_index) position columns."""
-    files = (
-        sequence_files(input_dir_or_files)
-        if isinstance(input_dir_or_files, str)
-        else list(input_dir_or_files)
-    )
-    return file_dataset(files).map_batches(
-        _ReadFiles(columns, batch_rows),
-        batch_format="pyarrow",
-        batch_size=None,
-    )
+def read_blocks(path_or_paths: str | list[str], columns: list[str] | None = None,
+                blocks: int | None = None, filter=None):
+    """Parquet files as ``exchange.Blocks``: one raw Ray task per file
+    reads it with pyarrow (``filter``, a ``pyarrow.dataset`` expression, is
+    pushed into that read) and returns it as contiguous slices. A path is a
+    file or a directory, whose files :func:`sequence_files` lists.
+
+    The slice count is SIZE-AWARE: one block per ~75k rows, at least 2, so
+    small tables stay cheap and big ones still fan out to the waves that
+    read them. Compute-heavy callers pass ``blocks`` explicitly. Every
+    count, default or explicit, is capped at 2× the cluster's CPUs: beyond
+    that a block is one more queued task, not more parallelism; and at the
+    row count, so no slice is empty unless ``filter`` empties it. Over
+    several files the count is spread by rows, with at least one slice per
+    non-empty file. A zero-row input is one typed empty block.
+
+    The schema comes from the footers, and files whose schemas differ
+    raise ``ValueError`` before any task starts."""
+    from fastpasta_ray.exchange import Blocks
+
+    paths = [path_or_paths] if isinstance(path_or_paths, str) else list(path_or_paths)
+    files = [f for p in paths for f in (sequence_files(p) if os.path.isdir(p) else [p])]
+    if not files:
+        raise ValueError(f"read_blocks: no parquet files in {path_or_paths!r}")
+    metas = [pq.read_metadata(f) for f in files]
+    schema = metas[0].schema.to_arrow_schema()
+    for f, md in zip(files[1:], metas[1:]):
+        if not md.schema.to_arrow_schema().equals(schema):
+            raise ValueError(f"read_blocks: the schema of {f!r} differs from {files[0]!r}'s")
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    rows = [md.num_rows for md in metas]
+    total = sum(rows)
+    if blocks is None:
+        # ~75k rows per block (sweep: lineitem 600k rows is fastest at 8
+        # blocks; 2 blocks pays serial sort, 64 blocks pays per-block
+        # shuffle overhead)
+        blocks = max(2, total // 75_000 + 1)
+    k = int(max(1, min(blocks, 2 * cluster_cpus(), total)))
+    ks = [max(1, min(n, round(k * n / total))) if n else 0 for n in rows]
+    if not total:
+        ks[0] = 1
+    refs = []
+    for f, kf in zip(files, ks):
+        if kf:
+            out = _read.options(num_returns=kf).remote(f, columns, filter, kf)
+            refs.extend(out if kf > 1 else [out])
+    # rows is an upper bound once ``filter`` drops rows, as Blocks allows
+    return Blocks(refs, schema, total)
+
+
+def write_file(dest: str, tables: Iterable[pa.Table]) -> int:
+    """Write ``tables`` (at least one; the first one's schema types the
+    file) as ONE parquet file at ``dest`` and return its row count. A file
+    that gets no row is a typed zero-row file. The commit is atomic: the
+    file is written to ``dest + ".tmp"`` and renamed over ``dest``, so a
+    reader never sees half a file and a re-run replaces the old one."""
+    tables = iter(tables)
+    first = next(tables)
+    tmp, n = dest + ".tmp", 0
+    with pq.ParquetWriter(tmp, first.schema) as w:
+        for t in (first, *tables):
+            if t.num_rows:
+                w.write_table(t)
+                n += t.num_rows
+    os.replace(tmp, dest)
+    return n
+
+
+@ray.remote
+def _write_block(pre, block: pa.Table, dest: str) -> int:
+    return write_file(dest, [block if pre is None else pre(block)])
+
+
+def write_blocks(side, out_dir: str) -> int:
+    """Write ``side`` (``exchange.Blocks``) under ``out_dir`` as one
+    parquet file per block (``part-00000.parquet``, ...), each from its own
+    raw task that applies the side's view first; returns the rows written,
+    summed from the tasks' returns. A side with no rows still leaves typed
+    zero-row files."""
+    os.makedirs(out_dir, exist_ok=True)
+    pre = ray.put(side.pre) if side.pre is not None else None
+    return sum(ray.get([
+        _write_block.remote(pre, r, os.path.join(out_dir, f"part-{i:05d}.parquet"))
+        for i, r in enumerate(side.refs)
+    ]))

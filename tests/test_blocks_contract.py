@@ -1,9 +1,9 @@
 """The ``functions/`` return contract: every entry point takes ``Blocks``
 or a table and returns ``exchange.Blocks`` whose every block carries
 exactly its schema, typed empties included; ``hash_exchange`` refuses a
-side without its key before any task starts; and only the CLI and the two
-kept Ray Data shuffles wrap block refs as a Dataset, the shuffles with one
-streaming execution each."""
+side without its key before any task starts; and Ray Data is called only
+in the two kept shuffle queries, with one streaming execution each, and in
+``deterministic_shuffle``."""
 
 import ast
 import pathlib
@@ -151,28 +151,57 @@ def test_hash_exchange_missing_key_fails_on_the_driver(monkeypatch, cpus):
             X.hash_exchange(sides, "key", lambda *t: t[0])
 
 
-def test_dataset_wraps_only_at_the_cli_and_the_kept_shuffles():
-    """``from_arrow_refs`` appears only where the CLI writes and in the two
-    queries whose point is a Ray Data shuffle; no ``as_table`` flag is
-    left; and no ``functions/`` signature names a Dataset except
+# Ray Data calls and where they may appear: the two queries whose point is
+# a Ray Data shuffle, and the global sort of ``deterministic_shuffle``
+RAY_DATA_CALLS = {"from_arrow_refs", "map_batches", "read_parquet", "write_parquet", "from_items"}
+ALLOWED_RAY_DATA_CALLS = {
+    ("pipelines/queries.py", "q_word_topk", "from_arrow_refs"),
+    ("pipelines/queries.py", "q_source_histogram_salted", "from_arrow_refs"),
+    ("functions/packing.py", "deterministic_shuffle", "map_batches"),
+}
+
+
+def _ray_data_calls(tree: ast.AST, path: str) -> set:
+    """``(path, innermost function, name)`` of every call to a name in
+    ``RAY_DATA_CALLS``, as a method or a bare name."""
+    sites = set()
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in RAY_DATA_CALLS:
+                sites.add((path, fn, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_dataset_wraps_only_in_the_kept_shuffles():
+    """Ray Data is called only where the shuffle is the point:
+    ``from_arrow_refs`` only in the two kept shuffle queries,
+    ``map_batches`` only in ``deterministic_shuffle``, and
+    ``read_parquet``, ``write_parquet`` and ``from_items`` nowhere (reads
+    and writes are ``sources.parquet``'s raw tasks). No ``as_table`` flag
+    is left, and no ``functions/`` signature names a Dataset except
     ``deterministic_shuffle``, a global sort."""
     root = pathlib.Path(fastpasta_ray.__file__).parent
     sites, dataset_sigs = set(), set()
     for file in sorted(root.rglob("*.py")):
         path, src = file.relative_to(root).as_posix(), file.read_text()
         assert "as_table" not in src, path
-        for node in ast.walk(ast.parse(src)):
+        tree = ast.parse(src)
+        sites |= _ray_data_calls(tree, path)
+        for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                inner = {n for n in ast.walk(node) if isinstance(n, ast.FunctionDef)} - {node}
-                nested = {id(n) for f in inner for n in ast.walk(f)}
-                if any(isinstance(n, ast.Attribute) and n.attr == "from_arrow_refs"
-                       and id(n) not in nested for n in ast.walk(node)):
-                    sites.add((path, node.name))
                 sig = ast.unparse(node.args) + " -> " + (ast.unparse(node.returns) if node.returns else "")
                 if path.startswith("functions/") and "Dataset" in sig:
                     dataset_sigs.add(node.name)
-    assert sites == {("cli.py", "_write"), ("pipelines/queries.py", "q_word_topk"),
-                     ("pipelines/queries.py", "q_source_histogram_salted")}
+    assert sites == ALLOWED_RAY_DATA_CALLS
     assert dataset_sigs == {"deterministic_shuffle"}
 
 

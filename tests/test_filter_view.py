@@ -3,11 +3,14 @@ schema set-once check (E14, G7 analog)."""
 
 import os
 
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
+from fastpasta_ray.exchange import collect
 from fastpasta_ray.pipelines.check import run_check
-from fastpasta_ray.pipelines.filter import filter_expr_read, filter_sequences
+from fastpasta_ray.pipelines.filter import filter_sequences
 from fastpasta_ray.pipelines.view import view_doc_frames, view_sequences
+from fastpasta_ray.sources.parquet import read_blocks
 from fastpasta_ray.synth import SynthSpec, write_fixture
 
 
@@ -42,11 +45,66 @@ def test_filter_ntok_range(tmp_path):
     assert 0 < rep["rows_kept"] < 600
 
 
+def test_filter_rerun_replaces_every_partition(tmp_path):
+    """A partition that keeps no row still commits a typed empty file, so a
+    re-run into the same ``out_dir`` replaces the earlier run's rows and
+    the files on disk agree with ``rows_kept``."""
+    d = str(tmp_path / "fix")
+    out = str(tmp_path / "out")
+    write_fixture(d, SynthSpec(n_rows=200, n_parts=3), manifest=False)
+    first = filter_sequences(d, out, sources=("web",))
+    assert first["rows_kept"] > 0
+    rep = filter_sequences(d, out, sources=("no-such-source",))
+    assert rep["rows_kept"] == 0 and rep["rows_seen"] == 600 and rep["parts"] == 3
+    files = sorted(os.listdir(out))
+    assert files == ["part-0000.parquet", "part-0001.parquet", "part-0002.parquet"]
+    src = pq.read_schema(os.path.join(d, "part-0000.parquet"))
+    for f in files:
+        t = pq.read_table(os.path.join(out, f))
+        assert t.num_rows == 0 and t.schema.equals(src)
+
+
+def test_cli_filter_and_view(tmp_path, capsys):
+    """``filter`` and ``view`` (plain, ``--frames``, ``--filter-sources``)
+    through ``main()``; the view's rows come in ``(part, row_index)``
+    order."""
+    import json
+
+    from fastpasta_ray import cli
+
+    d = str(tmp_path / "fix")
+    out = str(tmp_path / "out")
+    write_fixture(d, SynthSpec(n_rows=30, n_parts=3), manifest=False)
+    assert cli.main(["filter", d, "-o", out, "--sources", "web,books"]) == 0
+    rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    on_disk = sum(pq.read_table(os.path.join(out, f)).num_rows for f in os.listdir(out))
+    assert rep["rows_seen"] == 90 and 0 < rep["rows_kept"] == on_disk
+
+    assert cli.main(["view", d, "--limit", "70"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("PART") and len(lines) == 71
+    pos = [(ln.split()[0], int(ln.split()[1])) for ln in lines[1:]]
+    assert pos == [(f"part-{p:04d}", i) for p in range(3) for i in range(30)][:70]
+
+    assert cli.main(["view", d, "--limit", "4", "--frames"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("DOC_ID") and len(lines) == 5
+
+    assert cli.main(["view", d, "--limit", "50", "--filter-sources", "web"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()[1:]
+    web = [(f"part-{p:04d}", i)
+           for p in range(3)
+           for i, s in enumerate(pq.read_table(os.path.join(d, f"part-{p:04d}.parquet"))
+                                 ["source"].to_pylist()) if s == "web"]
+    assert [(ln.split()[0], int(ln.split()[1])) for ln in lines] == web[:50]
+    assert all(" web " in ln for ln in lines)
+
+
 def test_filter_pushdown_read(tmp_path):
     d = str(tmp_path / "fix")
     write_fixture(d, SynthSpec(n_rows=400, n_parts=2), manifest=False)
-    ds = filter_expr_read(d, sources=("web",))
-    t = ds.to_pandas()
+    ds = read_blocks(d, filter=pads.field("source").isin(["web"]))
+    t = collect(ds).to_pandas()
     assert set(t["source"]) == {"web"}
 
 

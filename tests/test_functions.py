@@ -534,14 +534,16 @@ def test_pack_sequences_over_fixture(tmp_path):
     """Packing over a real sequences fixture (per-partition bins; every doc
     packed exactly once; fill never exceeds the context unless a single
     doc does)."""
-    from fastpasta_ray.exchange import blocks
     from fastpasta_ray.functions.packing import pack_sequences
-    from fastpasta_ray.sources.parquet import read_sequences
+    from fastpasta_ray.sources.parquet import iter_file_batches, sequence_files
     from fastpasta_ray.synth import SynthSpec, write_fixture
 
     d = str(tmp_path / "fix")
     write_fixture(d, SynthSpec(n_rows=500, n_parts=3, mean_n_tok=64), manifest=False)
-    ds = blocks(read_sequences(d, columns=["doc_id", "n_tok"]))
+    # one block per file, each with its part and row_index columns
+    files = [pa.concat_tables(iter_file_batches(f, ["doc_id", "n_tok"]))
+             for f in sequence_files(d)]
+    ds = Blocks([ray.put(t) for t in files], files[0].schema, sum(t.num_rows for t in files))
     bins = collect(pack_sequences(ds, context_len=1024)).to_pandas()
     assert set(bins["part"]) == {"part-0000", "part-0001", "part-0002"}
     assert bins["n_docs"].sum() == 1500          # every doc packed once
@@ -793,6 +795,32 @@ def test_cli_decontam_and_mixture(tmp_path):
     assert srcs.count("b") == 1  # limiting stratum fully kept
     # bad weights string errors cleanly
     assert main(["mixture", src2, "-o", str(tmp_path / "x"), "--weights", "nope"]) == 2
+
+
+def test_cli_decontam_drop_everything_writes_typed_empty(tmp_path, capsys):
+    """``decontam --drop`` with the corpus as its own benchmark drops every
+    document: the command exits 0, reports 0 rows out, and leaves typed
+    zero-row parquet files with the input's schema."""
+    import glob
+    import json
+
+    import pyarrow.parquet as pq
+
+    from fastpasta_ray.cli import main
+
+    corpus = str(tmp_path / "docs.parquet")
+    pq.write_table(docs_table(["the quick brown fox jumps", "pack my box with five dozen"]),
+                   corpus)
+    out = str(tmp_path / "clean")
+    assert main(["decontam", corpus, "--benchmark", corpus, "-o", out,
+                 "--ngram", "3", "--drop"]) == 0
+    rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rep["rows_in"] == 2 and rep["rows_out"] == 0
+    files = glob.glob(out + "/*.parquet")
+    assert files
+    for f in files:
+        t = pq.read_table(f)
+        assert t.num_rows == 0 and t.schema.equals(pq.read_schema(corpus))
 
 
 def _reduce_count(monkeypatch, n: int) -> None:

@@ -478,9 +478,11 @@ def test_exchange_no_schema_flip_on_empty_blocks(monkeypatch):
         SCH = pa.schema([("key", pa.int64()), ("v", pa.int64())])
         tables = [pa.table({"key": np.arange(32) % 4, "v": np.arange(32)}, schema=SCH)]
         tables += [SCH.empty_table() for _ in range(40)]
-        ds = ray.data.from_arrow(tables)
-        out = ray.data.from_arrow_refs(X.hash_exchange(ds, "key", lambda g: g))
-        assert sorted(out.to_pandas()["v"]) == list(range(32))
+        side = X.Blocks([ray.put(t) for t in tables], SCH, 32)
+        out = X.Blocks(X.hash_exchange(side, "key", lambda g: g), SCH, 32)
+        got = X.collect(out)
+        assert sorted(got["v"].to_pylist()) == list(range(32))
+        assert got.schema == SCH
         flips = [m for m in records if "different schema" in m]
         assert flips == [], flips
     finally:

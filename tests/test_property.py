@@ -408,6 +408,52 @@ def test_row_checks_match_naive(rows):
     assert all(got_e70[r].startswith(m) for r, m in e70.items())
 
 
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 2**31),
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["neg", "vocab-1", "vocab", INT32_MIN, INT32_MAX, -1, 0]),
+                st.integers(INT32_MIN, INT32_MAX),
+            ),
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_e70_int32_mask_matches_two_compares(vocab, rows):
+    """The one-compare int32 E70 mask flags exactly the rows the two-compare
+    formula ``(v < 0) | (v >= vocab)`` flags, with negative ids, ids at
+    ``vocab - 1`` and ``vocab``, and the int32 extremes."""
+    from fastpasta_ray.checks.row_checks import run_row_checks
+
+    named = {"neg": -vocab, "vocab-1": vocab - 1, "vocab": min(vocab, INT32_MAX)}
+    toks = [[named.get(t, t) if isinstance(t, str) else t for t in r] for r in rows]
+    batch = pa.table(
+        {
+            "part": pa.array(["p"] * len(toks)),
+            "row_index": pa.array(range(len(toks)), type=pa.int64()),
+            "doc_id": pa.array(["web/0000/00000001"] * len(toks)),
+            "tokens": pa.array(toks, type=pa.list_(pa.int32())),
+            "n_tok": pa.array([len(r) for r in toks], type=pa.int32()),
+            "source": pa.array(["web"] * len(toks)),
+        }
+    )
+    v = run_row_checks(batch, vocab=vocab, source_domain=("web",))
+    got = {r for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist()) if c == "E70"}
+    want = set()
+    for i, r in enumerate(toks):
+        vals = np.asarray(r, dtype=np.int32)
+        if ((vals < 0) | (vals >= vocab)).any():
+            want.add(i)
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # round-2 machinery: popcount, word-ngram sets, SimHash vectorization,
 # combo-key pigeonhole guarantee

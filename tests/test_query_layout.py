@@ -17,6 +17,7 @@ import pytest
 import ray
 from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
+from fastpasta_ray.exchange import Blocks
 from fastpasta_ray.pipelines import queries as Q
 from fastpasta_ray.sources import parquet as P
 from tests.test_queries_oracle import SF_DIR, assert_matches_oracle
@@ -40,6 +41,61 @@ def test_rp_caps_block_count_at_twice_cluster_cpus(monkeypatch):
     assert _read_blocks(monkeypatch, 1, 1) == 1
     # the size-aware default is unchanged: 2 blocks for a small table
     assert _read_blocks(monkeypatch, 32, None) == 2
+
+
+@pytest.mark.parametrize("n_files", [1, 3, 8])
+def test_read_blocks_over_a_directory_equals_rp(tmp_path, n_files):
+    """``read_blocks`` over a directory of 1, 3 or 8 files cut from one
+    table gives the rows ``_rp`` gives over the single file, plain, with
+    ``columns=`` and with ``filter=``; every block has exactly
+    ``Blocks.schema``, and a ``_``-prefixed file is not read."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+
+    from fastpasta_ray.exchange import collect
+
+    t = pq.read_table(os.path.join(SF_DIR, "documents.parquet"))
+    cuts = [t.num_rows * i // n_files for i in range(n_files + 1)]
+    for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        pq.write_table(t.slice(a, b - a), str(tmp_path / f"part-{i:04d}.parquet"))
+    pq.write_table(t.slice(0, 3), str(tmp_path / "_manifest.parquet"))
+    some = pads.field("source").isin(["src3", "src7"])
+    for kw in ({}, {"columns": ["doc_id", "source"]}, {"filter": some}):
+        got = P.read_blocks(str(tmp_path), **kw)
+        assert len(got.refs) >= n_files
+        assert collect(got).equals(collect(Q._rp(SF_DIR, "documents", **kw))), kw
+        for b in ray.get(got.refs):
+            assert b.schema == got.schema
+
+
+def test_read_blocks_empty_files_and_schema_mismatch(tmp_path):
+    """A zero-row file is one typed empty block; a zero-row file next to a
+    full one adds no block; files whose schemas differ raise
+    ``ValueError`` on the driver."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    t = pa.table({"a": pa.array([1, 2, 3], pa.int64()), "s": ["x", "y", "z"]})
+    empty = str(tmp_path / "empty.parquet")
+    pq.write_table(t.slice(0, 0), empty)
+    got = P.read_blocks(empty)
+    assert got.rows == 0 and len(got.refs) == 1
+    (b,) = ray.get(got.refs)
+    assert b.num_rows == 0 and b.schema == t.schema == got.schema
+
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    pq.write_table(t.slice(0, 0), str(mixed / "part-0.parquet"))
+    pq.write_table(t, str(mixed / "part-1.parquet"))
+    got = P.read_blocks(str(mixed))
+    assert got.rows == 3 and all(b.num_rows for b in ray.get(got.refs))
+
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    pq.write_table(t, str(bad / "part-0.parquet"))
+    pq.write_table(t.select(["a"]), str(bad / "part-1.parquet"))
+    with pytest.raises(ValueError, match="differs"):
+        P.read_blocks(str(bad))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 32])
@@ -171,7 +227,7 @@ def test_fold_contract():
     import pyarrow.compute as pc
 
     t = pa.table({"k": ["b", None, "a", "b", None], "v": pa.array([1, 2, 3, 4, 5], pa.int64())})
-    ds = ray.data.from_arrow([t.slice(0, 2), t.slice(2)])
+    ds = _blocks_of(t, 2)
     merge = Q._merge(["k"], v="sum")
     got = Q._fold(ds, lambda b: Q._agg(b, ["k"], v=("v", "sum")), t.schema, merge)
     assert got.to_pydict() == {"k": ["a", "b", None], "v": [3, 5, 7]}
@@ -180,7 +236,7 @@ def test_fold_contract():
     assert none.num_rows == 0 and none.schema == t.schema
 
     ties = pa.table({"k": ["x", "x", "x", None, None], "id": [3, 1, 2, 9, 8], "v": [7, 7, 1, 0, 0]})
-    ds = ray.data.from_arrow([ties.slice(0, 2), ties.slice(2)])
+    ds = _blocks_of(ties, 2)
     top = Q._top(1, [("v", "descending"), ("id", "ascending")], group="k")
     assert Q._fold(ds, top, ties.schema, top).to_pydict() == {
         "k": ["x", None], "id": [1, 8], "v": [7, 0]}
@@ -201,10 +257,11 @@ def test_board_execution_budget(monkeypatch):
     assert not ran, f"streaming executions per board query: {ran}"
 
 
-def _blocks_of(t, n: int):
-    """``t`` as a Dataset of ``n`` blocks."""
+def _blocks_of(t, n: int) -> Blocks:
+    """``t`` as ``Blocks`` of ``n`` contiguous slices, each put once."""
     step = -(-t.num_rows // n)
-    return ray.data.from_arrow([t.slice(i, step) for i in range(0, t.num_rows, step)])
+    return Blocks([ray.put(t.slice(i, step)) for i in range(0, t.num_rows, step)],
+                  t.schema, t.num_rows)
 
 
 def _vectors(m):
@@ -269,18 +326,18 @@ def test_ivf_equals_brute_force_at_any_layout(monkeypatch, case, n_blocks):
 
 
 def test_kmeans_fit_one_execution(monkeypatch):
-    """Lloyd's k-means reads a lazy input once: the hash-sample init and
-    every iteration are waves over its blocks (n_iter + 2 executions
-    before)."""
+    """Lloyd's k-means starts no streaming execution over a viewed input:
+    the hash-sample init and every iteration are waves over its blocks
+    (once n_iter + 2 executions; later one, a lazy Dataset input's own)."""
     import numpy as np
 
     from fastpasta_ray.functions.similarity import kmeans_fit
 
     m = np.random.default_rng(3).normal(size=(60, 8))
-    ds = _blocks_of(_vectors(m), 3).map_batches(lambda b: b, batch_format="pyarrow")
+    ds = _blocks_of(_vectors(m), 3).view(lambda b: b)
     count = _count_executions(monkeypatch)
     assert kmeans_fit(ds, k=3, n_iter=4).shape == (3, 8)
-    assert count[0] == 1
+    assert count[0] == 0
 
 
 def _decontam_corpus():

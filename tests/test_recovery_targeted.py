@@ -178,7 +178,7 @@ def _run_check_layouts(d, m, monkeypatch):
     for n in (1, 3, 8):
         monkeypatch.setattr(K, "_reduce_task_count", lambda cpus, est, n=n: n)
         for groups in (1, 2, len(files)):
-            monkeypatch.setattr(check, "_pass1_groups", lambda todo, cpus, g=groups: [
+            monkeypatch.setattr(check, "file_groups", lambda todo, cpus, g=groups: [
                 todo[len(todo) * j // g : len(todo) * (j + 1) // g] for j in range(g)
             ])
             res = check.run_check(d, manifest_path=m)
