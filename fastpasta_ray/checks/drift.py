@@ -120,16 +120,8 @@ def drift_check(
     ref_ntok = ref_hist.normalized(edges)
     src_keys = sorted(reference_profile["source_histogram"])
     ref_mix = _mix_vector(reference_profile["source_histogram"], src_keys)
-    rows = {"part": [], "row_index": [], "doc_id": [], "code": [], "column": [], "message": []}
+    hits: list[tuple] = []  # (part, code, column, detail) per breached gate
     metrics: dict[str, dict] = {}
-
-    def emit(part: str, code: str, column: str, detail: str) -> None:
-        rows["part"].append(part)
-        rows["row_index"].append(-1)
-        rows["doc_id"].append(None)
-        rows["code"].append(code)
-        rows["column"].append(column)
-        rows["message"].append(S.format_message(code, detail))
 
     for part in sorted(stats_by_part):
         ps = stats_by_part[part]
@@ -147,15 +139,16 @@ def drift_check(
             "psi_source": round(psi_src, 4),
         }
         if psi_ntok > psi_threshold:
-            emit(part, S.E_DRIFT_PSI, "n_tok",
-                 f"n_tok PSI {psi_ntok:.4f} > {psi_threshold} vs reference profile")
+            hits.append((part, S.E_DRIFT_PSI, "n_tok",
+                         f"n_tok PSI {psi_ntok:.4f} > {psi_threshold} vs reference profile"))
         if ks_ntok > ks_threshold:
-            emit(part, S.E_DRIFT_KS, "n_tok",
-                 f"n_tok KS {ks_ntok:.4f} > {ks_threshold} vs reference profile")
+            hits.append((part, S.E_DRIFT_KS, "n_tok",
+                         f"n_tok KS {ks_ntok:.4f} > {ks_threshold} vs reference profile"))
         if psi_src > psi_threshold:
-            emit(part, S.E_DRIFT_PSI, "source",
-                 f"source-mix PSI {psi_src:.4f} > {psi_threshold} vs reference profile")
-    return pa.Table.from_pydict(rows, schema=S.VIOLATIONS_SCHEMA), metrics
+            hits.append((part, S.E_DRIFT_PSI, "source",
+                         f"source-mix PSI {psi_src:.4f} > {psi_threshold} vs reference profile"))
+    part, code, column, detail = [list(c) for c in zip(*hits)] or [[]] * 4
+    return S.violations(part, -1, None, code, column, detail), metrics
 
 
 EXACT_FIELDS = (

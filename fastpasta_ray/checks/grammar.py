@@ -51,12 +51,7 @@ def run_grammar_checks(batch: pa.Table, g: GrammarConfig) -> pa.Table:
     # start offset of each VALID row within flat (flatten drops null rows)
     starts = np.zeros(n, dtype=np.int64)
     np.cumsum(np.where(valid, lens, 0)[:-1], out=starts[1:])
-    out: list[pa.Table] = []
-    from fastpasta_ray.checks.row_checks import _emit
-
-    part = one_chunk(batch["part"])
-    row_index = one_chunk(batch["row_index"])
-    doc_id = one_chunk(batch["doc_id"])
+    hits: list[tuple] = []  # (rows, code, column, details) per rule
 
     # clipped gather indices: rows masked out by `nonempty` (null/empty,
     # possibly trailing) may have start == len(flat); the clip keeps the
@@ -65,26 +60,26 @@ def run_grammar_checks(batch: pa.Table, g: GrammarConfig) -> pa.Table:
     if g.bos_id is not None and nonempty.any():
         first = np.where(nonempty, flat[np.minimum(starts, safe_hi)], g.bos_id)
         bad = np.flatnonzero(first != g.bos_id)
-        _emit(
-            out, part, row_index, doc_id, bad, S.E_GRAMMAR_BOS, "tokens",
+        hits.append((
+            bad, S.E_GRAMMAR_BOS, "tokens",
             [
                 f"first token {int(first[r])} != BOS {g.bos_id}"
                 f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r])}]"
                 for r in bad
             ],
-        )
+        ))
     if g.eos_id is not None and nonempty.any():
         last_idx = np.clip(starts + lens - 1, 0, safe_hi)
         last = np.where(nonempty, flat[last_idx], g.eos_id)
         bad = np.flatnonzero(last != g.eos_id)
-        _emit(
-            out, part, row_index, doc_id, bad, S.E_GRAMMAR_EOS, "tokens",
+        hits.append((
+            bad, S.E_GRAMMAR_EOS, "tokens",
             [
                 f"last token {int(last[r])} != EOS {g.eos_id}"
                 f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r] + lens[r] - 1)}]"
                 for r in bad
             ],
-        )
+        ))
     if g.pad_id is not None and len(flat):
         pads = np.flatnonzero(flat == g.pad_id)
         # a pad BEFORE a non-pad token of its row is an interior pad, and
@@ -99,14 +94,12 @@ def run_grammar_checks(batch: pa.Table, g: GrammarConfig) -> pa.Table:
             bad = np.unique(owner[inside])
             # each bad row's first pad (pads is sorted), for the message
             fp = pads[np.searchsorted(pads, starts[bad])] - starts[bad]
-            _emit(
-                out, part, row_index, doc_id, bad, S.E_GRAMMAR_PAD, "tokens",
+            hits.append((
+                bad, S.E_GRAMMAR_PAD, "tokens",
                 [
                     f"pad token {g.pad_id} at interior index {int(i)}"
                     f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r] + i)}]"
                     for r, i in zip(bad, fp)
                 ],
-            )
-    if not out:
-        return S.VIOLATIONS_SCHEMA.empty_table()
-    return pa.concat_tables(out)
+            ))
+    return S.batch_violations(batch, *S.rule_rows(hits))

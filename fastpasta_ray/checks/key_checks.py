@@ -66,7 +66,7 @@ import ray
 from fastpasta_ray import schema as S
 from fastpasta_ray.exchange import _reduce_task_count, shard
 from fastpasta_ray.sketches import hash_strings, one_chunk
-from fastpasta_ray.sources.parquet import cluster_cpus, part_of
+from fastpasta_ray.sources.parquet import cluster_cpus, iter_file_batches, part_of
 
 logger = logging.getLogger(__name__)
 
@@ -266,22 +266,13 @@ def _recover_violations(
     _drop_collisions(emit, cand, h, doc_ids, _C_NTOK, _C_MANREF)
     idx = np.flatnonzero(emit)
     spec = [_EMIT[c] for c in cand[idx]]
-    return pa.table(
-        {
-            "part": pa.array(list(parts[idx]), type=pa.string()),
-            "row_index": pa.array(rows_out[idx]),
-            "doc_id": pa.array(list(doc_ids[idx]), type=pa.string()),
-            "code": pa.array([code for code, _, _ in spec], type=pa.string()),
-            "column": pa.array([col for _, col, _ in spec], type=pa.string()),
-            "message": pa.array(
-                [
-                    S.format_message(code, text(doc_ids[i], int(ntok[i]), int(exp[i])))
-                    for (code, _, text), i in zip(spec, idx)
-                ],
-                type=pa.string(),
-            ),
-        },
-        schema=S.VIOLATIONS_SCHEMA,
+    return S.violations(
+        list(parts[idx]),
+        rows_out[idx],
+        list(doc_ids[idx]),
+        [code for code, _, _ in spec],
+        [col for _, col, _ in spec],
+        [text(doc_ids[i], int(ntok[i]), int(exp[i])) for (_, _, text), i in zip(spec, idx)],
     )
 
 
@@ -306,44 +297,36 @@ def _keyed(doc_id) -> pa.Array:
     return pc.and_kleene(pc.is_valid(doc_id), pc.not_equal(doc_id, pa.scalar("")))
 
 
+def _key_rows(batch: pa.Table, h: np.ndarray):
+    """The rows of one SEQUENCES_POS batch that enter the exchange, as
+    ``(h, row_index, n_tok)`` arrays: the rows :func:`_keyed` admits, with
+    ``h`` the batch's doc_id hashes. Pass 1 and :func:`_iter_tagged_seq`
+    both cut their rows here."""
+    keyed = _keyed(one_chunk(batch["doc_id"])).to_numpy(zero_copy_only=False)
+    row_index = one_chunk(batch["row_index"]).to_numpy()
+    ntok = one_chunk(batch["n_tok"]).to_numpy(zero_copy_only=False)
+    return h[keyed], row_index[keyed], ntok[keyed].astype(np.int64)
+
+
 def _iter_tagged_seq(path: str, part_idx: int, batch_rows, filter_sources=None):
-    """Scanner-based tagged read of one partition file's key columns:
-    yields (h, loc, n_tok) numpy arrays per batch — the rows pass 1 cuts
-    into shards for the files it validates. Same fast decode path as the
-    payload pass (pyarrow.dataset, 2× ParquetFile).
+    """Tagged read of one partition file's key columns: yields (h, loc,
+    n_tok) numpy arrays per batch — the rows pass 1 cuts into shards for
+    the files it validates, read the way pass 1 reads them.
     ``filter_sources`` scopes the exchange to matching rows (the global
     --filter-link analog, config.rs:75-103); filtering happens AFTER the
     positional index is attached so `loc` keeps naming original file
     positions (a scanner-level predicate would renumber the survivors)."""
-    import pyarrow.dataset as pads
-
-    from fastpasta_ray.sources.parquet import auto_batch_rows
-
-    if batch_rows == "auto":
-        batch_rows = auto_batch_rows(path)
     cols = ["doc_id", "n_tok"]
     src_set = None
     if filter_sources is not None:
         src_set = S.source_set(filter_sources)
         cols.append("source")
-    scanner = pads.dataset(path, format="parquet").scanner(
-        batch_size=batch_rows, columns=cols, use_threads=False
-    )
-    row_off = 0
     base = np.int64(part_idx) << ROW_BITS
-    for rb in scanner.to_batches():
-        idx = np.arange(row_off, row_off + rb.num_rows, dtype=np.int64)
-        row_off += rb.num_rows
-        valid = _keyed(rb.column(0))
+    for batch in iter_file_batches(path, cols, batch_rows):
         if src_set is not None:
-            valid = pc.and_kleene(valid, S.source_mask(rb.column(2), src_set))
-        valid = pc.fill_null(valid, False)
-        vmask = valid.to_numpy(zero_copy_only=False)
-        if not vmask.all():
-            rb, idx = rb.filter(valid), idx[vmask]
-        if len(idx):
-            ntok = rb.column(1).to_numpy(zero_copy_only=False).astype(np.int64)
-            yield hash_strings(rb.column(0)), base | idx, ntok
+            batch = batch.filter(S.source_mask(batch["source"], src_set))
+        h, row_index, ntok = _key_rows(batch, hash_strings(one_chunk(batch["doc_id"])))
+        yield h, base | row_index, ntok
 
 
 def _shards_of(tagged, n_parts: int):

@@ -20,10 +20,11 @@ import json
 from collections.abc import Callable
 from dataclasses import asdict
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from fastpasta_ray import schema as S
-from fastpasta_ray.sketches import one_chunk
 from fastpasta_ray.stages.validate import CheckConfig
 
 _REGISTRY: dict[str, Callable] = {}
@@ -60,13 +61,15 @@ def run_custom_checks(batch: pa.Table, cfg: CheckConfig) -> pa.Table:
 
     for mod in cfg.extra.get("custom_check_modules", ()):
         importlib.import_module(mod)
-    names = cfg.extra.get("custom_checks", ())
-    out = []
-    for name in names:
-        v = get_check(name)(batch, cfg)
-        if v.num_rows:
-            out.append(v)
-    return pa.concat_tables(out) if out else S.VIOLATIONS_SCHEMA.empty_table()
+    # a user check's table is the one violation source not built by
+    # schema.violations: it is cast to VIOLATIONS_SCHEMA here, once
+    return pa.concat_tables(
+        [
+            get_check(name)(batch, cfg).cast(S.VIOLATIONS_SCHEMA)
+            for name in cfg.extra.get("custom_checks", ())
+        ]
+        or [S.VIOLATIONS_SCHEMA.empty_table()]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,32 +151,11 @@ def generate_template(path: str) -> None:
 @register_check("max_len")
 def check_max_len(batch: pa.Table, cfg: CheckConfig) -> pa.Table:
     """E9100: n_tok above a configured hard cap (cfg.extra['max_len'])."""
-    import numpy as np
-    import pyarrow.compute as pc
-
     cap = int(cfg.extra.get("max_len", 1 << 30))
     mask = pc.fill_null(pc.greater(batch["n_tok"], cap), False)
     rows = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-    if not len(rows):
-        return S.VIOLATIONS_SCHEMA.empty_table()
-    idx = pa.array(rows)
-    import pyarrow.compute as pc2
-
     ntok = batch["n_tok"].to_numpy(zero_copy_only=False)
-    return pa.table(
-        {
-            "part": pc2.take(one_chunk(batch["part"]), idx),
-            "row_index": pc2.take(one_chunk(batch["row_index"]), idx),
-            "doc_id": pc2.take(one_chunk(batch["doc_id"]), idx),
-            "code": pa.array(["E9100"] * len(rows), type=pa.string()),
-            "column": pa.array(["n_tok"] * len(rows), type=pa.string()),
-            "message": pa.array(
-                [
-                    S.format_message("E9100", f"n_tok {int(ntok[r])} exceeds max_len {cap}")
-                    for r in rows
-                ],
-                type=pa.string(),
-            ),
-        },
-        schema=S.VIOLATIONS_SCHEMA,
+    return S.batch_violations(
+        batch, rows, "E9100", "n_tok",
+        [f"n_tok {int(ntok[r])} exceeds max_len {cap}" for r in rows],
     )

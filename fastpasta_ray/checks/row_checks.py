@@ -21,36 +21,6 @@ from fastpasta_ray import schema as S
 from fastpasta_ray.sketches import one_chunk
 
 
-def _emit(
-    out: list,
-    part: pa.Array,
-    row_index: pa.Array,
-    doc_id: pa.Array,
-    rows: np.ndarray,
-    code: str,
-    column: str,
-    details: list[str],
-) -> None:
-    if len(rows) == 0:
-        return
-    idx = pa.array(rows)
-    out.append(
-        pa.table(
-            {
-                "part": pc.take(part, idx),
-                "row_index": pc.take(row_index, idx),
-                "doc_id": pc.take(doc_id, idx),
-                "code": pa.array([code] * len(rows), type=pa.string()),
-                "column": pa.array([column] * len(rows), type=pa.string()),
-                "message": pa.array(
-                    [S.format_message(code, d) for d in details], type=pa.string()
-                ),
-            },
-            schema=S.VIOLATIONS_SCHEMA,
-        )
-    )
-
-
 def run_row_checks(
     batch: pa.Table,
     *,
@@ -70,8 +40,6 @@ def run_row_checks(
     passing them here avoids re-walking the payload (2 fewer full passes
     per batch on a memory-bandwidth-bound workload).
     """
-    part = one_chunk(batch["part"])
-    row_index = one_chunk(batch["row_index"])
     doc_id = one_chunk(batch["doc_id"])
     # scalar-only mode (read_payload=False, M7 skip_payload analog): the
     # tokens column is pruned at the read; token checks are skipped
@@ -80,16 +48,16 @@ def run_row_checks(
     n_tok = one_chunk(batch["n_tok"])
     source = one_chunk(batch["source"])
     n = batch.num_rows
-    out: list[pa.Table] = []
+    hits: list[tuple] = []  # (rows, code, column, details) per rule
 
     # --- E100: tokens null (truncated row) — analog [E100] partial payload
     if has_tokens:
         tok_null = pc.is_null(tokens)
         null_rows = np.flatnonzero(tok_null.to_numpy(zero_copy_only=False))
-        _emit(
-            out, part, row_index, doc_id, null_rows, S.E_TOKENS_NULL, "tokens",
+        hits.append((
+            null_rows, S.E_TOKENS_NULL, "tokens",
             ["tokens list is null (truncated row)"] * len(null_rows),
-        )
+        ))
 
     # --- E10: n_tok != len(tokens) — analog RDH sanity [E10]
     if has_tokens:
@@ -100,13 +68,13 @@ def run_row_checks(
         if len(mrows):
             lens_np = lens.to_numpy(zero_copy_only=False)
             ntok_np = n_tok.to_numpy(zero_copy_only=False)
-            _emit(
-                out, part, row_index, doc_id, mrows, S.E_NTOK_MISMATCH, "n_tok",
+            hits.append((
+                mrows, S.E_NTOK_MISMATCH, "n_tok",
                 [
                     f"n_tok mismatch: expected {int(ntok_np[r])} got {int(lens_np[r])}"
                     for r in mrows
                 ],
-            )
+            ))
 
     # --- E70: token out of vocab range — analog invalid data-word ID [E70]
     if flat_vals is not None:
@@ -148,8 +116,8 @@ def run_row_checks(
             tok_idx = bad_pos[sel] - starts[rows_]
             tok_val = vals[bad_pos[sel]]
             row_ends = starts[rows_] + valid_lens[rows_]
-            _emit(
-                out, part, row_index, doc_id, rows_, S.E_TOKEN_RANGE, "tokens",
+            hits.append((
+                rows_, S.E_TOKEN_RANGE, "tokens",
                 [
                     f"token id {int(v)} out of range [0, {vocab}) at index {int(i)}"
                     f" ctx [{S.token_excerpt(vals, s, e, p)}]"
@@ -157,17 +125,17 @@ def run_row_checks(
                         tok_val, tok_idx, starts[rows_], row_ends, bad_pos[sel]
                     )
                 ],
-            )
+            ))
 
     # --- E40 / E41: source null/empty, source not in domain — analog [E40]/[E41]
     src_null = pc.fill_null(
         pc.or_(pc.is_null(source), pc.equal(source, pa.scalar(""))), True
     )
     null_src_rows = np.flatnonzero(src_null.to_numpy(zero_copy_only=False))
-    _emit(
-        out, part, row_index, doc_id, null_src_rows, S.E_SOURCE_NULL, "source",
+    hits.append((
+        null_src_rows, S.E_SOURCE_NULL, "source",
         ["source is null or empty"] * len(null_src_rows),
-    )
+    ))
     in_dom = pc.is_in(source, value_set=pa.array(list(source_domain), type=pa.string()))
     bad_dom = pc.and_kleene(
         pc.invert(pc.fill_null(in_dom, False)), pc.invert(src_null)
@@ -176,30 +144,28 @@ def run_row_checks(
     dom_rows = np.flatnonzero(bad_dom.to_numpy(zero_copy_only=False))
     if len(dom_rows):
         src_py = pc.take(source, pa.array(dom_rows)).to_pylist()
-        _emit(
-            out, part, row_index, doc_id, dom_rows, S.E_SOURCE_DOMAIN, "source",
+        hits.append((
+            dom_rows, S.E_SOURCE_DOMAIN, "source",
             [f"source {s!r} not in domain" for s in src_py],
-        )
+        ))
 
     # --- E13 / E12: doc_id null, doc_id format + prefix==source — analog [E12]
     did_null = pc.fill_null(
         pc.or_(pc.is_null(doc_id), pc.equal(doc_id, pa.scalar(""))), True
     )
     did_null_rows = np.flatnonzero(did_null.to_numpy(zero_copy_only=False))
-    _emit(
-        out, part, row_index, doc_id, did_null_rows, S.E_DOCID_NULL, "doc_id",
+    hits.append((
+        did_null_rows, S.E_DOCID_NULL, "doc_id",
         ["doc_id is null or empty"] * len(did_null_rows),
-    )
+    ))
     fmt_ok = pc.match_substring_regex(doc_id, S.DOC_ID_RE)
     bad_fmt = pc.fill_null(pc.and_kleene(pc.invert(fmt_ok), pc.invert(did_null)), False)
     fmt_rows = np.flatnonzero(bad_fmt.to_numpy(zero_copy_only=False))
     if len(fmt_rows):
         ids = pc.take(doc_id, pa.array(fmt_rows)).to_pylist()
-        _emit(
-            out, part, row_index, doc_id, fmt_rows, S.E_DOCID_FORMAT, "doc_id",
+        hits.append((
+            fmt_rows, S.E_DOCID_FORMAT, "doc_id",
             [f"doc_id {d!r} does not match {S.DOC_ID_RE}" for d in ids],
-        )
+        ))
 
-    if not out:
-        return S.VIOLATIONS_SCHEMA.empty_table()
-    return pa.concat_tables(out)
+    return S.batch_violations(batch, *S.rule_rows(hits))

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from fastpasta_ray import schema as S
 from fastpasta_ray.sketches import one_chunk
@@ -119,10 +118,7 @@ class RunningState:
             out_codes.append([S.E_PART_ORDINAL] * len(w))
             out_msgs.append(
                 [
-                    S.format_message(
-                        S.E_PART_ORDINAL,
-                        f"doc_id partition ordinal {int(o)} != partition's first {self.first_ordinal}",
-                    )
+                    f"doc_id partition ordinal {int(o)} != partition's first {self.first_ordinal}"
                     for o in ords[w]
                 ]
             )
@@ -194,12 +190,7 @@ class RunningState:
                 out_pos.append(vrows[w])
                 out_codes.append([code] * len(w))
                 out_msgs.append(
-                    [
-                        S.format_message(
-                            code, fmt(int(c), int(p), int(d))
-                        )
-                        for c, p, d in zip(seq[w], prev[w], delta[w])
-                    ]
+                    [fmt(int(c), int(p), int(d)) for c, p, d in zip(seq[w], prev[w], delta[w])]
                 )
             # --- E445: doc-index advance vs row_index advance (filtered
             # mode only — see module docstring). Gated on intervals the
@@ -224,12 +215,9 @@ class RunningState:
                     out_codes.append([S.E_INDEX_ROW_DESYNC] * len(w))
                     out_msgs.append(
                         [
-                            S.format_message(
-                                S.E_INDEX_ROW_DESYNC,
-                                f"doc index {int(c)} after {int(p)}: stride "
-                                f"{int(d)} != row gap {int(g)} x expected "
-                                f"stride {stride}",
-                            )
+                            f"doc index {int(c)} after {int(p)}: stride "
+                            f"{int(d)} != row gap {int(g)} x expected "
+                            f"stride {stride}"
                             for c, p, d, g in zip(
                                 seq[w], prev[w], delta[w], row_gap[w]
                             )
@@ -244,10 +232,7 @@ class RunningState:
                 out_codes.append([S.E_ORDER] * len(w))
                 out_msgs.append(
                     [
-                        S.format_message(
-                            S.E_ORDER,
-                            f"doc index not increasing: {int(c)} after {int(p)}",
-                        )
+                        f"doc index not increasing: {int(c)} after {int(p)}"
                         for c, p in zip(seq[w], prev[w])
                     ]
                 )
@@ -263,21 +248,8 @@ class RunningState:
         msgs = [m for lane in out_msgs for m in lane]
         # emit in row order (stable across lane concatenation)
         order = np.argsort(pos, kind="stable")
-        part = one_chunk(batch["part"])
-        row_index = one_chunk(batch["row_index"])
-        take = pa.array(pos[order])
-        codes = [codes[i] for i in order]
-        msgs = [msgs[i] for i in order]
-        return pa.table(
-            {
-                "part": pc.take(part, take),
-                "row_index": pc.take(row_index, take),
-                "doc_id": pc.take(doc_id, take),
-                "code": pa.array(codes, type=pa.string()),
-                "column": pa.array(["doc_id"] * len(codes), type=pa.string()),
-                "message": pa.array(msgs, type=pa.string()),
-            },
-            schema=S.VIOLATIONS_SCHEMA,
+        return S.batch_violations(
+            batch, pos[order], [codes[i] for i in order], "doc_id", [msgs[i] for i in order]
         )
 
 

@@ -117,30 +117,7 @@ def run_segment_checks(
     empty_seg = empty_after | at_start_delim | trailing_delim
     empty_per_row = np.bincount(row_of[empty_seg], minlength=n)
 
-    out: list[pa.Table] = []
-    part = one_chunk(batch["part"])
-    row_index = one_chunk(batch["row_index"])
-    doc_id = one_chunk(batch["doc_id"])
-
-    def emit(rows: np.ndarray, code: str, details: list[str]):
-        if not len(rows):
-            return
-        take = pa.array(rows)
-        out.append(
-            pa.table(
-                {
-                    "part": pc.take(part, take),
-                    "row_index": pc.take(row_index, take),
-                    "doc_id": pc.take(doc_id, take),
-                    "code": pa.array([code] * len(rows), type=pa.string()),
-                    "column": pa.array(["tokens"] * len(rows), type=pa.string()),
-                    "message": pa.array(
-                        [S.format_message(code, d) for d in details], type=pa.string()
-                    ),
-                },
-                schema=S.VIOLATIONS_SCHEMA,
-            )
-        )
+    hits: list[tuple] = []  # (rows, code, column, details) per rule
 
     # --- per-segment header + status (APE ladder) --------------------------
     heads = vals[seg_start] if seg_start.any() else np.zeros(0, dtype=np.int64)
@@ -205,26 +182,26 @@ def run_segment_checks(
     if seg_warn.any():
         warn_per_row = np.bincount(hrow[seg_warn], minlength=n)
         rows77 = np.flatnonzero(warn_per_row > 0)
-        emit(
-            rows77, S.E_SEG_WARN,
+        hits.append((
+            rows77, S.E_SEG_WARN, "tokens",
             [
                 f"{int(warn_per_row[r])} segment(s) in WARNING status "
                 "(warning sentinel seen)"
                 for r in rows77
             ],
-        )
+        ))
     if seg_fatal.any():
         fatal_per_row = np.bincount(hrow[seg_fatal], minlength=n)
         rows78 = np.flatnonzero(fatal_per_row > 0)
-        emit(
-            rows78, S.E_SEG_FATAL,
+        hits.append((
+            rows78, S.E_SEG_FATAL, "tokens",
             [
                 f"{int(fatal_per_row[r])} segment(s) in FATAL status; "
                 f"headers {sorted(int(h) for h in np.unique(heads[seg_fatal & (hrow == r)]))} "
                 "excluded from lane checks from this row on"
                 for r in rows78
             ],
-        )
+        ))
 
     # E73: segment count outside the configured band (rows with tokens
     # only). Observed counts EVERY segment; the band drops by the running
@@ -238,8 +215,8 @@ def run_segment_checks(
     if max_segments is not None:
         bad_count |= has_tokens & (seg_per_row > max_segments - nf_per_row)
     rows73 = np.flatnonzero(bad_count)
-    emit(
-        rows73, S.E_SEG_COUNT,
+    hits.append((
+        rows73, S.E_SEG_COUNT, "tokens",
         [
             f"segment count {int(seg_per_row[r])} outside "
             f"[{min_segments}, {max_segments}]"
@@ -250,14 +227,14 @@ def run_segment_checks(
             )
             for r in rows73
         ],
-    )
+    ))
 
     # E75: empty segments
     rows75 = np.flatnonzero(empty_per_row > 0)
-    emit(
-        rows75, S.E_SEG_EMPTY,
+    hits.append((
+        rows75, S.E_SEG_EMPTY, "tokens",
         [f"{int(empty_per_row[r])} empty segment(s)" for r in rows75],
-    )
+    ))
 
     # fatal-headed segments drop out of E74/E76 (a fatal lane never reaches
     # validated_lanes, alpide.rs:51-58; groupings adjust around fatal lanes,
@@ -275,13 +252,13 @@ def run_segment_checks(
         np.minimum.at(hmin, hrow_nf, heads_nf)
         np.maximum.at(hmax, hrow_nf, heads_nf)
         rows74 = np.flatnonzero((live_per_row > 1) & (hmin != hmax))
-        emit(
-            rows74, S.E_SEG_HEADER,
+        hits.append((
+            rows74, S.E_SEG_HEADER, "tokens",
             [
                 f"segment headers differ: min {int(hmin[r])} != max {int(hmax[r])}"
                 for r in rows74
             ],
-        )
+        ))
 
     # E76: the NON-fatal header sequence must be one of the allowed
     # orderings with that row's fatal headers removed (chip_orders_ob
@@ -307,15 +284,14 @@ def run_segment_checks(
                 block = heads_nf[gather].reshape(len(rows_l), L)
                 matched[rows_l] |= (block == order_np[None, :]).all(axis=1)
         rows76 = np.flatnonzero(candidate & ~matched)
-        emit(
-            rows76, S.E_SEG_ORDER,
+        hits.append((
+            rows76, S.E_SEG_ORDER, "tokens",
             [
                 "segment header order "
                 + str([int(h) for h in heads_nf[hoff[r] : hoff[r + 1]]])
                 + " not in allowed orderings"
                 for r in rows76
             ],
-        )
+        ))
 
-    table = pa.concat_tables(out) if out else S.VIOLATIONS_SCHEMA.empty_table()
-    return table, new_fatal
+    return S.batch_violations(batch, *S.rule_rows(hits)), new_fatal

@@ -202,12 +202,6 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-def _shingle_hashes(texts: list[str], k: int = 5) -> list[np.ndarray]:
-    """Per-doc unique shingle-hash arrays (exact-Jaccard verification path)."""
-    flat, offsets = _shingle_hashes_flat(texts, k)
-    return [np.unique(flat[offsets[i] : offsets[i + 1]]) for i in range(len(texts))]
-
-
 def word_ngram_hashes_flat(arr, n: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Per-doc UNIQUE word-n-gram hash sets as (flat uint64, doc offsets).
 
@@ -840,8 +834,9 @@ def simhash_near_dups(
 
 def ngram_jaccard(a: str, b: str, k: int = 5) -> float:
     """Exact char-k-gram Jaccard of two docs (used to verify candidates)."""
-    sa = _shingle_hashes([a], k)[0]
-    sb = _shingle_hashes([b], k)[0]
+    # each doc on its own: a doc shorter than k takes its one shingle from
+    # the bytes that follow it in the batch
+    sa, sb = (np.unique(_shingle_hashes_flat([t], k)[0]) for t in (a, b))
     inter = len(np.intersect1d(sa, sb, assume_unique=True))
     union = len(sa) + len(sb) - inter
     return inter / union if union else 1.0

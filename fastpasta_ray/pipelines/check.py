@@ -5,19 +5,21 @@ Mirrors the reference's `fastpasta check all` lifecycle (SURVEY.md §3.1):
 
   pass 1 (one read): per-file streaming validate in raw Ray tasks —
       stateless sanity checks, running checks, stats sketches — ONE read of
-      each partition, violations + per-partition stats partials out
-      (stages/validate.py), plus the key-check exchange's map side: each
-      task also returns its ``(h, loc, n_tok)`` hash shards, one per reduce
-      task, cut from the batches it already decoded.
+      each partition (stages/validate.py). Each task returns its
+      violations table, one typed ``(part, PartStats, drift_metrics)``
+      record per file, and the key-check exchange's map side: its
+      ``(h, loc, n_tok)`` hash shards, one per reduce task, cut from the
+      batches it already decoded.
   pass 2 (exchange): key checks (dup / referential / empty) reduce pass 1's
       shards plus the manifest's in one hash-partitioned shuffle
       (checks/key_checks.py), then recover the few violating rows by
       targeted reads. The tokens payload never shuffles. Only partitions
       pass 1 did not read in this run (committed by an earlier run, or
       skipped by the global error budget) get a column-pruned scalar read.
-  finalize: merge stats partials (driver-side fold of mergeable sketches —
-      the partial counts are one row per input file, tiny), drift gate vs a
-      reference profile (checks/drift.py), report assembly (report.py).
+  finalize: fold pass 1's and the checkpoint's records into per-partition
+      stats (a driver-side fold of mergeable sketches — one record per
+      input file, tiny), drift gate vs a reference profile
+      (checks/drift.py), report assembly (report.py).
 
 Resumability: with ``out_dir`` set, per-partition violations are written as
 they stream out and a commit record is appended per finished partition;
@@ -39,13 +41,19 @@ import ray
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks.drift import build_profile, custom_count_check
 from fastpasta_ray.checks.key_checks import key_checks, plan_exchange
+from fastpasta_ray.sketches import PartStats
+from fastpasta_ray.sources.parquet import cluster_cpus, file_groups, part_of, sequence_files
+from fastpasta_ray.stages.validate import (
+    CheckConfig,
+    ErrorBudget,
+    ValidateFiles,
+    _filter_codes,
+    validate_task,
+)
 
 # codes produced by the global key-check exchange (never checkpointed —
 # they are cross-partition and recomputed every run)
 KEY_CODES = (S.E_DUP_DOCID, S.E_ORPHAN, S.E_MANIFEST_NTOK, S.E_EMPTY_DOC)
-from fastpasta_ray.sketches import PartStats
-from fastpasta_ray.sources.parquet import cluster_cpus, file_groups, part_of, sequence_files
-from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles, validate_task
 
 
 @dataclass
@@ -64,30 +72,27 @@ class CheckResult:
 def collect_table(refs: list, schema: pa.Schema) -> pa.Table:
     """Fetch pass 1's per-task tables (small: violations are capped per
     partition) into one Arrow table on the driver."""
-    tables = [t.cast(schema) for t in ray.get(refs) if t.num_rows]
+    tables = [t for t in ray.get(refs) if t.num_rows]
     return pa.concat_tables(tables) if tables else schema.empty_table()
 
 
+# fpbench/tracing.py wraps this name on every benchmark run and may not change with the engine
 def _split_sentinel(
-    out: pa.Table,
-) -> tuple[pa.Table, dict[str, PartStats], dict[str, dict]]:
-    is_stats = pc.equal(out["code"], pa.scalar(S.STATS_SENTINEL))
-    stats_rows = out.filter(is_stats)
-    violations = out.filter(pc.invert(is_stats))
+    records: list[tuple[str, PartStats, dict | None]],
+) -> tuple[dict[str, PartStats], dict[str, dict]]:
+    """Fold ``(part, PartStats, drift_metrics)`` records — pass 1's and the
+    checkpoint's alike — into per-partition stats (a repeated part's
+    stats merge) and drift metrics."""
     stats_by_part: dict[str, PartStats] = {}
     drift_by_part: dict[str, dict] = {}
-    for part, msg in zip(
-        stats_rows["part"].to_pylist(), stats_rows["message"].to_pylist()
-    ):
-        wrapper = json.loads(msg)
-        ps = PartStats.from_json(wrapper["stats"])
-        if wrapper.get("drift") is not None:
-            drift_by_part[part] = wrapper["drift"]
+    for part, ps, drift in records:
         if part in stats_by_part:
             stats_by_part[part].merge(ps)
         else:
             stats_by_part[part] = ps
-    return violations, stats_by_part, drift_by_part
+        if drift is not None:
+            drift_by_part[part] = drift
+    return stats_by_part, drift_by_part
 
 
 def run_check(
@@ -127,22 +132,19 @@ def run_check(
     n_parts = plan_exchange(files, manifest_path) if with_key_checks and files else 0
     budget = None
     if cfg.max_errors_global is not None:
-        from fastpasta_ray.stages.validate import ErrorBudget
-
         budget = ErrorBudget.remote(cfg.max_errors_global)
     validator = ray.put(
         ValidateFiles(cfg, reference_profile, checkpoint_dir=out_dir, error_budget=budget)
     )
+    # each task returns [violations, records, *shards]
     outs = [
-        validate_task.options(num_returns=1 + n_parts).remote(
+        validate_task.options(num_returns=2 + n_parts).remote(
             validator, [files[i] for i in idxs], idxs, n_parts
         )
         for idxs in file_groups(todo, cluster_cpus())
     ]
-    # num_returns=1 yields a bare ref, else [table, *shards]
-    outs = [o if isinstance(o, list) else [o] for o in outs]
-    out_t = collect_table([o[0] for o in outs], S.VIOLATIONS_SCHEMA)
-    violations, stats_by_part, drift_metrics = _split_sentinel(out_t)
+    violations = collect_table([o[0] for o in outs], S.VIOLATIONS_SCHEMA)
+    records = [r for rs in ray.get([o[1] for o in outs]) for r in rs]
     # stopped_early reflects whether PASS 1 actually stopped validating
     # partitions — captured before key-check counts are added (a clean
     # pass 1 followed by many key-check violations must not claim the run
@@ -156,17 +158,15 @@ def run_check(
         violations.filter(pc.equal(violations["code"], S.E_SCHEMA))["part"].to_pylist()
     )
     if with_key_checks and any(part_of(f) not in rejected for f in files):
-        from fastpasta_ray.stages.validate import _filter_codes
-
         # pass 2: the exchange's reduce and recovery over pass 1's shards;
         # only partitions pass 1 did not reach in this run (committed
         # earlier, or skipped by the global budget) are read again
-        reached = set(stats_by_part) | rejected
+        reached = {part for part, _, _ in records} | rejected
         kv_t = _filter_codes(
             key_checks(
                 files, manifest_path,
                 batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
-                n_parts=n_parts, seq_shards=[o[1:] for o in outs],
+                n_parts=n_parts, seq_shards=[o[2:] for o in outs],
                 in_shards=[i for i, f in enumerate(files) if part_of(f) in reached],
             ),
             cfg.enabled_codes,
@@ -184,10 +184,10 @@ def run_check(
     # see ValidateFiles — so a killed run keeps all finished partitions;
     # key-check violations are global and never checkpointed)
     if store is not None and committed:
-        v_prev, s_prev, d_prev = store.load_committed(committed)
+        v_prev, r_prev = store.load_committed(committed)
         violations = pa.concat_tables([violations, v_prev])
-        stats_by_part.update(s_prev)
-        drift_metrics.update(d_prev)
+        records += r_prev
+    stats_by_part, drift_metrics = _split_sentinel(records)
 
     # ---- sort violations by position (O2 analog: error_stats.rs:36-47) ---
     # doc_id breaks the ties the position leaves (every E701 row sits at

@@ -127,10 +127,6 @@ ALL_CODES = (
     E_DRIFT_PSI, E_DRIFT_KS,
 )
 
-# sentinel code used to carry serialized per-batch partial stats through the
-# single-pass validation output (filtered out of the violations view)
-STATS_SENTINEL = "__STATS__"
-
 
 def source_set(sources) -> pa.Array:
     """Value set for :func:`source_mask` — build once per file/stage."""
@@ -156,6 +152,63 @@ def format_message(code: str, detail: str) -> str:
     assembled by :func:`display_line`.
     """
     return f"[{code}] {detail}"
+
+
+def violations(part, row_index, doc_id, code, column, detail) -> pa.Table:
+    """The one violation-record builder: a VIOLATIONS_SCHEMA table, one row
+    per detail. Each argument is an array (or list) with one value per row,
+    or a scalar broadcast to every row; with only scalars it is one row.
+    ``message`` is :func:`format_message` of each row's code and detail. No
+    row gives the typed empty table."""
+    cols = (part, row_index, doc_id, code, column, detail)
+    n = next((len(c) for c in cols if not _is_scalar(c)), 1)
+    if n == 0:
+        return VIOLATIONS_SCHEMA.empty_table()
+    code, detail = ([c] * n if _is_scalar(c) else c for c in (code, detail))
+    message = [format_message(c, d) for c, d in zip(code, detail)]
+    return pa.Table.from_arrays(
+        [
+            _column(v, f.type, n)
+            for v, f in zip((part, row_index, doc_id, code, column, message), VIOLATIONS_SCHEMA)
+        ],
+        schema=VIOLATIONS_SCHEMA,
+    )
+
+
+def batch_violations(batch: pa.Table, rows, code, column, detail) -> pa.Table:
+    """:func:`violations` at positions ``rows`` of a SEQUENCES_POS batch:
+    ``part``, ``row_index`` and ``doc_id`` are gathered with one ``take``
+    per column."""
+    if not len(rows):
+        return VIOLATIONS_SCHEMA.empty_table()
+    idx = pa.array(rows, type=pa.int64())
+    part, row_index, doc_id = (batch[c].take(idx) for c in ("part", "row_index", "doc_id"))
+    return violations(part, row_index, doc_id, code, column, detail)
+
+
+def rule_rows(hits: list) -> tuple:
+    """One check function's per-rule hits, each ``(rows, code, column,
+    details)``, as the row-aligned ``(rows, code, column, detail)`` that
+    :func:`batch_violations` takes, rule after rule."""
+    import numpy as np
+
+    rows, code, column, detail = [np.empty(0, np.int64)], [], [], []
+    for r, c, col, d in hits:
+        rows.append(np.asarray(r, dtype=np.int64))
+        code += [c] * len(r)
+        column += [col] * len(r)
+        detail += d
+    return np.concatenate(rows), code, column, detail
+
+
+def _is_scalar(v) -> bool:
+    return v is None or isinstance(v, (str, int))
+
+
+def _column(v, type_: pa.DataType, n: int):
+    if _is_scalar(v):
+        return pa.nulls(n, type_) if v is None else pa.array([v] * n, type=type_)
+    return v if isinstance(v, (pa.Array, pa.ChunkedArray)) else pa.array(v, type=type_)
 
 
 def display_line(part: str, row_index: int, code: str, detail: str) -> str:

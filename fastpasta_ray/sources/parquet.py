@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -116,7 +117,7 @@ def iter_file_batches(
 
 def file_groups(todo: list[int], cpus: int) -> list[list[int]]:
     """Contiguous groups of file indexes, one per task: at most ``4 × cpus``
-    tasks, so each task's fixed cost (for pass 1, its ``1 + n_parts``
+    tasks, so each task's fixed cost (for pass 1, its ``2 + n_parts``
     returned objects) amortizes over several files once files outnumber
     cores."""
     k = min(len(todo), 4 * cpus)
@@ -212,10 +213,18 @@ def write_blocks(side, out_dir: str) -> int:
     parquet file per block (``part-00000.parquet``, ...), each from its own
     raw task that applies the side's view first; returns the rows written,
     summed from the tasks' returns. A side with no rows still leaves typed
-    zero-row files."""
+    zero-row files. Once every task has committed, the ``part-*.parquet``
+    files an earlier, larger write left at or above this write's block
+    count are removed, so a re-run into the same directory reads back only
+    its own rows; every other file is left alone."""
     os.makedirs(out_dir, exist_ok=True)
     pre = ray.put(side.pre) if side.pre is not None else None
-    return sum(ray.get([
+    rows = sum(ray.get([
         _write_block.remote(pre, r, os.path.join(out_dir, f"part-{i:05d}.parquet"))
         for i, r in enumerate(side.refs)
     ]))
+    for name in os.listdir(out_dir):
+        m = re.fullmatch(r"part-(\d{5}|[1-9]\d{5,})\.parquet", name)
+        if m and int(m.group(1)) >= len(side.refs):
+            os.remove(os.path.join(out_dir, name))
+    return rows

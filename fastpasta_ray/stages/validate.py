@@ -16,11 +16,11 @@ group of files), which streams the file's row batches in order, runs
     exchange (checks/key_checks.py),
 
 and yields violation tables as it goes (capped per partition, so bounded
-memory). At file end it emits ONE sentinel row carrying the serialized
-PartStats — so a single read of each partition produces the violations
-table, the stats partials (the reference's stats channel, but
-data-parallel and mergeable instead of a single consumer) and the
-key-check shards.
+memory). At file end it hands back one typed ``(part, PartStats,
+drift_metrics)`` record — so a single read of each partition produces the
+violations table, the stats partials (the reference's separate stats
+channel, but data-parallel and mergeable instead of a single consumer)
+and the key-check shards, each as its own task return.
 
 Violations per partition are capped (``max_errors_per_part``) — the
 documented divergence from the reference's global ``max_tolerate_errors``
@@ -172,31 +172,15 @@ class ValidateFiles:
         # accumulation); a killed run keeps every finished partition
         self.checkpoint_dir = checkpoint_dir
 
-    @staticmethod
-    def _schema_violation(part: str, detail: str) -> pa.Table:
-        return pa.table(
-            {
-                "part": pa.array([part], type=pa.string()),
-                "row_index": pa.array([-1], type=pa.int64()),
-                "doc_id": pa.array([None], type=pa.string()),
-                "code": pa.array([S.E_SCHEMA], type=pa.string()),
-                "column": pa.array(["__schema__"], type=pa.string()),
-                "message": pa.array(
-                    [S.format_message(S.E_SCHEMA, f"schema mismatch: {detail}")],
-                    type=pa.string(),
-                ),
-            },
-            schema=S.VIOLATIONS_SCHEMA,
-        )
-
     def validate_files(self, paths: list[str], part_idxs: list[int], n_parts: int):
-        """One pass-1 task: validate ``paths`` in order and return their
-        violations-plus-sentinel table. With ``n_parts`` > 0 (key checks
-        on) it returns ``1 + n_parts`` values: the table, then one
-        ``(h, loc, n_tok)`` key-check shard per reduce task, built from the
-        batches ``validate_file`` already decoded — so the exchange needs
-        no second read of these files."""
-        tables, tagged = [], []
+        """One pass-1 task: validate ``paths`` in order and return
+        ``(violations, records, *shards)``: their violations table, one
+        ``(part, PartStats, drift_metrics)`` record per validated file,
+        and, with ``n_parts`` > 0 (key checks on), one ``(h, loc, n_tok)``
+        key-check shard per reduce task, built from the batches
+        ``validate_file`` already decoded — so the exchange needs no second
+        read of these files."""
+        tables, records, tagged = [], [], []
         for path, part_idx in zip(paths, part_idxs):
             if self.error_budget is not None and ray.get(
                 self.error_budget.exceeded.remote()
@@ -207,25 +191,24 @@ class ValidateFiles:
                 # the exchange reads the skipped ones itself
                 break
             keys = [] if n_parts else None
-            tables.extend(self.validate_file(path, keys))
+            tables.extend(self.validate_file(path, keys, records))
             base = np.int64(part_idx) << kc.ROW_BITS
             tagged.extend((h, base | row_index, ntok) for h, row_index, ntok in keys or ())
-        out = (
-            pa.concat_tables([t.cast(S.VIOLATIONS_SCHEMA) for t in tables])
-            if tables
-            else S.VIOLATIONS_SCHEMA.empty_table()
-        )
+        out = pa.concat_tables(tables) if tables else S.VIOLATIONS_SCHEMA.empty_table()
         if not n_parts:
-            return out
-        shards = kc._shards_of(tagged, n_parts)
-        return (out, shards) if n_parts == 1 else (out, *shards)
+            return out, records
+        shards = kc._shards_of(tagged, n_parts)  # a bare table when n_parts == 1
+        return (out, records, shards) if n_parts == 1 else (out, records, *shards)
 
-    def validate_file(self, path: str, keys: list | None = None) -> Iterator[pa.Table]:
-        """Validate one partition file, yielding violation tables and, last,
-        its stats sentinel row. ``keys``, when a list, receives each
-        batch's key-check rows as ``(h, row_index, n_tok)`` arrays: the
-        rows ``key_checks._keyed`` admits, after the source filter, with
-        the doc_id hash the HLL uses."""
+    def validate_file(
+        self, path: str, keys: list | None = None, records: list | None = None
+    ) -> Iterator[pa.Table]:
+        """Validate one partition file, yielding its violation tables.
+        ``keys``, when a list, receives each batch's key-check rows
+        (``key_checks._key_rows``) after the source filter; ``records``,
+        when a list, receives the file's ``(part, PartStats,
+        drift_metrics)`` once the file is done. A file rejected with E14
+        adds no record."""
         cfg = self.cfg
         stats = PartStats(vocab=cfg.vocab, has_payload=cfg.read_payload)
         # running fatal-segment headers for THIS partition (APE ladder
@@ -253,36 +236,33 @@ class ValidateFiles:
         from fastpasta_ray.schema import SEQUENCES_SCHEMA
         from fastpasta_ray.sources.parquet import part_of as _part_of
 
+        # the partition name comes from the path, never from a batch: a
+        # zero-row file has none, and a "?" fallback would collide commit
+        # records across empty files and rerun them on every resume (ADVICE r1)
+        part = _part_of(path)
         try:
             file_schema = _pq.read_schema(path)
         except Exception as exc:  # unreadable file → schema violation too
-            yield self._schema_violation(_part_of(path), f"unreadable parquet file: {exc}")
-            return
-        want = {f.name: f.type for f in SEQUENCES_SCHEMA}
-        if not cfg.read_payload:
-            want = {k: v for k, v in want.items() if k != "tokens"}
-        got = {n: file_schema.field(n).type for n in file_schema.names if n in want}
-        missing = [n for n in want if n not in file_schema.names]
-        wrong = [n for n, t in got.items() if t != want[n]]
-        if missing or wrong:
-            detail = []
-            if missing:
-                detail.append(f"missing columns {missing}")
+            problem = [f"unreadable parquet file: {exc}"]
+        else:
+            want = {f.name: f.type for f in SEQUENCES_SCHEMA}
+            if not cfg.read_payload:
+                want = {k: v for k, v in want.items() if k != "tokens"}
+            got = {n: file_schema.field(n).type for n in file_schema.names if n in want}
+            missing = [n for n in want if n not in file_schema.names]
+            wrong = {n: f"{t} != {want[n]}" for n, t in got.items() if t != want[n]}
+            problem = [f"missing columns {missing}"] if missing else []
             if wrong:
-                detail.append(
-                    "wrong types "
-                    + str({n: f"{got[n]} != {want[n]}" for n in wrong})
-                )
-            yield self._schema_violation(_part_of(path), "; ".join(detail))
+                problem.append(f"wrong types {wrong}")
+        if problem:
+            yield S.violations(
+                part, -1, None, S.E_SCHEMA, "__schema__", f"schema mismatch: {'; '.join(problem)}"
+            )
             return
         columns = None if cfg.read_payload else ["doc_id", "n_tok", "source"]
         src_set = (
             S.source_set(cfg.filter_sources) if cfg.filter_sources is not None else None
         )
-        # the partition name comes from the path, never from a batch: a
-        # zero-row file has none, and a "?" fallback would collide commit
-        # records across empty files and rerun them on every resume (ADVICE r1)
-        part = _part_of(path)
         for batch in iter_file_batches(path, columns, cfg.batch_rows):
             if src_set is not None:
                 # scope the whole analysis to the filtered sources; the
@@ -311,30 +291,27 @@ class ValidateFiles:
             ntok = one_chunk(batch["n_tok"]).to_numpy(zero_copy_only=False)
             stats.n_tok_hist.add(ntok)
             stats.source_hist.add_arrow(one_chunk(batch["source"]))
-            doc_id = one_chunk(batch["doc_id"])
-            h = hash_strings(doc_id)
+            h = hash_strings(one_chunk(batch["doc_id"]))
             stats.hll.add_hashes(h)
             if keys is not None:
-                keyed = kc._keyed(doc_id).to_numpy(zero_copy_only=False)
-                row_index = one_chunk(batch["row_index"]).to_numpy()
-                keys.append((h[keyed], row_index[keyed], ntok[keyed].astype(np.int64)))
-            # --- checks ----------------------------------------------------
+                keys.append(kc._key_rows(batch, h))
+            # --- checks: every check's table, concatenated once ------------
             if emitted < cfg.max_errors_per_part:
-                v = run_row_checks(
-                    batch,
-                    vocab=cfg.vocab,
-                    source_domain=cfg.source_domain,
-                    flat_vals=vals,
-                    flat_minmax=minmax,
-                )
+                checks = [
+                    run_row_checks(
+                        batch,
+                        vocab=cfg.vocab,
+                        source_domain=cfg.source_domain,
+                        flat_vals=vals,
+                        flat_minmax=minmax,
+                    )
+                ]
                 if cfg.read_payload and (
                     cfg.bos_id is not None or cfg.eos_id is not None or cfg.pad_id is not None
                 ):
                     from fastpasta_ray.checks.grammar import run_grammar_checks
 
-                    gv = run_grammar_checks(batch, cfg.grammar)
-                    if gv.num_rows:
-                        v = pa.concat_tables([v, gv])
+                    checks.append(run_grammar_checks(batch, cfg.grammar))
                 if cfg.read_payload and cfg.segment_delim_id is not None:
                     from fastpasta_ray.checks.segments import run_segment_checks
 
@@ -354,23 +331,16 @@ class ValidateFiles:
                         # in the report via PartStats
                         fatal_heads = frozenset(fatal_heads | set(new_fatal))
                         stats.fatal_segments |= set(new_fatal)
-                    if sv.num_rows:
-                        v = pa.concat_tables([v, sv])
+                    checks.append(sv)
                 if cfg.extra.get("custom_checks"):
                     from fastpasta_ray.checks.registry import run_custom_checks
 
-                    cv = run_custom_checks(batch, cfg)
-                    if cv.num_rows:
-                        v = pa.concat_tables([v, cv])
+                    checks.append(run_custom_checks(batch, cfg))
                 if running is not None:
-                    rv = running.check_batch(batch)
-                    if rv.num_rows:
-                        v = pa.concat_tables([v, rv])
-                v = _filter_codes(v, cfg.enabled_codes)
+                    checks.append(running.check_batch(batch))
+                v = _filter_codes(pa.concat_tables(checks), cfg.enabled_codes)
                 if v.num_rows:
-                    room = cfg.max_errors_per_part - emitted
-                    if v.num_rows > room:
-                        v = v.slice(0, room)
+                    v = v.slice(0, cfg.max_errors_per_part - emitted)
                     emitted += v.num_rows
                     if self.checkpoint_dir is not None:
                         own_violations.append(v)
@@ -433,28 +403,13 @@ class ValidateFiles:
                 else S.VIOLATIONS_SCHEMA.empty_table()
             )
             store.commit_part(part, path, pv, stats, drift_metrics)
-        # --- one sentinel row per file carrying the serialized partials ----
-        import json as _json
-
-        yield pa.table(
-            {
-                "part": pa.array([part], type=pa.string()),
-                "row_index": pa.array([-1], type=pa.int64()),
-                "doc_id": pa.array([None], type=pa.string()),
-                "code": pa.array([S.STATS_SENTINEL], type=pa.string()),
-                "column": pa.array([""], type=pa.string()),
-                "message": pa.array(
-                    [_json.dumps({"stats": stats.to_json(), "drift": drift_metrics})],
-                    type=pa.string(),
-                ),
-            },
-            schema=S.VIOLATIONS_SCHEMA,
-        )
+        if records is not None:
+            records.append((part, stats, drift_metrics))
 
 
 @ray.remote
 def validate_task(validator: ValidateFiles, paths: list[str], part_idxs: list[int],
                   n_parts: int):
-    """Pass 1 as a raw Ray task (``num_returns=1 + n_parts`` when key
-    checks are on): see ``ValidateFiles.validate_files``."""
+    """Pass 1 as a raw Ray task (``num_returns=2 + n_parts``, ``n_parts``
+    = 0 when key checks are off): see ``ValidateFiles.validate_files``."""
     return validator.validate_files(paths, part_idxs, n_parts)

@@ -56,19 +56,18 @@ class CheckpointStore:
 
     def load_committed(
         self, committed: dict[str, dict]
-    ) -> tuple[pa.Table, dict[str, PartStats], dict[str, dict]]:
-        tables = []
-        stats: dict[str, PartStats] = {}
-        drift: dict[str, dict] = {}
+    ) -> tuple[pa.Table, list[tuple[str, PartStats, dict | None]]]:
+        """The committed partitions' violations, and one ``(part,
+        PartStats, drift_metrics)`` record per partition — the record pass
+        1 returns for a partition it validates."""
+        tables, records = [], []
         for part, rec in committed.items():
             vp = os.path.join(self.violations_dir, f"{part}.parquet")
             if os.path.exists(vp):
-                tables.append(pq.read_table(vp, schema=S.VIOLATIONS_SCHEMA))
-            stats[part] = PartStats.from_json(rec["stats"])
-            if rec.get("drift") is not None:
-                drift[part] = rec["drift"]
+                tables.append(pq.read_table(vp))
+            records.append((part, PartStats.from_json(rec["stats"]), rec.get("drift")))
         v = pa.concat_tables(tables) if tables else S.VIOLATIONS_SCHEMA.empty_table()
-        return v, stats, drift
+        return v, records
 
     def commit_part(
         self,

@@ -45,7 +45,7 @@ def _exact_dedup_case():
 
 
 def test_minhash_estimates_jaccard():
-    from fastpasta_ray.functions.dedup import MinHasher, _shingle_hashes, ngram_jaccard
+    from fastpasta_ray.functions.dedup import MinHasher, ngram_jaccard
 
     a = "the quick brown fox jumps over the lazy dog and runs far away home"
     b = "the quick brown fox jumps over the lazy cat and runs far away home"

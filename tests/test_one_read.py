@@ -72,7 +72,7 @@ def test_pass1_shards_equal_the_tagged_map_read(tmp_path, filter_sources):
                               for i in range(3)))
         for n_parts in (1, 3):
             out = ValidateFiles(cfg).validate_files([path], [part_idx], n_parts)
-            shards = out[1:]
+            shards = out[2:]
             assert len(shards) == n_parts
             for p, s in enumerate(shards):
                 h = s["h"].to_numpy()
@@ -83,7 +83,7 @@ def test_pass1_shards_equal_the_tagged_map_read(tmp_path, filter_sources):
                 assert np.array_equal(g, w)
             assert (len(got[0]) == 0) == (path == empty)
     # the edited partition really dropped its NULL and empty doc_ids
-    t = ValidateFiles(cfg).validate_files([files[1]], [1], 1)[1]
+    t = ValidateFiles(cfg).validate_files([files[1]], [1], 1)[2]
     rows = t["loc"].to_numpy() & ((1 << K.ROW_BITS) - 1)
     assert not {3, 5, 9, 200} & set(rows.tolist())
     # and the zero-row partition goes through a whole run

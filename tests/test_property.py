@@ -492,7 +492,7 @@ def test_word_ngram_sets_match_naive(docs, n):
 
 @given(st.lists(st.text(alphabet="abcdef ", min_size=0, max_size=40), min_size=1, max_size=6))
 def test_simhash_vectorized_matches_naive(texts):
-    from fastpasta_ray.functions.dedup import SimHasher, _shingle_hashes
+    from fastpasta_ray.functions.dedup import SimHasher
 
     t = pa.table(
         {
@@ -503,7 +503,9 @@ def test_simhash_vectorized_matches_naive(texts):
     got = SimHasher(5)(t)["simhash"].to_numpy(zero_copy_only=False)
     # naive per-doc reference (the round-1 implementation)
     bits = (np.uint64(1) << np.arange(64, dtype=np.uint64))[None, :]
-    for i, sh in enumerate(_shingle_hashes(texts, 5)):
+    flat, off = _shingle_hashes_flat(texts, 5)
+    for i in range(len(texts)):
+        sh = np.unique(flat[off[i] : off[i + 1]])
         votes = ((sh[:, None] & bits) != 0).sum(axis=0) * 2 - len(sh)
         exp = np.sum((votes > 0) * bits[0], dtype=np.uint64)
         assert got[i] == exp, texts[i]

@@ -98,6 +98,25 @@ def test_read_blocks_empty_files_and_schema_mismatch(tmp_path):
         P.read_blocks(str(bad))
 
 
+def test_write_blocks_rerun_with_fewer_blocks(tmp_path):
+    """A re-run into the same directory with fewer blocks removes the
+    writer's own ``part-NNNNN.parquet`` files its write did not replace,
+    so ``read_blocks`` reads back only the new rows; other files stay."""
+    import pyarrow as pa
+
+    t = pa.table({"a": pa.array(range(10), pa.int64())})
+    out = str(tmp_path / "out")
+    assert P.write_blocks(Blocks([ray.put(t.slice(0, 5)), ray.put(t.slice(5))], t.schema, 10),
+                          out) == 10
+    keep = os.path.join(out, "_keep.parquet")
+    with open(keep, "w") as f:
+        f.write("not this writer's")
+    assert P.write_blocks(Blocks([ray.put(t.slice(0, 3))], t.schema, 3), out) == 3
+    assert sorted(os.listdir(out)) == ["_keep.parquet", "part-00000.parquet"]
+    got = P.read_blocks(out)
+    assert sum(b.num_rows for b in ray.get(got.refs)) == 3
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 32])
 def test_capped_queries_layout_independent(monkeypatch, cpus):
     """The same oracle answer whatever block count the cap picks (1 and 2
