@@ -149,11 +149,6 @@ def drop_exact_dups(
 # shingling + MinHash
 # ---------------------------------------------------------------------------
 
-# moved to sketches.utf8_parts (shared with hash_strings); alias kept for
-# in-module callers and tests
-_utf8_parts = utf8_parts
-
-
 def _shingle_hashes_flat(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """All docs' k-char-shingle hashes as one flat array + doc offsets.
 
@@ -161,7 +156,7 @@ def _shingle_hashes_flat(texts, k: int = 5) -> tuple[np.ndarray, np.ndarray]:
     window, one polynomial pass — no per-doc numpy calls. Shingles are NOT
     deduped per doc (a weighted-Jaccard approximation); dedup per doc would
     cost a per-doc unique() loop for marginal accuracy."""
-    buf, lens = _utf8_parts(texts)
+    buf, lens = utf8_parts(texts)
     n_texts = len(lens)
     # global sliding window, then drop windows that straddle doc boundaries
     if len(buf) < k:
@@ -263,31 +258,22 @@ def _pair_intersection_counts(
     """|A∩B| per pair from concatenated (pair, value) rows of both sides'
     UNIQUE sets: a value under one pair index occurring twice is in both.
 
-    Primary path: polars hash-groupby (O(n), multithreaded — 18× the
-    numpy lexsort on the 5M-row bench shape, and the lexsort was the
-    pipeline's throttle-sensitive hot spot). Fallback: lexsort
-    adjacent-duplicate counting."""
-    try:
-        import polars as pl
+    One polars hash-groupby (O(n), multithreaded — 18× the numpy lexsort
+    on the 5M-row bench shape, and the lexsort was the pipeline's
+    throttle-sensitive hot spot)."""
+    import polars as pl
 
-        g = (
-            pl.DataFrame({"p": pair_of, "v": vals})
-            .group_by(["p", "v"])
-            .len()
-            .filter(pl.col("len") >= 2)
-            .group_by("p")
-            .len()
-        )
-        out = np.zeros(n_pairs, dtype=np.int64)
-        out[g["p"].to_numpy()] = g["len"].to_numpy()
-        return out
-    except ImportError:  # pragma: no cover - polars is a baked-in dependency
-        order = np.lexsort((vals, pair_of))
-        vs, ps = vals[order], pair_of[order]
-        dup = np.zeros(len(vs), dtype=bool)
-        if len(vs) > 1:
-            dup[1:] = (vs[1:] == vs[:-1]) & (ps[1:] == ps[:-1])
-        return np.bincount(ps[dup], minlength=n_pairs)
+    g = (
+        pl.DataFrame({"p": pair_of, "v": vals})
+        .group_by(["p", "v"])
+        .len()
+        .filter(pl.col("len") >= 2)
+        .group_by("p")
+        .len()
+    )
+    out = np.zeros(n_pairs, dtype=np.int64)
+    out[g["p"].to_numpy()] = g["len"].to_numpy()
+    return out
 
 
 def _segment_pair_indices(ks: np.ndarray, cap: int):

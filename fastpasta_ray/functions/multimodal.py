@@ -1,8 +1,7 @@
 """Multimodal column plumbing: opaque binary payloads + typed metadata.
 
-Image/audio decode libraries are NOT in this container, so the decode
-kernels are deterministic fakes / NotImplementedError stubs (clearly
-marked). The Ray-side plumbing is real and tested: schema, actor-pool
+No image or video codec library is a dependency, so the decode kernels
+are deterministic fakes (clearly marked). The Ray-side plumbing is real and tested: schema, actor-pool
 signatures, batch sizing for large binary payloads, output layout.
 
 At 100 TB the rules for binary columns: small ``batch_size`` (payload ×
@@ -50,18 +49,10 @@ def synth_media_table(n: int, seed: int = 42, payload_bytes: int = 4096) -> pa.T
 class ImageDecoder:
     """Actor-pool stage: decode image payloads → (h, w, c) arrays.
 
-    STUB: real decode requires PIL/opencv (not in this container). With
-    ``fake=True`` produces a deterministic pseudo-decode (hash-seeded pixel
-    stats) so downstream plumbing is testable end to end."""
-
-    def __init__(self, fake: bool = True):
-        self.fake = fake
-        # real impl: import PIL here (once per actor) — keeps the heavy
-        # codec setup out of the per-batch path
-        if not fake:
-            raise NotImplementedError(
-                "real image decode needs PIL/opencv — not available in this container"
-            )
+    STUB: real decode requires PIL/opencv (not a dependency), so this is a
+    deterministic pseudo-decode (payload byte stats) that keeps the
+    downstream plumbing testable end to end; a real one would import its
+    codec once in ``__init__``, out of the per-batch path."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         payloads = batch["payload"].to_pylist()
@@ -78,49 +69,6 @@ class ImageDecoder:
                 "pixels": pa.array((w * h).astype(np.int64)),
                 "mean_value": pa.array(np.round(means, 4)),
                 "std_value": pa.array(np.round(stds, 4)),
-            }
-        )
-
-
-class ImageResizer:
-    """Actor-pool stage: resize decoded images to (target, target).
-
-    The resize MATH is real (vectorized nearest-neighbor index gather);
-    only the byte→pixel decode is the deterministic fake (payload bytes
-    reshaped to height×width, truncated/padded) because no codec libs
-    exist in this container — swap ``_decode`` for PIL in production."""
-
-    def __init__(self, target: int = 32, fake: bool = True):
-        self.target = target
-        if not fake:
-            raise NotImplementedError(
-                "real image decode needs PIL/opencv — not available in this container"
-            )
-
-    def _decode(self, payload: bytes, w: int, h: int) -> np.ndarray:
-        a = np.frombuffer(payload, dtype=np.uint8)
-        need = w * h
-        if len(a) < need:
-            a = np.pad(a, (0, need - len(a)))
-        return a[:need].reshape(h, w)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        t = self.target
-        w = batch["width"].to_numpy(zero_copy_only=False)
-        h = batch["height"].to_numpy(zero_copy_only=False)
-        out_px = []
-        for p, wi, hi in zip(batch["payload"].to_pylist(), w, h):
-            img = self._decode(p, int(wi), int(hi))
-            yi = (np.arange(t) * hi // t).astype(np.int64)
-            xi = (np.arange(t) * wi // t).astype(np.int64)
-            out_px.append(img[np.ix_(yi, xi)].reshape(-1))
-        flat = np.concatenate(out_px) if out_px else np.zeros(0, dtype=np.uint8)
-        return pa.table(
-            {
-                "media_id": batch["media_id"],
-                "resized": pa.FixedSizeListArray.from_arrays(
-                    pa.array(flat, type=pa.uint8()), t * t
-                ),
             }
         )
 
@@ -157,33 +105,5 @@ class VideoFrameSampler:
                 "media_id": pa.array(out_id, type=pa.string()),
                 "frame_idx": pa.array(out_fidx, type=pa.int64()),
                 "frame_mean": pa.array(out_mean, type=pa.float64()),
-            }
-        )
-
-
-class AudioFrameSampler:
-    """Actor-pool stage: sample every Nth frame of an audio payload.
-
-    STUB decode (no soundfile/librosa here): treats payload bytes as PCM
-    u8; real impl swaps `_decode`."""
-
-    def __init__(self, every_n: int = 1000):
-        self.every_n = every_n
-
-    def _decode(self, payload: bytes) -> np.ndarray:
-        return np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_id, out_n, out_mean = [], [], []
-        for mid, p in zip(batch["media_id"].to_pylist(), batch["payload"].to_pylist()):
-            samples = self._decode(p)[:: self.every_n]
-            out_id.append(mid)
-            out_n.append(len(samples))
-            out_mean.append(float(np.round(samples.mean(), 6)) if len(samples) else 0.0)
-        return pa.table(
-            {
-                "media_id": pa.array(out_id, type=pa.string()),
-                "n_samples": pa.array(out_n, type=pa.int64()),
-                "mean_sample": pa.array(out_mean, type=pa.float64()),
             }
         )

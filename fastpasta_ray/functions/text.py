@@ -55,27 +55,6 @@ def quality_metrics(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return out
 
 
-class QualityScorer:
-    """Composite quality score in [0,1] from the metric columns. Weights
-    fixed at init."""
-
-    def __init__(self, min_len: int = 50, max_punct_ratio: float = 0.1):
-        self.min_len = min_len
-        self.max_punct_ratio = max_punct_ratio
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m = quality_metrics(batch)
-        length = m["n_chars_obs"].to_numpy(zero_copy_only=False).astype(np.float64)
-        punct = m["n_punct"].to_numpy(zero_copy_only=False).astype(np.float64)
-        space = m["n_space"].to_numpy(zero_copy_only=False).astype(np.float64)
-        len_score = np.clip(length / self.min_len, 0, 1)
-        punct_ok = np.where(length > 0, punct / np.maximum(length, 1), 0) <= self.max_punct_ratio
-        word_ratio = np.where(length > 0, space / np.maximum(length, 1), 0)
-        ws_score = np.clip(word_ratio / 0.12, 0, 1)  # ~1 space per 8 chars is "normal"
-        score = 0.5 * len_score + 0.3 * ws_score + 0.2 * punct_ok.astype(np.float64)
-        return m.append_column("quality_score", pa.array(np.round(score, 4)))
-
-
 class LangID:
     """Stopword-vote language ID. Stopword regexes are compiled once
     (init), applied vectorized per batch."""
@@ -143,37 +122,13 @@ def mean_word_length(batch: pa.Table, text_col: str = "text") -> pa.Table:
     return batch.append_column("mean_word_len", pa.array(mwl))
 
 
-# public PII patterns (emails, international-ish phone numbers) — the
-# standard scrub pass of a training-data pipeline
-PII_PATTERNS = (
-    (r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "[EMAIL]"),
-    (r"\+?[0-9][0-9()\-\s]{7,}[0-9]", "[PHONE]"),
-)
-
-
-def redact_pii(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Replace emails/phone numbers with placeholder tokens — vectorized
-    RE2 passes (pc.replace_substring_regex); adds ``text_redacted`` and a
-    per-row ``n_redactions`` count."""
-    t = batch[text_col]
-    orig_len = pc.utf8_length(t)
-    n_red = None
-    for pat, repl in PII_PATTERNS:
-        n = pc.count_substring_regex(t, pat)
-        n_red = n if n_red is None else pc.add(n_red, n)
-        t = pc.replace_substring_regex(t, pat, replacement=repl)
-    return batch.append_column("text_redacted", t).append_column(
-        "n_redactions", pc.cast(n_red, pa.int64())
-    )
-
-
 def fingerprint(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """64-bit document fingerprint (deterministic content hash) — the cheap
     exact-dup key. Fingerprints are PERSISTED (text-stats writes them as
     parquet) and compared across runs/nodes, so this deliberately uses the
     environment-independent segmented-FNV buffer hash, NOT hash_strings'
-    polars fast path (whose values depend on polars availability/version —
-    fine for in-job hashing, wrong for a persisted key; code-review r4).
+    polars hash (whose values may change across polars versions — fine for
+    in-job hashing, wrong for a persisted key; code-review r4).
     Still fully vectorized over the Arrow string buffer."""
     from fastpasta_ray.sketches import _hash_byte_rows, utf8_parts
 

@@ -48,13 +48,9 @@ from fastpasta_ray.stages.validate import (
     ErrorBudget,
     ValidateFiles,
     _filter_codes,
+    schema_violation,
     validate_task,
 )
-
-# codes produced by the global key-check exchange (never checkpointed —
-# they are cross-partition and recomputed every run)
-KEY_CODES = (S.E_DUP_DOCID, S.E_ORPHAN, S.E_MANIFEST_NTOK, S.E_EMPTY_DOC)
-
 
 @dataclass
 class CheckResult:
@@ -157,27 +153,42 @@ def run_check(
     rejected = set(
         violations.filter(pc.equal(violations["code"], S.E_SCHEMA))["part"].to_pylist()
     )
-    if with_key_checks and any(part_of(f) not in rejected for f in files):
-        # pass 2: the exchange's reduce and recovery over pass 1's shards;
-        # only partitions pass 1 did not reach in this run (committed
-        # earlier, or skipped by the global budget) are read again
-        reached = {part for part, _, _ in records} | rejected
-        kv_t = _filter_codes(
-            key_checks(
-                files, manifest_path,
-                batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
-                n_parts=n_parts, seq_shards=[o[2:] for o in outs],
-                in_shards=[i for i, f in enumerate(files) if part_of(f) in reached],
-            ),
-            cfg.enabled_codes,
-        )
-        if kv_t.num_rows:
-            violations = pa.concat_tables([violations, kv_t])
+    reached = {part for part, _, _ in records} | rejected
+    if with_key_checks:
+        # the exchange opens the partitions pass 1 did not reach in this
+        # run (committed earlier, or skipped by the global budget) first:
+        # they get pass 1's schema test here, and a failing one its E14
+        late = [
+            e14 for f in files
+            if part_of(f) not in reached
+            and (e14 := schema_violation(f, cfg.read_payload)) is not None
+        ]
+        if late:
+            violations = pa.concat_tables([violations, *late])
+            rejected |= {e14["part"][0].as_py() for e14 in late}
+            reached |= rejected
             if budget is not None:
-                # key-check violations count toward global_error_count too
-                # (ADVICE r2) — they arrive after pass 1 so they can never
-                # stop it and never flip stopped_early
-                ray.get(budget.add.remote(kv_t.num_rows))
+                ray.get(budget.add.remote(len(late)))
+        if any(part_of(f) not in rejected for f in files):
+            # pass 2: the exchange's reduce and recovery over pass 1's shards;
+            # only partitions pass 1 did not reach in this run (committed
+            # earlier, or skipped by the global budget) are read again
+            kv_t = _filter_codes(
+                key_checks(
+                    files, manifest_path,
+                    batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
+                    n_parts=n_parts, seq_shards=[o[2:] for o in outs],
+                    in_shards=[i for i, f in enumerate(files) if part_of(f) in reached],
+                ),
+                cfg.enabled_codes,
+            )
+            if kv_t.num_rows:
+                violations = pa.concat_tables([violations, kv_t])
+                if budget is not None:
+                    # key-check violations count toward global_error_count too
+                    # (ADVICE r2) — they arrive after pass 1 so they can never
+                    # stop it and never flip stopped_early
+                    ray.get(budget.add.remote(kv_t.num_rows))
 
     # ---- restore committed partitions from the checkpoint store ----------
     # (new partitions were committed IN-TASK the moment each finished —

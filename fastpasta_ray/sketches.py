@@ -6,9 +6,10 @@ them (fastpasta/src/stats/stats_collector.rs:34-56). Here every state is
 *mergeable* so partials combine in a tree (groupby().aggregate() or driver
 fold) — strictly better than a single-consumer channel at cluster scale.
 
-All hashing is deterministic across processes: a segmented FNV-polynomial +
-splitmix64 finisher over raw Arrow string buffers for strings (fixed
-constants), splitmix64 for ints.
+All hashing is deterministic across processes: polars' seeded xxhash for
+in-job string keys, a segmented FNV-polynomial + splitmix64 finisher over
+raw Arrow string buffers for persisted string keys (fixed constants),
+splitmix64 for ints.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ import pyarrow.compute as pc
 # parallelism unit is the task (Ray sets OMP_NUM_THREADS=1 per worker);
 # an uncapped polars would spawn num_cpus threads in EVERY worker.
 os.environ.setdefault("POLARS_MAX_THREADS", os.environ.get("OMP_NUM_THREADS", "8"))
-try:
-    import polars as pl
-
-    _HAS_POLARS = True
-except ImportError:  # pragma: no cover - polars is a baked-in dependency
-    pl = None
-    _HAS_POLARS = False
+import polars as pl  # noqa: E402 - after the thread cap above
 
 
 def one_chunk(col) -> pa.Array:
@@ -128,25 +123,20 @@ def hash_strings(arr) -> np.ndarray:
     objects (VERDICT r3 item 3; replaces the object-array pd.util.hash_array
     path — 7-12× measured on text/id columns).
 
-    Primary path: polars' SIMD xxhash over the Arrow buffer (fixed seed →
-    stable across processes for one polars build; hash values, never
-    persisted semantics, may change across polars upgrades — all consumers
-    compare hashes computed within one job). Fallback (no polars): a
-    segmented FNV-prime polynomial over 8-byte words read straight from the
-    Arrow string buffer + offsets, finalized with splitmix64 × row length.
-    Both paths are pure-buffer vectorized. Accepts pyarrow Array /
-    ChunkedArray, numpy object arrays, pandas Series, or Python lists.
-    Nulls hash like empty strings."""
+    polars' SIMD xxhash over the Arrow buffer (fixed seed → stable across
+    processes for one polars build; hash values, never persisted
+    semantics, may change across polars upgrades — all consumers compare
+    hashes computed within one job). Values that must persist use
+    :func:`_hash_byte_rows` instead. Accepts pyarrow Array / ChunkedArray,
+    numpy object arrays, pandas Series, or Python lists. Nulls hash like
+    empty strings."""
     if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
         arr = pa.array(["" if t is None else str(t) for t in arr], type=pa.string())
-    if _HAS_POLARS:
-        arr = pc.fill_null(arr, "")
-        out = pl.from_arrow(arr, rechunk=True)
-        if isinstance(out, pl.DataFrame):  # multi-chunk from_arrow edge
-            out = out.to_series()
-        return out.hash(seed=_HASH_SEED).to_numpy()
-    data, lens = utf8_parts(arr)
-    return _hash_byte_rows(data, lens)
+    arr = pc.fill_null(arr, "")
+    out = pl.from_arrow(arr, rechunk=True)
+    if isinstance(out, pl.DataFrame):  # multi-chunk from_arrow edge
+        out = out.to_series()
+    return out.hash(seed=_HASH_SEED).to_numpy()
 
 
 def _pows_u64(base: np.uint64, n: int) -> np.ndarray:

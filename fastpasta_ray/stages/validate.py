@@ -32,9 +32,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 import ray
 
@@ -43,7 +43,7 @@ from fastpasta_ray.checks import key_checks as kc
 from fastpasta_ray.checks.row_checks import run_row_checks
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.sketches import PartStats, hash_strings, one_chunk
-from fastpasta_ray.sources.parquet import iter_file_batches
+from fastpasta_ray.sources.parquet import iter_file_batches, part_of
 
 
 @dataclass
@@ -125,6 +125,38 @@ def _filter_codes(v: pa.Table, enabled: tuple | None) -> pa.Table:
     return v.filter(mask)
 
 
+def schema_violation(path: str, read_payload: bool = True) -> pa.Table | None:
+    """E14, the set-once schema check (G7 analog, rdh_stats.rs:41-73):
+    every partition file must carry the run schema (``tokens`` only when
+    the payload is read). A file that cannot be read or deviates fails as
+    a partition: the one E14 row returned here, and no further read of it
+    (per-partition fail, not global abort). None for a good file. Pass 1
+    tests each file it validates; ``run_check`` tests the files only the
+    key-check exchange would open."""
+    try:
+        file_schema = pq.read_schema(path)
+    except Exception as exc:  # unreadable file → schema violation too
+        problem = [f"unreadable parquet file: {exc}"]
+    else:
+        want = {f.name: f.type for f in S.SEQUENCES_SCHEMA}
+        if not read_payload:
+            want = {k: v for k, v in want.items() if k != "tokens"}
+        got = {n: file_schema.field(n).type for n in file_schema.names if n in want}
+        missing = [n for n in want if n not in file_schema.names]
+        wrong = {n: f"{t} != {want[n]}" for n, t in got.items() if t != want[n]}
+        problem = [f"missing columns {missing}"] if missing else []
+        if wrong:
+            problem.append(f"wrong types {wrong}")
+    if not problem:
+        return None
+    # the partition name comes from the path, never from a batch: a
+    # zero-row file has none
+    return S.violations(
+        part_of(path), -1, None, S.E_SCHEMA, "__schema__",
+        f"schema mismatch: {'; '.join(problem)}",
+    )
+
+
 @ray.remote(num_cpus=0)
 class ErrorBudget:
     """Global error counter (the reference's AtomicBool stop flag analog,
@@ -172,6 +204,17 @@ class ValidateFiles:
         # accumulation); a killed run keeps every finished partition
         self.checkpoint_dir = checkpoint_dir
 
+    def _spend(self, n: int) -> None:
+        """Partition-granular increment of the global budget by a finished
+        partition's violations: E14, or row/running AND drift-gate ones
+        (ADVICE r2; key-check violations are global and added by run_check
+        after the exchange). SYNCHRONOUS: a fire-and-forget add could still
+        be in the actor's mailbox when the driver reads totals after pass 1
+        finishes, undercounting and misreporting stopped_early; one
+        blocking RPC per partition is noise."""
+        if self.error_budget is not None and n:
+            ray.get(self.error_budget.add.remote(n))
+
     def validate_files(self, paths: list[str], part_idxs: list[int], n_parts: int):
         """One pass-1 task: validate ``paths`` in order and return
         ``(violations, records, *shards)``: their violations table, one
@@ -192,8 +235,7 @@ class ValidateFiles:
                 break
             keys = [] if n_parts else None
             tables.extend(self.validate_file(path, keys, records))
-            base = np.int64(part_idx) << kc.ROW_BITS
-            tagged.extend((h, base | row_index, ntok) for h, row_index, ntok in keys or ())
+            tagged.extend((h, kc._loc(part_idx, row), ntok) for h, row, ntok in keys or ())
         out = pa.concat_tables(tables) if tables else S.VIOLATIONS_SCHEMA.empty_table()
         if not n_parts:
             return out, records
@@ -227,38 +269,15 @@ class ValidateFiles:
         )
         emitted = 0
         own_violations: list[pa.Table] = []  # for the in-task commit
-        # --- E14: set-once schema check (G7 analog, rdh_stats.rs:41-73) —
-        # every partition file must carry the run schema; a deviating file
-        # fails as a partition (one violation) and is skipped, the run
-        # continues (per-partition fail, not global abort)
-        import pyarrow.parquet as _pq
-
-        from fastpasta_ray.schema import SEQUENCES_SCHEMA
-        from fastpasta_ray.sources.parquet import part_of as _part_of
-
+        e14 = schema_violation(path, cfg.read_payload)
+        if e14 is not None:
+            self._spend(1)
+            yield e14
+            return
         # the partition name comes from the path, never from a batch: a
         # zero-row file has none, and a "?" fallback would collide commit
         # records across empty files and rerun them on every resume (ADVICE r1)
-        part = _part_of(path)
-        try:
-            file_schema = _pq.read_schema(path)
-        except Exception as exc:  # unreadable file → schema violation too
-            problem = [f"unreadable parquet file: {exc}"]
-        else:
-            want = {f.name: f.type for f in SEQUENCES_SCHEMA}
-            if not cfg.read_payload:
-                want = {k: v for k, v in want.items() if k != "tokens"}
-            got = {n: file_schema.field(n).type for n in file_schema.names if n in want}
-            missing = [n for n in want if n not in file_schema.names]
-            wrong = {n: f"{t} != {want[n]}" for n, t in got.items() if t != want[n]}
-            problem = [f"missing columns {missing}"] if missing else []
-            if wrong:
-                problem.append(f"wrong types {wrong}")
-        if problem:
-            yield S.violations(
-                part, -1, None, S.E_SCHEMA, "__schema__", f"schema mismatch: {'; '.join(problem)}"
-            )
-            return
+        part = part_of(path)
         columns = None if cfg.read_payload else ["doc_id", "n_tok", "source"]
         src_set = (
             S.source_set(cfg.filter_sources) if cfg.filter_sources is not None else None
@@ -294,7 +313,9 @@ class ValidateFiles:
             h = hash_strings(one_chunk(batch["doc_id"]))
             stats.hll.add_hashes(h)
             if keys is not None:
-                keys.append(kc._key_rows(batch, h))
+                keys.append(kc._key_rows(
+                    one_chunk(batch["doc_id"]), one_chunk(batch["row_index"]).to_numpy(), ntok, h
+                ))
             # --- checks: every check's table, concatenated once ------------
             if emitted < cfg.max_errors_per_part:
                 checks = [
@@ -367,15 +388,7 @@ class ValidateFiles:
             drift_metrics = dm.get(part)
             if dv.num_rows and self.checkpoint_dir is not None:
                 own_violations.append(dv)
-        if self.error_budget is not None and (emitted or n_drift):
-            # partition-granular increment of the global budget — counts
-            # row/running AND drift-gate violations (ADVICE r2; key-check
-            # violations are global and added by run_check after the
-            # exchange). SYNCHRONOUS: a fire-and-forget add could still be
-            # in the actor's mailbox when the driver reads totals after the
-            # dataset finishes, undercounting and misreporting
-            # stopped_early; one blocking RPC per partition is noise.
-            ray.get(self.error_budget.add.remote(emitted + n_drift))
+        self._spend(emitted + n_drift)
         # --- commit this partition NOW (task-local, atomic) ----------------
         if self.checkpoint_dir is not None:
             from fastpasta_ray.state.checkpoint import CheckpointStore

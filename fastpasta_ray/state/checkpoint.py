@@ -41,10 +41,6 @@ class CheckpointStore:
         os.makedirs(self.violations_dir, exist_ok=True)
         os.makedirs(self.commits_dir, exist_ok=True)
 
-    @staticmethod
-    def part_of(path: str) -> str:
-        return os.path.splitext(os.path.basename(path))[0]
-
     def committed(self) -> dict[str, dict]:
         out = {}
         for fn in sorted(os.listdir(self.commits_dir)):

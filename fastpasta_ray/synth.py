@@ -280,7 +280,8 @@ def write_fixture(
         pq.write_table(t, path, row_group_size=row_group_size, use_dictionary=use_dict)
         info["parts"].append(path)
     if manifest:
-        # small row groups → the manifest can be read in parallel slices
+        # small row groups → the key-check exchange maps the manifest in
+        # parallel, one row-group range per CPU
         pq.write_table(
             pa.concat_tables(manifest_tables),
             os.path.join(out_dir, "_manifest.parquet"),

@@ -134,13 +134,10 @@ def test_lang_id_heuristic():
 
 
 def test_quality_and_token_count():
-    from fastpasta_ray.functions.text import QualityScorer, token_count
+    from fastpasta_ray.functions.text import token_count
 
     t = pa.table({"text": pa.array(["one two three", "a b"])})
     assert token_count(t)["n_words"].to_pylist() == [3, 2]
-    scored = QualityScorer(min_len=10)(t)
-    s = scored["quality_score"].to_pylist()
-    assert 0 <= s[1] <= s[0] <= 1
 
 
 def test_fingerprint_stable():
@@ -154,21 +151,16 @@ def test_fingerprint_stable():
 def test_multimodal_plumbing():
     from fastpasta_ray.functions.multimodal import (
         MEDIA_BATCH_KWARGS,
-        AudioFrameSampler,
         ImageDecoder,
         synth_media_table,
     )
 
     t = synth_media_table(64)
     ds = ray.data.from_arrow(t)
-    out = ds.map_batches(ImageDecoder(fake=True), **MEDIA_BATCH_KWARGS).to_pandas()
+    out = ds.map_batches(ImageDecoder(), **MEDIA_BATCH_KWARGS).to_pandas()
     assert len(out) == 64
     assert (out["pixels"] == 64 * 64).all()
     assert out["mean_value"].between(100, 155).all()  # uniform bytes ≈ 127.5
-    audio = ds.map_batches(AudioFrameSampler(every_n=100), **MEDIA_BATCH_KWARGS).to_pandas()
-    assert (audio["n_samples"] == 41).all()  # ceil(4096/100)
-    with pytest.raises(NotImplementedError):
-        ImageDecoder(fake=False)
 
 
 def test_sessionize():
@@ -292,24 +284,6 @@ def _asof_string_keys_case():
     assert out["tag"].notna().all()
 
 
-def test_redact_pii():
-    from fastpasta_ray.functions.text import redact_pii
-
-    t = docs_table(
-        [
-            "contact me at jane.doe@example.com or +1 (555) 123-4567 today",
-            "no pii here at all",
-            "two mails: a@b.io and c.d@e-f.org",
-        ]
-    )
-    out = redact_pii(t)
-    red = out["text_redacted"].to_pylist()
-    assert red[0] == "contact me at [EMAIL] or [PHONE] today"
-    assert red[1] == "no pii here at all"
-    assert red[2] == "two mails: [EMAIL] and [EMAIL]"
-    assert out["n_redactions"].to_pylist() == [2, 0, 2]
-
-
 def test_repetition_and_mean_word_length():
     from fastpasta_ray.functions.text import mean_word_length, repetition_metrics
 
@@ -323,20 +297,13 @@ def test_repetition_and_mean_word_length():
     assert abs(m["mean_word_len"][1].as_py() - 15 / 4) < 1e-12
 
 
-def test_multimodal_resize_and_video_sampler():
+def test_multimodal_video_sampler():
     from fastpasta_ray.functions.multimodal import (
         MEDIA_BATCH_KWARGS,
-        ImageResizer,
         VideoFrameSampler,
         synth_media_table,
     )
 
-    t = synth_media_table(6, payload_bytes=64 * 64)
-    ds = ray.data.from_arrow(t)
-    r = ds.map_batches(ImageResizer, fn_constructor_kwargs={"target": 8},
-                       concurrency=1, **MEDIA_BATCH_KWARGS).to_pandas()
-    assert len(r) == 6
-    assert all(len(x) == 64 for x in r["resized"])
     # video: payload = 4 frames of 64x64 → every 2nd frame sampled
     t2 = synth_media_table(2, payload_bytes=4 * 64 * 64)
     v = ray.data.from_arrow(t2).map_batches(

@@ -155,3 +155,118 @@ def test_budget_skipped_partitions_are_still_key_checked(tmp_path, monkeypatch):
     assert skipped, "the budget should have skipped partitions"
     assert sorted(spy.paths) == sorted(skipped)
     assert _key_rows(res.violations) == _key_rows(full.violations)
+
+
+def _e14_budget_fixture(tmp_path, bad_files: bool):
+    """4 partitions with 25 E70 each, a doc_id of part-0000 copied into
+    part-0003 (E80) and, with ``bad_files``, an unreadable ``part-0008``
+    (a good file cut in half) and a ``doc_id``/``tokens``-only
+    ``part-0009``: both sort after the partitions the budget lets pass 1
+    validate."""
+    d = str(tmp_path / ("bad" if bad_files else "good"))
+    write_fixture(d, SynthSpec(n_rows=300, n_parts=4, mean_n_tok=16), defect="bad_vocab",
+                  defect_k=25, defect_parts=(0, 1, 2, 3))
+    files = sequence_files(d)
+    first = pq.read_table(files[0], columns=["doc_id"])["doc_id"][0].as_py()
+    _set_doc_ids(files[3], {7: first})
+    if bad_files:
+        with open(files[0], "rb") as f:
+            raw = f.read()
+        with open(os.path.join(d, "part-0008.parquet"), "wb") as f:
+            f.write(raw[: len(raw) // 2])
+        pq.write_table(pq.read_table(files[0], columns=["doc_id", "tokens"]),
+                       os.path.join(d, "part-0009.parquet"))
+    return d, os.path.join(d, "_manifest.parquet")
+
+
+def test_budget_skipped_bad_partitions_get_e14(tmp_path, monkeypatch):
+    """A wrong-schema and an unreadable partition that the global budget
+    kept pass 1 from reaching get pass 1's E14 before the exchange would
+    open them (it used to raise ArrowInvalid in ``_map_seq_shard``), stay
+    out of the exchange, and count toward global_error_count; the key rows
+    equal those of the same budget run without them."""
+    from fastpasta_ray.pipelines import check
+
+    # one pass-1 task walks the files in order, so the budget stops it at
+    # part-0002 whatever the CPU count
+    monkeypatch.setattr(check, "file_groups", lambda todo, cpus: [todo])
+    cfg = CheckConfig(max_errors_global=50)
+    runs = {}
+    for bad in (False, True):
+        d, m = _e14_budget_fixture(tmp_path, bad)
+        spy = LaunchSpy(K._map_seq_shard)
+        monkeypatch.setattr(K, "_map_seq_shard", spy)
+        res = run_check(d, cfg, manifest_path=m)
+        assert res.report["stopped_early"] is True
+        assert res.report["global_error_count"] == res.violations.num_rows
+        runs[bad] = res.violations, sorted(spy.paths)
+    (good, good_reads), (bad, bad_reads) = runs[False], runs[True]
+    e14 = bad.filter(pc.equal(bad["code"], S.E_SCHEMA))
+    assert e14["part"].to_pylist() == ["part-0008", "part-0009"]
+    assert "unreadable parquet file" in e14["message"][0].as_py()
+    assert "missing columns ['n_tok', 'source']" in e14["message"][1].as_py()
+    assert bad_reads == good_reads == ["part-0003.parquet"]
+    assert {r[2] for r in _key_rows(good)} >= {"E80"}
+    assert _key_rows(bad) == _key_rows(good)
+
+
+def test_e14_counts_toward_the_global_budget(tmp_path):
+    """Pass 1's E14 counts toward global_error_count like every other
+    partition violation (it used to be reported but not counted)."""
+    d = str(tmp_path / "fix")
+    write_fixture(d, SynthSpec(n_rows=100, n_parts=3), defect="bad_vocab", defect_k=5)
+    pq.write_table(pa.table({"doc_id": ["x"]}), os.path.join(d, "part-0003.parquet"))
+    res = run_check(d, CheckConfig(max_errors_global=10_000),
+                    manifest_path=os.path.join(d, "_manifest.parquet"))
+    assert res.report["violations_by_code"]["E14"] == 1
+    assert res.report["global_error_count"] == res.violations.num_rows
+
+
+def _calls_by_function(path: str, match) -> set[str]:
+    """Names of the functions of a module whose code (docstrings and
+    comments aside) holds an AST node ``match`` accepts; "<module>" for
+    module-level code."""
+    import ast
+
+    tree = ast.parse(open(path).read())
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else owner
+            if match(child):
+                found.add(owner)
+            visit(child, name)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_loc_codec_and_unit_reads_have_one_home():
+    """Source guard: ``<< ROW_BITS``, ``>> ROW_BITS`` and ``MANIFEST_BASE +``
+    appear only in the position codec (``_loc``/``_unloc``) and in
+    ``plan_exchange``, anywhere in the package; in ``key_checks.py``,
+    parquet row reads appear only in the keyed-row cut and in
+    ``_read_rows_by_index``."""
+    import ast
+    import glob
+
+    def codec_op(node):
+        return isinstance(node, ast.BinOp) and (
+            isinstance(node.op, (ast.LShift, ast.RShift))
+            and "ROW_BITS" in ast.unparse(node.right)
+            or isinstance(node.op, ast.Add) and ast.unparse(node.left).endswith("MANIFEST_BASE")
+        )
+
+    def row_read(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in {
+            "read_row_groups", "read_row_group", "iter_batches", "iter_file_batches",
+            "read_table",
+        }
+
+    pkg = os.path.dirname(os.path.dirname(K.__file__))
+    for path in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
+        owners = _calls_by_function(path, codec_op)
+        allowed = {"_loc", "_unloc", "plan_exchange"} if path == K.__file__ else set()
+        assert owners <= allowed, (path, owners)
+    assert _calls_by_function(K.__file__, row_read) == {"_cut", "_read_rows_by_index"}

@@ -100,19 +100,25 @@ def _dup_fixture(tmp_path):
     )
 
 
-def _naive_violations(files, m):
+def _naive_violations(files, m, filter_sources=None):
     """(part, row_index, code) of all four key checks, computed per key in
-    plain Python from the files — NULL and empty doc_ids take part in none."""
+    plain Python from the files — NULL and empty doc_ids take part in none,
+    and with ``filter_sources`` neither do rows of other sources."""
+    def scoped(t):
+        return (filter_sources is None or s in filter_sources for s in t["source"].to_pylist())
+
     seq = []
     for i, f in enumerate(files):
-        t = pq.read_table(f, columns=["doc_id", "n_tok"])
-        for r, (did, n) in enumerate(zip(t["doc_id"].to_pylist(), t["n_tok"].to_pylist())):
-            if did:
+        t = pq.read_table(f, columns=["doc_id", "n_tok", "source"])
+        rows = zip(t["doc_id"].to_pylist(), t["n_tok"].to_pylist(), scoped(t))
+        for r, (did, n, keep) in enumerate(rows):
+            if did and keep:
                 seq.append((i, r, did, n))
-    man = pq.read_table(m, columns=["doc_id", "expected_n_tok"])
+    man = pq.read_table(m, columns=["doc_id", "expected_n_tok", "source"])
     exp: dict[str, int] = {}
-    for did, n in zip(man["doc_id"].to_pylist(), man["expected_n_tok"].to_pylist()):
-        if did:
+    for did, n, keep in zip(man["doc_id"].to_pylist(), man["expected_n_tok"].to_pylist(),
+                            scoped(man)):
+        if did and keep:
             exp[did] = min(n, exp.get(did, n))
     out, seen = set(), set()
     for i, r, did, n in sorted(seq):
@@ -134,21 +140,30 @@ def _rows(v):
                       v["message"].to_pylist()))
 
 
-def _layout_codes(d, m, monkeypatch):
-    """Run the key checks at 1, 3 and 8 reduce tasks; assert identical
-    violations, equal to a per-key reference; return the codes seen. (At the
-    suite's 4 CPUs the sizing rule picks 1, so this is what exercises the
-    multi-return path.)"""
+def _layout_codes(d, m, monkeypatch, filter_sources=None):
+    """Run the key checks at 1, 3 and 8 reduce tasks, each at 1, 3 and 8
+    CPUs (so the manifest maps as at most 1, 3 and 8 row-group ranges);
+    assert byte-identical violations per reduce task count, the same rows
+    at every count, equal to a per-key reference; return the codes seen.
+    (At the suite's 4 CPUs the sizing rule picks 1, so this is what
+    exercises the multi-return path.)"""
     from fastpasta_ray.sources.parquet import sequence_files
+    from tests.test_one_read import LaunchSpy
 
     files = sequence_files(d)
-    got = {}
+    got, map_manifest = {}, K._map_manifest_shard
     for n in (1, 3, 8):
         monkeypatch.setattr(K, "_reduce_task_count", lambda cpus, est, n=n: n)
-        got[n] = _rows(K.key_checks(files, m))
-    assert got[1] == got[3] == got[8]
-    assert {r[:3] for r in got[1]} == _naive_violations(files, m)
-    return {r[2] for r in got[1]}
+        for cpus in (1, 3, 8):
+            monkeypatch.setattr(K, "cluster_cpus", lambda cpus=cpus: cpus)
+            units = LaunchSpy(map_manifest)
+            monkeypatch.setattr(K, "_map_manifest_shard", units)
+            v = K.key_checks(files, m, filter_sources=filter_sources)
+            assert 1 <= len(units.paths) <= cpus
+            assert v.equals(got.setdefault(n, v))
+    assert _rows(got[1]) == _rows(got[3]) == _rows(got[8])
+    assert {r[:3] for r in _rows(got[1])} == _naive_violations(files, m, filter_sources)
+    return {r[2] for r in _rows(got[1])}
 
 
 def _run_check_layouts(d, m, monkeypatch):
@@ -199,10 +214,12 @@ def test_violations_independent_of_partition_count(fixture_many_rg, tmp_path, mo
     manifest-less partitions still give E71 orphans; through run_check also
     duplicates (E80) over five partitions."""
     tiny_manifest = _cut_manifest_fixture(tmp_path, "tiny_manifest", slice(0, 3))
+    assert pq.ParquetFile(tiny_manifest[1]).metadata.num_row_groups == 1
     codes = set()
     for d, m in (fixture_many_rg, tiny_manifest):
         codes |= _layout_codes(d, m, monkeypatch)
     assert codes == {"E71", "E72", "E701"}
+    assert _layout_codes(*fixture_many_rg, monkeypatch, filter_sources=("web", "code"))
     d = str(tmp_path / "five")
     write_fixture(d, SynthSpec(n_rows=200, n_parts=5), defect="bad_dup_doc_id", defect_k=3,
                   defect_parts=(1, 4))
