@@ -56,18 +56,11 @@ def tree_merge_stats(
 
 
 def build_profile(stats_by_part: dict[str, PartStats], violations_by_code: dict[str, int] | None = None) -> dict:
-    """Serializable reference profile (FIXTURES.md `reference_profile`).
-
-    Driver fold below ~256 partials, Ray-task tree-merge above (the
-    partials are associative mergeable sketches — SURVEY §4 stats-merge
-    topology, strictly better than the reference's single consumer)."""
-    blobs = [ps.to_json() for ps in stats_by_part.values()]
-    if len(blobs) > 256:
-        g = tree_merge_stats(blobs)
-    else:
-        g = PartStats()
-        for b in blobs:
-            g.merge(PartStats.from_json(b))  # deep copy then merge
+    """Serializable reference profile (FIXTURES.md `reference_profile`),
+    merged by :func:`tree_merge_stats` (the partials are associative
+    mergeable sketches — SURVEY §4 stats-merge topology, strictly better
+    than the reference's single consumer)."""
+    g = tree_merge_stats([ps.to_json() for ps in stats_by_part.values()])
     return {
         "row_count": g.row_count,
         "token_count": g.token_count,

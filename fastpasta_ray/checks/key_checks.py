@@ -32,10 +32,12 @@ Scale design (10^12 keys):
    hashed, so a fresh run reads each partition once. Every other map task
    reads its rows through ONE keyed-row cut (:func:`_cut`) of a unit — a
    file, a row-group range of it and its n_tok column: the partitions
-   pass 1 did not reach in this run (``_map_seq_shard``, whole files, a
-   group of them per task) and the manifest (``_map_manifest_shard``, at
-   most one contiguous row-group range per CPU, so its map parallelism is
-   per row group).
+   pass 1 did not reach in this run (``_map_seq_shard``, whole files) and
+   the manifest (``_map_manifest_shard``, row-group ranges, so its map
+   parallelism is per row group). Both sides are cut into at most one
+   unit group per CPU by ``sources.parquet.groups``, and the manifest's
+   row groups come from the footer the driver already read for
+   :func:`plan_exchange`.
 3. **Late string materialization.** Violations are detected as (h, loc,
    code) candidates — tiny, capped at hash-run boundaries — then doc_id
    strings are recovered by a targeted ROW-GROUP read of ONLY the
@@ -73,7 +75,8 @@ import ray
 from fastpasta_ray import schema as S
 from fastpasta_ray.exchange import _reduce_task_count, shard
 from fastpasta_ray.sketches import hash_strings
-from fastpasta_ray.sources.parquet import auto_batch_rows, cluster_cpus, part_of
+from fastpasta_ray.sources.parquet import auto_batch_rows, cluster_cpus, groups, part_of
+from fastpasta_ray.sources.parquet import read_footers
 
 logger = logging.getLogger(__name__)
 
@@ -442,19 +445,18 @@ def _cap_candidates(cands: pa.Table, cap: int) -> pa.Table:
     return cands.take(pa.array(order[:keep]))
 
 
-def plan_exchange(files: list[str], manifest_path: str | None) -> int:
-    """Reduce task count (= shards per map) of the exchange over ``files``
-    and the manifest, from their parquet footers. Fails loudly when a
-    sequence row's ``loc`` would not decode back to its position: a row
-    index of 2^ROW_BITS or more, or a part index of 2^(63 - ROW_BITS) or
-    more, would merge the keys of different rows. A footer that cannot be read counts 0 rows:
-    pass 1 rejects that file with E14 and it is never key-checked."""
-    rows = []
-    for f in files:
-        try:
-            rows.append(pq.ParquetFile(f).metadata.num_rows)
-        except (OSError, pa.ArrowException):
-            rows.append(0)
+def plan_exchange(footers: list, manifest_footer=None) -> int:
+    """Reduce task count (= shards per map) of the exchange, from the
+    partitions' footers (by part index; None for a partition that stays
+    out of the exchange) and the manifest's: ``read_footers`` output, so a
+    footer that could not be read raises its exception here. Also fails
+    loudly when a sequence row's ``loc`` would not decode back to its
+    position: a row index of 2^ROW_BITS or more, or a part index of
+    2^(63 - ROW_BITS) or more, would merge the keys of different rows."""
+    for md in (*footers, manifest_footer):
+        if isinstance(md, Exception):
+            raise md
+    rows = [0 if md is None else md.num_rows for md in footers]
     # a position fits iff the codec decodes it back: the last row of the
     # longest partition, and the last part index
     last = max(max(rows, default=0) - 1, 0)
@@ -463,16 +465,15 @@ def plan_exchange(files: list[str], manifest_path: str | None) -> int:
             f"key checks: a partition has {max(rows)} rows; row indexes must "
             f"stay below 2^{ROW_BITS}"
         )
-    last = max(len(files) - 1, 0)
+    last = max(len(footers) - 1, 0)
     if _unloc(_loc(last, 0))[0] != last:
         raise ValueError(
-            f"key checks: {len(files)} partitions; part indexes must stay "
+            f"key checks: {len(footers)} partitions; part indexes must stay "
             f"below 2^{63 - ROW_BITS}"
         )
-    est_exchange = sum(rows)
-    if manifest_path is not None:
-        est_exchange += pq.ParquetFile(manifest_path).metadata.num_rows
-    return _reduce_task_count(cluster_cpus(), est_exchange)
+    if manifest_footer is not None:
+        rows.append(manifest_footer.num_rows)
+    return _reduce_task_count(cluster_cpus(), sum(rows))
 
 
 def key_checks(
@@ -483,6 +484,7 @@ def key_checks(
     max_candidates: int = 1_000_000,
     filter_sources: tuple | None = None,
     n_parts: int | None = None,
+    manifest_footer=None,
     seq_shards: list | tuple = (),
     in_shards: list | tuple = (),
 ) -> pa.Table:
@@ -497,38 +499,35 @@ def key_checks(
     exactly once. Returns the materialized violations table (small,
     capped).
 
-    ``run_check`` feeds the sequence side from pass 1: ``seq_shards`` holds
-    one list of ``n_parts`` shard refs per pass-1 task, and ``in_shards``
-    the indexes of ``files`` those tasks read (or rejected). Only the other
-    files get a ``_map_seq_shard`` read here. A row's part index is its
-    position in ``files``."""
-    cpus = cluster_cpus()
+    ``run_check`` passes ``n_parts`` and ``manifest_footer`` from its own
+    footer pass (called on its own, key_checks reads the footers here)
+    and feeds the sequence side from pass 1: ``seq_shards`` holds one list
+    of ``n_parts`` shard refs per pass-1 task, and ``in_shards`` the
+    indexes of ``files`` those tasks read (or the driver rejected). Only
+    the other files get a ``_map_seq_shard`` read here. A row's part index
+    is its position in ``files``."""
     if n_parts is None:
-        n_parts = plan_exchange(files, manifest_path)
+        footers = read_footers(files + ([manifest_path] if manifest_path is not None else []))
+        manifest_footer = footers.pop() if manifest_path is not None else None
+        n_parts = plan_exchange(footers, manifest_footer)
+    cpus = cluster_cpus()
     read = set(in_shards)
-    todo = [i for i in range(len(files)) if i not in read]
-    # group files per map task so task count ≈ CPU count: per-return plasma
+    # at most one map task per CPU on either side: per-return plasma
     # objects dominate wall time when tasks are tiny (2048 returns at 64
-    # files × 32 returns cost ~0.7 s of pure overhead); at cluster scale
-    # the group size naturally grows with files-per-core
-    group = max(1, (len(todo) + cpus - 1) // cpus)
+    # files × 32 returns cost ~0.7 s of pure overhead)
     maps = list(seq_shards)
-    for s in range(0, len(todo), group):
-        idxs = todo[s : s + group]
+    for idxs in groups([i for i in range(len(files)) if i not in read], cpus):
         maps.append(
             _map_seq_shard.options(num_returns=n_parts).remote(
                 [files[i] for i in idxs], idxs, n_parts, batch_rows, filter_sources,
             )
         )
     if manifest_path is not None:
-        # at most one contiguous row-group range per CPU, read as one batch
-        n_rg = pq.ParquetFile(manifest_path).metadata.num_row_groups
-        chunk = max(1, -(-n_rg // cpus))
-        for s in range(0, n_rg, chunk):
+        # contiguous row-group ranges, each read as one batch
+        for rgs in groups(range(manifest_footer.num_row_groups), cpus):
             maps.append(
                 _map_manifest_shard.options(num_returns=n_parts).remote(
-                    [manifest_path], [None], n_parts, None, filter_sources,
-                    [range(s, min(s + chunk, n_rg))],
+                    [manifest_path], [None], n_parts, None, filter_sources, [rgs],
                 )
             )
     # num_returns=1 yields a bare ref, else a list of refs

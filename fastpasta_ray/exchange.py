@@ -3,12 +3,13 @@ place, for every bucketed shuffle in the engine.
 
 Map side: each side's blocks (``Blocks`` the caller already holds, such
 as a raw-task read or a ``map_blocks`` wave's output, or one driver-held
-table) are grouped so the map task count is about the CPU count. A map
-task hashes the ``key`` column (``splitmix64`` for integer keys,
-``hash_strings`` otherwise) and cuts one typed shard per reduce task by
-``h % n_parts`` (``num_returns=n_parts``). With one reduce task there is
-nothing to cut, and the blocks go to it as they are (unless a view must
-first run on them).
+table) are cut into at most one contiguous group per CPU
+(``sources.parquet.groups``), one map task each. A map task hashes the
+``key`` column (``splitmix64`` for integer keys, ``hash_strings``
+otherwise) and cuts one typed shard per reduce task by ``h % n_parts``
+(``num_returns=n_parts``). With one reduce task there is nothing to cut,
+and the blocks go to it as they are (unless a view must first run on
+them).
 
 Reduce side: reduce task ``p`` concatenates shard ``p`` of every map of a
 side and calls ``fn`` once, with one table per side. That table holds
@@ -49,7 +50,7 @@ import pyarrow as pa
 import ray
 
 from fastpasta_ray.sketches import hash_strings, one_chunk, splitmix64
-from fastpasta_ray.sources.parquet import cluster_cpus
+from fastpasta_ray.sources.parquet import cluster_cpus, groups
 
 
 def _reduce_task_count(cpus: int, est_exchange: int) -> int:
@@ -203,15 +204,12 @@ def hash_exchange(sides, key: str, fn) -> list:
             # would only copy them through the object store
             maps = [[r] for r in b.refs]
         else:
-            # group blocks so map task count ≈ CPU count: each map return
-            # is a plasma object, and tiny tasks make that cost dominate
-            group = max(1, -(-len(b.refs) // cpus))
+            # at most one map task per CPU: each map return is a plasma
+            # object, and tiny tasks make that cost dominate
             pre = ray.put(b.pre) if b.pre is not None else None
             maps = [
-                _map_side.options(num_returns=n_parts).remote(
-                    key, n_parts, b.schema, pre, *b.refs[s : s + group]
-                )
-                for s in range(0, len(b.refs), group)
+                _map_side.options(num_returns=n_parts).remote(key, n_parts, b.schema, pre, *g)
+                for g in groups(b.refs, cpus)
             ]
             if n_parts == 1:
                 maps = [[m] for m in maps]

@@ -3,6 +3,10 @@ sequences fixture directory.
 
 Mirrors the reference's `fastpasta check all` lifecycle (SURVEY.md §3.1):
 
+  footers: the driver reads, once, the footer of every file a task opens
+      (``sources.parquet.read_footers``). A partition that cannot be read
+      or lacks the run schema gets its E14 there (``schema_violation``)
+      and no task opens it; the other footers size the exchange.
   pass 1 (one read): per-file streaming validate in raw Ray tasks —
       stateless sanity checks, running checks, stats sketches — ONE read of
       each partition (stages/validate.py). Each task returns its
@@ -15,7 +19,8 @@ Mirrors the reference's `fastpasta check all` lifecycle (SURVEY.md §3.1):
       (checks/key_checks.py), then recover the few violating rows by
       targeted reads. The tokens payload never shuffles. Only partitions
       pass 1 did not read in this run (committed by an earlier run, or
-      skipped by the global error budget) get a column-pruned scalar read.
+      skipped by the global error budget) get a column-pruned scalar read;
+      their schemas were tested with the footers, not again here.
   finalize: fold pass 1's and the checkpoint's records into per-partition
       stats (a driver-side fold of mergeable sketches — one record per
       input file, tiny), drift gate vs a reference profile
@@ -42,13 +47,13 @@ from fastpasta_ray import schema as S
 from fastpasta_ray.checks.drift import build_profile, custom_count_check
 from fastpasta_ray.checks.key_checks import key_checks, plan_exchange
 from fastpasta_ray.sketches import PartStats
-from fastpasta_ray.sources.parquet import cluster_cpus, file_groups, part_of, sequence_files
+from fastpasta_ray.sources.parquet import cluster_cpus, groups, part_of, read_footers
+from fastpasta_ray.sources.parquet import sequence_files, write_file
 from fastpasta_ray.stages.validate import (
     CheckConfig,
     ErrorBudget,
     ValidateFiles,
     _filter_codes,
-    schema_violation,
     validate_task,
 )
 
@@ -91,6 +96,33 @@ def _split_sentinel(
     return stats_by_part, drift_by_part
 
 
+def schema_violation(path: str, footer, read_payload: bool = True) -> pa.Table | None:
+    """E14, the set-once schema check (G7 analog, rdh_stats.rs:41-73), from
+    the file's ``read_footers`` entry: the run schema, ``tokens`` only when
+    the payload is read. A file that cannot be read or deviates fails as a
+    partition, not the run: this one row. None for a good file."""
+    if isinstance(footer, Exception):  # unreadable file → schema violation too
+        problem = [f"unreadable parquet file: {footer}"]
+    else:
+        file_schema = footer.schema.to_arrow_schema()
+        want = {f.name: f.type for f in S.SEQUENCES_SCHEMA}
+        if not read_payload:
+            want = {k: v for k, v in want.items() if k != "tokens"}
+        got = {n: file_schema.field(n).type for n in file_schema.names if n in want}
+        missing = [n for n in want if n not in file_schema.names]
+        wrong = {n: f"{t} != {want[n]}" for n, t in got.items() if t != want[n]}
+        problem = [f"missing columns {missing}"] if missing else []
+        if wrong:
+            problem.append(f"wrong types {wrong}")
+    if not problem:
+        return None
+    # the partition name comes from the path: a zero-row file has no batch
+    return S.violations(
+        part_of(path), -1, None, S.E_SCHEMA, "__schema__",
+        f"schema mismatch: {'; '.join(problem)}",
+    )
+
+
 def run_check(
     input_dir: str,
     cfg: CheckConfig | None = None,
@@ -114,7 +146,23 @@ def run_check(
             committed = store.committed()
     else:
         store = None
-    todo = [i for i, f in enumerate(files) if part_of(f) not in committed]
+
+    # ---- footers of the files a task opens in this run: with key checks
+    # every partition and the manifest, else the uncommitted partitions. A
+    # partition that fails schema_violation stays out of both passes.
+    keyed = with_key_checks and bool(files)
+    paths = [f for f in files if keyed or part_of(f) not in committed]
+    if keyed and manifest_path is not None:
+        paths.append(manifest_path)
+    footer = dict(zip(paths, read_footers(paths)))
+    e14 = [schema_violation(f, footer[f], cfg.read_payload) if f in footer else None
+           for f in files]
+    n_parts = 0
+    if keyed:
+        n_parts = plan_exchange(
+            [footer[f] if v is None else None for f, v in zip(files, e14)],
+            footer.get(manifest_path),
+        )
 
     # ---- pass 1: one read per partition. Raw Ray tasks (the exchange's
     # scheduling model; no Ray Data execution) validate groups of files
@@ -125,7 +173,7 @@ def run_check(
     # each pass saturated the machine alone; fusing the reads removes the
     # work instead), and the exchange as a Dataset groupby in one execution
     # (4.3s → 14.5s at 8 cpus).
-    n_parts = plan_exchange(files, manifest_path) if with_key_checks and files else 0
+    todo = [i for i, f in enumerate(files) if e14[i] is None and part_of(f) not in committed]
     budget = None
     if cfg.max_errors_global is not None:
         budget = ErrorBudget.remote(cfg.max_errors_global)
@@ -137,58 +185,40 @@ def run_check(
         validate_task.options(num_returns=2 + n_parts).remote(
             validator, [files[i] for i in idxs], idxs, n_parts
         )
-        for idxs in file_groups(todo, cluster_cpus())
+        for idxs in groups(todo, 4 * cluster_cpus())
     ]
     violations = collect_table([o[0] for o in outs], S.VIOLATIONS_SCHEMA)
     records = [r for rs in ray.get([o[1] for o in outs]) for r in rs]
     # stopped_early reflects whether PASS 1 actually stopped validating
-    # partitions — captured before key-check counts are added (a clean
-    # pass 1 followed by many key-check violations must not claim the run
-    # stopped; review r3)
+    # partitions — captured before the E14 and key-check counts are added
+    # (a clean pass 1 followed by many key-check violations must not claim
+    # the run stopped; review r3)
     stopped_early = (
         bool(ray.get(budget.exceeded.remote())) if budget is not None else False
     )
-    # pass 2 skips the files pass 1 rejected with E14 (unreadable or wrong
-    # schema): they have no rows to key-check, and opening one would raise
-    rejected = set(
-        violations.filter(pc.equal(violations["code"], S.E_SCHEMA))["part"].to_pylist()
-    )
-    reached = {part for part, _, _ in records} | rejected
-    if with_key_checks:
-        # the exchange opens the partitions pass 1 did not reach in this
-        # run (committed earlier, or skipped by the global budget) first:
-        # they get pass 1's schema test here, and a failing one its E14
-        late = [
-            e14 for f in files
-            if part_of(f) not in reached
-            and (e14 := schema_violation(f, cfg.read_payload)) is not None
-        ]
-        if late:
-            violations = pa.concat_tables([violations, *late])
-            rejected |= {e14["part"][0].as_py() for e14 in late}
-            reached |= rejected
-            if budget is not None:
-                ray.get(budget.add.remote(len(late)))
-        if any(part_of(f) not in rejected for f in files):
-            # pass 2: the exchange's reduce and recovery over pass 1's shards;
-            # only partitions pass 1 did not reach in this run (committed
-            # earlier, or skipped by the global budget) are read again
-            kv_t = _filter_codes(
-                key_checks(
-                    files, manifest_path,
-                    batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
-                    n_parts=n_parts, seq_shards=[o[2:] for o in outs],
-                    in_shards=[i for i, f in enumerate(files) if part_of(f) in reached],
-                ),
-                cfg.enabled_codes,
-            )
-            if kv_t.num_rows:
-                violations = pa.concat_tables([violations, kv_t])
-                if budget is not None:
-                    # key-check violations count toward global_error_count too
-                    # (ADVICE r2) — they arrive after pass 1 so they can never
-                    # stop it and never flip stopped_early
-                    ray.get(budget.add.remote(kv_t.num_rows))
+    late = [v for v in e14 if v is not None]
+    if n_parts and len(late) < len(files):
+        # pass 2: the exchange's reduce and recovery over pass 1's shards;
+        # only partitions pass 1 did not reach in this run (committed
+        # earlier, or skipped by the global budget) are read again
+        validated = {part for part, _, _ in records}
+        late.append(_filter_codes(
+            key_checks(
+                files, manifest_path,
+                batch_rows=cfg.batch_rows, filter_sources=cfg.filter_sources,
+                n_parts=n_parts, manifest_footer=footer.get(manifest_path),
+                seq_shards=[o[2:] for o in outs],
+                in_shards=[i for i, f in enumerate(files)
+                           if e14[i] is not None or part_of(f) in validated],
+            ),
+            cfg.enabled_codes,
+        ))
+    violations = pa.concat_tables([violations, *late])
+    if budget is not None:
+        # E14 and key-check violations count toward global_error_count too
+        # (ADVICE r2); they arrive after pass 1, so they can never stop it
+        # and never flip stopped_early
+        ray.get(budget.add.remote(sum(t.num_rows for t in late)))
 
     # ---- restore committed partitions from the checkpoint store ----------
     # (new partitions were committed IN-TASK the moment each finished —
@@ -365,16 +395,11 @@ def write_violations(violations: pa.Table, out_dir: str) -> list[str]:
     (resumable layout — never one giant file). Returns written paths."""
     import os
 
-    import pyarrow.parquet as pq
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     parts = sorted(set(violations["part"].to_pylist())) if violations.num_rows else []
     for part in parts:
-        pv = violations.filter(pc.equal(violations["part"], pa.scalar(part)))
         p = os.path.join(out_dir, f"{part}.parquet")
-        tmp = p + ".tmp"
-        pq.write_table(pv, tmp)
-        os.replace(tmp, p)
+        write_file(p, [violations.filter(pc.equal(violations["part"], pa.scalar(part)))])
         paths.append(p)
     return paths

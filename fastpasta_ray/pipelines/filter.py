@@ -6,13 +6,13 @@ BufferedWriter (writer.rs:26-141) which re-serializes records byte-exactly,
 and the report counts filtered records.
 
 Analog: raw Ray tasks over the same contiguous file groups as pass 1
-(``sources.parquet.file_groups``). Each task streams its files in order
-(``iter_file_batches``), filters each batch and writes what it keeps
-straight to that partition's output file (``write_file``: one file per
-input partition, committed atomically, typed and empty when the partition
-keeps no row). Each task returns its rows seen and kept; the driver sums
-them into the report. Row content is carried through byte-exactly (tokens
-list buffers are never touched).
+(``sources.parquet.groups``, at most 4× the CPUs). Each task streams its
+files in order (``iter_file_batches``), filters each batch and writes
+what it keeps straight to that partition's output file (``write_file``:
+one file per input partition, committed atomically, typed and empty when
+the partition keeps no row). Each task returns its rows seen and kept;
+the driver sums them into the report. Row content is carried through
+byte-exactly (tokens list buffers are never touched).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import ray
 from fastpasta_ray import schema as S
 from fastpasta_ray.sources.parquet import (
     cluster_cpus,
-    file_groups,
+    groups,
     iter_file_batches,
     part_of,
     sequence_files,
@@ -84,8 +84,8 @@ def filter_sequences(
 
     keep_ref = ray.put(keep)
     totals = ray.get([
-        _filter_files.remote([files[i] for i in idxs], out_dir, keep_ref)
-        for idxs in file_groups(list(range(len(files))), cluster_cpus())
+        _filter_files.remote(paths, out_dir, keep_ref)
+        for paths in groups(files, 4 * cluster_cpus())
     ])
     seen, kept = sum(t[0] for t in totals), sum(t[1] for t in totals)
     return {

@@ -4,13 +4,18 @@ The reference has one reader (input_scanner.rs:141-189), which reads one
 file sequentially and attaches a memory offset to every record, and one
 writer (writer.rs:26-141), fed directly by the link filter. The analogs:
 
+- :func:`read_footers` is the driver's only footer read: E14, the
+  key-check exchange's plan and :func:`read_blocks`' schema and slices
+  all come from it. A task reads its own file's footer.
+- :func:`groups` is the one rule that splits work into tasks: contiguous,
+  near-equal groups, at most ``k`` (4× the CPUs for pass 1 and the filter,
+  the CPUs for the key-check and exchange maps).
 - :func:`iter_file_batches` streams one partition file in row-group order,
   attaching ``part`` (file stem) and ``row_index`` (0-based row within the
   file). Passes that need within-file order (the running checks, the
-  filter, the views) read a file with it inside one task, and
-  :func:`file_groups` gives each task a contiguous group of files.
-  Parallelism is across files, the reference's per-link ordering contract
-  (SURVEY.md §4 "Ordering assumption").
+  filter, the views) read a file with it inside one task, each task a
+  contiguous group of files. Parallelism is across files, the reference's
+  per-link ordering contract (SURVEY.md §4 "Ordering assumption").
 - :func:`read_blocks` reads a file or a directory of files as
   ``exchange.Blocks`` with one raw task per file, for operators that do
   not need positions (the queries, the ``functions/`` CLI commands).
@@ -115,13 +120,25 @@ def iter_file_batches(
         )
 
 
-def file_groups(todo: list[int], cpus: int) -> list[list[int]]:
-    """Contiguous groups of file indexes, one per task: at most ``4 × cpus``
-    tasks, so each task's fixed cost (for pass 1, its ``2 + n_parts``
-    returned objects) amortizes over several files once files outnumber
-    cores."""
-    k = min(len(todo), 4 * cpus)
-    return [todo[len(todo) * j // k : len(todo) * (j + 1) // k] for j in range(k)]
+def read_footers(paths: list[str]) -> list:
+    """Each file's ``FileMetaData``, or the exception its read raised: an
+    unreadable file is the caller's verdict to give."""
+    footers = []
+    for path in paths:
+        try:
+            footers.append(pq.read_metadata(path))
+        except (OSError, pa.ArrowException) as exc:
+            footers.append(exc)
+    return footers
+
+
+def groups(items, k: int) -> list:
+    """``items`` (a list or a range) as ``min(len(items), k)`` contiguous
+    slices of near-equal size, the later ones one item larger. One slice
+    is one task, whose fixed cost (its returned objects) amortizes over
+    several items once they outnumber ``k``."""
+    k = min(len(items), k)
+    return [items[len(items) * j // k : len(items) * (j + 1) // k] for j in range(k)]
 
 
 @ray.remote
@@ -150,15 +167,19 @@ def read_blocks(path_or_paths: str | list[str], columns: list[str] | None = None
     several files the count is spread by rows, with at least one slice per
     non-empty file. A zero-row input is one typed empty block.
 
-    The schema comes from the footers, and files whose schemas differ
-    raise ``ValueError`` before any task starts."""
+    The schema comes from the footers (:func:`read_footers`). A file whose
+    footer cannot be read, or whose schema differs from the first file's,
+    raises ``ValueError`` naming it before any task starts."""
     from fastpasta_ray.exchange import Blocks
 
     paths = [path_or_paths] if isinstance(path_or_paths, str) else list(path_or_paths)
     files = [f for p in paths for f in (sequence_files(p) if os.path.isdir(p) else [p])]
     if not files:
         raise ValueError(f"read_blocks: no parquet files in {path_or_paths!r}")
-    metas = [pq.read_metadata(f) for f in files]
+    metas = read_footers(files)
+    for f, md in zip(files, metas):
+        if isinstance(md, Exception):
+            raise ValueError(f"read_blocks: cannot read the footer of {f!r}: {md}") from md
     schema = metas[0].schema.to_arrow_schema()
     for f, md in zip(files[1:], metas[1:]):
         if not md.schema.to_arrow_schema().equals(schema):

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 
 import ray
 
@@ -125,38 +124,6 @@ def _filter_codes(v: pa.Table, enabled: tuple | None) -> pa.Table:
     return v.filter(mask)
 
 
-def schema_violation(path: str, read_payload: bool = True) -> pa.Table | None:
-    """E14, the set-once schema check (G7 analog, rdh_stats.rs:41-73):
-    every partition file must carry the run schema (``tokens`` only when
-    the payload is read). A file that cannot be read or deviates fails as
-    a partition: the one E14 row returned here, and no further read of it
-    (per-partition fail, not global abort). None for a good file. Pass 1
-    tests each file it validates; ``run_check`` tests the files only the
-    key-check exchange would open."""
-    try:
-        file_schema = pq.read_schema(path)
-    except Exception as exc:  # unreadable file → schema violation too
-        problem = [f"unreadable parquet file: {exc}"]
-    else:
-        want = {f.name: f.type for f in S.SEQUENCES_SCHEMA}
-        if not read_payload:
-            want = {k: v for k, v in want.items() if k != "tokens"}
-        got = {n: file_schema.field(n).type for n in file_schema.names if n in want}
-        missing = [n for n in want if n not in file_schema.names]
-        wrong = {n: f"{t} != {want[n]}" for n, t in got.items() if t != want[n]}
-        problem = [f"missing columns {missing}"] if missing else []
-        if wrong:
-            problem.append(f"wrong types {wrong}")
-    if not problem:
-        return None
-    # the partition name comes from the path, never from a batch: a
-    # zero-row file has none
-    return S.violations(
-        part_of(path), -1, None, S.E_SCHEMA, "__schema__",
-        f"schema mismatch: {'; '.join(problem)}",
-    )
-
-
 @ray.remote(num_cpus=0)
 class ErrorBudget:
     """Global error counter (the reference's AtomicBool stop flag analog,
@@ -206,12 +173,12 @@ class ValidateFiles:
 
     def _spend(self, n: int) -> None:
         """Partition-granular increment of the global budget by a finished
-        partition's violations: E14, or row/running AND drift-gate ones
-        (ADVICE r2; key-check violations are global and added by run_check
-        after the exchange). SYNCHRONOUS: a fire-and-forget add could still
-        be in the actor's mailbox when the driver reads totals after pass 1
-        finishes, undercounting and misreporting stopped_early; one
-        blocking RPC per partition is noise."""
+        partition's violations: row/running AND drift-gate ones (ADVICE r2;
+        E14 and key-check violations are added by run_check after pass 1).
+        SYNCHRONOUS: a fire-and-forget add could still be in the actor's
+        mailbox when the driver reads totals after pass 1 finishes,
+        undercounting and misreporting stopped_early; one blocking RPC per
+        partition is noise."""
         if self.error_budget is not None and n:
             ray.get(self.error_budget.add.remote(n))
 
@@ -249,8 +216,8 @@ class ValidateFiles:
         ``keys``, when a list, receives each batch's key-check rows
         (``key_checks._key_rows``) after the source filter; ``records``,
         when a list, receives the file's ``(part, PartStats,
-        drift_metrics)`` once the file is done. A file rejected with E14
-        adds no record."""
+        drift_metrics)`` once the file is done. The driver has already
+        tested the file's schema (``pipelines.check.schema_violation``)."""
         cfg = self.cfg
         stats = PartStats(vocab=cfg.vocab, has_payload=cfg.read_payload)
         # running fatal-segment headers for THIS partition (APE ladder
@@ -269,11 +236,6 @@ class ValidateFiles:
         )
         emitted = 0
         own_violations: list[pa.Table] = []  # for the in-task commit
-        e14 = schema_violation(path, cfg.read_payload)
-        if e14 is not None:
-            self._spend(1)
-            yield e14
-            return
         # the partition name comes from the path, never from a batch: a
         # zero-row file has none, and a "?" fallback would collide commit
         # records across empty files and rerun them on every resume (ADVICE r1)

@@ -15,7 +15,7 @@ import pytest
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks import key_checks as K
 from fastpasta_ray.pipelines.check import run_check
-from fastpasta_ray.sources.parquet import sequence_files
+from fastpasta_ray.sources.parquet import read_footers, sequence_files
 from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
 from fastpasta_ray.synth import SynthSpec, write_fixture
 
@@ -107,7 +107,24 @@ def test_loc_packing_limits_fail_loudly(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="3 partitions"):
         run_check(d, manifest_path=m)
     monkeypatch.setattr(K, "ROW_BITS", np.int64(4))  # 10 rows, 3 parts: fit
-    assert K.plan_exchange(sequence_files(d), m) >= 1
+    *footers, manifest = read_footers([*sequence_files(d), m])
+    assert K.plan_exchange(footers, manifest) >= 1
+
+
+def test_unreadable_manifest_raises(tmp_path):
+    """An unreadable manifest fails the run on the driver, before any task
+    starts, in ``run_check`` and in ``key_checks`` called on its own; a run
+    without key checks never opens it."""
+    d = str(tmp_path / "fix")
+    write_fixture(d, SynthSpec(n_rows=10, n_parts=2))
+    m = os.path.join(d, "_manifest.parquet")
+    with open(m, "wb") as f:
+        f.write(b"not parquet")
+    with pytest.raises(pa.ArrowInvalid):
+        run_check(d, manifest_path=m)
+    with pytest.raises(pa.ArrowInvalid):
+        K.key_checks(sequence_files(d), m)
+    assert run_check(d, manifest_path=m, with_key_checks=False).report["total_rows"] == 20
 
 
 def _budget_fixture(tmp_path):
@@ -180,16 +197,17 @@ def _e14_budget_fixture(tmp_path, bad_files: bool):
 
 
 def test_budget_skipped_bad_partitions_get_e14(tmp_path, monkeypatch):
-    """A wrong-schema and an unreadable partition that the global budget
-    kept pass 1 from reaching get pass 1's E14 before the exchange would
-    open them (it used to raise ArrowInvalid in ``_map_seq_shard``), stay
-    out of the exchange, and count toward global_error_count; the key rows
-    equal those of the same budget run without them."""
+    """A wrong-schema and an unreadable partition that sort after the
+    global budget's stop get their E14 from the driver's footer pass (the
+    exchange used to open such a file and raise ArrowInvalid in
+    ``_map_seq_shard``), stay out of the exchange, and count toward
+    global_error_count; the key rows equal those of the same budget run
+    without them."""
     from fastpasta_ray.pipelines import check
 
     # one pass-1 task walks the files in order, so the budget stops it at
     # part-0002 whatever the CPU count
-    monkeypatch.setattr(check, "file_groups", lambda todo, cpus: [todo])
+    monkeypatch.setattr(check, "groups", lambda items, k: [items])
     cfg = CheckConfig(max_errors_global=50)
     runs = {}
     for bad in (False, True):
@@ -270,3 +288,23 @@ def test_loc_codec_and_unit_reads_have_one_home():
         allowed = {"_loc", "_unloc", "plan_exchange"} if path == K.__file__ else set()
         assert owners <= allowed, (path, owners)
     assert _calls_by_function(K.__file__, row_read) == {"_cut", "_read_rows_by_index"}
+
+
+def test_footers_are_read_in_one_place():
+    """Source guard: on the driver, only ``read_footers`` reads a parquet
+    footer (``read_metadata``, ``read_schema``, ``ParquetFile``); inside
+    tasks, only the readers of one file's unit do (``auto_batch_rows``,
+    the keyed-row cut ``_cut`` and ``_read_rows_by_index``)."""
+    import ast
+    import glob
+
+    def footer_read(node):
+        return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in {
+            "read_metadata", "read_schema", "ParquetFile",
+        }
+
+    pkg = os.path.dirname(os.path.dirname(K.__file__))
+    owners = set()
+    for path in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
+        owners |= _calls_by_function(path, footer_read)
+    assert owners == {"read_footers", "auto_batch_rows", "_cut", "_read_rows_by_index"}

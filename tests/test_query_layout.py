@@ -70,8 +70,9 @@ def test_read_blocks_over_a_directory_equals_rp(tmp_path, n_files):
 
 def test_read_blocks_empty_files_and_schema_mismatch(tmp_path):
     """A zero-row file is one typed empty block; a zero-row file next to a
-    full one adds no block; files whose schemas differ raise
-    ``ValueError`` on the driver."""
+    full one adds no block; files whose schemas differ, or a file whose
+    footer cannot be read, raise ``ValueError`` on the driver naming the
+    file."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
@@ -96,6 +97,15 @@ def test_read_blocks_empty_files_and_schema_mismatch(tmp_path):
     pq.write_table(t.select(["a"]), str(bad / "part-1.parquet"))
     with pytest.raises(ValueError, match="differs"):
         P.read_blocks(str(bad))
+
+    # an unreadable file is named in the error, not a bare ArrowInvalid
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    pq.write_table(t, str(cut / "part-0.parquet"))
+    raw = (cut / "part-0.parquet").read_bytes()
+    (cut / "part-1.parquet").write_bytes(raw[: len(raw) // 2])
+    with pytest.raises(ValueError, match="part-1.parquet"):
+        P.read_blocks(str(cut))
 
 
 def test_write_blocks_rerun_with_fewer_blocks(tmp_path):

@@ -147,6 +147,7 @@ def _layout_codes(d, m, monkeypatch, filter_sources=None):
     at every count, equal to a per-key reference; return the codes seen.
     (At the suite's 4 CPUs the sizing rule picks 1, so this is what
     exercises the multi-return path.)"""
+    from fastpasta_ray.sources.parquet import groups as split
     from fastpasta_ray.sources.parquet import sequence_files
     from tests.test_one_read import LaunchSpy
 
@@ -176,6 +177,7 @@ def _run_check_layouts(d, m, monkeypatch):
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from fastpasta_ray.pipelines import check
+    from fastpasta_ray.sources.parquet import groups as split
     from fastpasta_ray.sources.parquet import sequence_files
     from tests.test_one_read import LaunchSpy
 
@@ -192,12 +194,10 @@ def _run_check_layouts(d, m, monkeypatch):
     got = {}
     for n in (1, 3, 8):
         monkeypatch.setattr(K, "_reduce_task_count", lambda cpus, est, n=n: n)
-        for groups in (1, 2, len(files)):
-            monkeypatch.setattr(check, "file_groups", lambda todo, cpus, g=groups: [
-                todo[len(todo) * j // g : len(todo) * (j + 1) // g] for j in range(g)
-            ])
+        for g in (1, 2, len(files)):
+            monkeypatch.setattr(check, "groups", lambda items, k, g=g: split(items, g))
             res = check.run_check(d, manifest_path=m)
-            got[n, groups] = (res.violations, res.report)
+            got[n, g] = (res.violations, res.report)
     v0, r0 = got[1, 1]
     for v, r in got.values():
         # neither the pass-1 grouping nor the reduce task count changes a
