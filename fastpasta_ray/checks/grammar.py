@@ -11,12 +11,14 @@ tokenized-sequence analog is the structural grammar of a training row:
        (DDW0-only-at-end analog)
 
 The FSM is row-local (each row is one "payload"), so the whole grammar is
-evaluated VECTORIZED over the batch: first/last-token gathers via list
-offsets, and the pad rule via the pad→non-pad steps of the flat token
-array (one bool compare, then work on the pad positions only), each
-mapped to its row with one searchsorted over the row starts — never a
-Python loop over rows, never a per-token Python FSM step. Only the rows
-that break a rule are visited one by one, to build their messages.
+evaluated VECTORIZED over the batch, on the token layout the validate
+stage derives once per batch (``schema.token_rows``): first/last-token
+gathers via the row starts, and the pad rule via the pad→non-pad steps
+of the flat token array (one bool compare, then work on the pad
+positions only), each mapped to its row with one searchsorted over the
+row starts — never a Python loop over rows, never a per-token Python FSM
+step. Only the rows that break a rule are visited one by one, to build
+their messages.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from fastpasta_ray import schema as S
-from fastpasta_ray.sketches import one_chunk
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,13 @@ class GrammarConfig:
     pad_id: int | None = None
 
 
-def run_grammar_checks(batch: pa.Table, g: GrammarConfig) -> pa.Table:
-    """Vectorized grammar pass; returns VIOLATIONS_SCHEMA rows."""
+def run_grammar_checks(batch: pa.Table, toks: S.TokenRows, g: GrammarConfig) -> pa.Table:
+    """Vectorized grammar pass over one batch, whose ``schema.token_rows``
+    is ``toks``; returns VIOLATIONS_SCHEMA rows."""
     if g.bos_id is None and g.eos_id is None and g.pad_id is None:
         return S.VIOLATIONS_SCHEMA.empty_table()
-    tokens = one_chunk(batch["tokens"])
-    n = len(tokens)
-    valid = pc.is_valid(tokens).to_numpy(zero_copy_only=False)
-    lens = pc.fill_null(pc.list_value_length(tokens), 0).to_numpy(zero_copy_only=False).astype(np.int64)
-    nonempty = valid & (lens > 0)
-    flat = tokens.flatten().to_numpy(zero_copy_only=False)
-    # start offset of each VALID row within flat (flatten drops null rows)
-    starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(np.where(valid, lens, 0)[:-1], out=starts[1:])
+    flat, starts, lens, _ = toks
+    nonempty = lens > 0  # a null row has length 0
     hits: list[tuple] = []  # (rows, code, column, details) per rule
 
     # clipped gather indices: rows masked out by `nonempty` (null/empty,

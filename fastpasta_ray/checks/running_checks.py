@@ -34,8 +34,11 @@ cdp_running.rs:342) mapped onto the doc-index stream:
         desync). Per-interval, no anchor — a single glitch fires once.
 
 "E44" works as a family prefix with the error-code filter's prefix
-semantics (--codes E44 enables all of E440..E445). Rows whose doc_id is
-malformed are skipped (they already got E12/E13).
+semantics (--codes E44 enables all of E440..E445). The checks read the
+``(rows, ordinal, index)`` of the batch's one doc_id parse
+(``schema.doc_id_fields``). Rows whose doc_id does not end in
+``/dddd/dddddddd`` are skipped (E12/E13 flag them); a row whose prefix
+alone is malformed still takes part, so it can get E12 and E11 both.
 """
 
 from __future__ import annotations
@@ -89,14 +92,13 @@ class RunningState:
         # set-once partition ordinal (E444): first valid row's value
         self.first_ordinal: int | None = None
 
-    def check_batch(self, batch: pa.Table) -> pa.Table:
-        """Vectorized order/stride/ordinal checks over one ordered batch;
-        carries the last seen doc index, the last interval's verdict and
-        the set-once partition ordinal across batches. Returns violation
-        rows."""
-        doc_id = one_chunk(batch["doc_id"])
-        # the partition ordinal + trailing index; malformed rows are skipped
-        vrows, ords, seq = doc_index_fields(doc_id)
+    def check_batch(self, batch: pa.Table, ids: S.DocIds) -> pa.Table:
+        """Vectorized order/stride/ordinal checks over one ordered batch,
+        whose ``schema.doc_id_fields`` is ``ids``; carries the last seen doc
+        index, the last interval's verdict and the set-once partition
+        ordinal across batches. Returns violation rows."""
+        # the partition ordinal + trailing index of the rows that have them
+        vrows, ords, seq = ids.rows, ids.ordinal, ids.index
         if len(vrows) == 0:
             return S.VIOLATIONS_SCHEMA.empty_table()
         prev = np.empty_like(seq)
@@ -251,54 +253,3 @@ class RunningState:
         return S.batch_violations(
             batch, pos[order], [codes[i] for i in order], "doc_id", [msgs[i] for i in order]
         )
-
-
-# "/dddd/dddddddd": the fixed-width tail every well-formed doc_id ends with
-_TAIL = 14
-_ORD, _IDX = slice(1, 5), slice(6, 14)
-_SLASHES = np.array([0, 5])
-_DIGITS = np.r_[_ORD.start : _ORD.stop, _IDX.start : _IDX.stop]
-
-
-def doc_index_fields(doc_id: pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    r"""``(rows, ordinal, index)`` of the doc_ids that end in ``/``, 4 ASCII
-    digits, ``/``, 8 ASCII digits — exactly the strings the regex
-    ``/(\d{4})/(\d{8})$`` matches (RE2's ``\d`` is ASCII and its ``$`` is
-    the end of the text; no multi-byte UTF-8 sequence holds an ASCII byte).
-    A fixed-width parse of each string's last 14 bytes, read from the Arrow
-    offsets and data buffers: no regex, no per-row Python. ``string`` and
-    ``large_string``, sliced or not; null rows never match."""
-    if pa.types.is_large_string(doc_id.type):
-        off_type = np.int64
-    elif pa.types.is_string(doc_id.type):
-        off_type = np.int32
-    else:
-        raise TypeError(f"doc_id must be string or large_string, got {doc_id.type}")
-    n = len(doc_id)
-    none = np.empty(0, np.int64)
-    _, offsets, data = doc_id.buffers()
-    if n == 0 or data is None:  # no rows, or every row empty or null
-        return none, none, none
-    offs = np.frombuffer(offsets, dtype=off_type, count=n + 1,
-                         offset=doc_id.offset * np.dtype(off_type).itemsize)
-    ends = offs[1:].astype(np.int64)
-    ok = ends - offs[:-1] >= _TAIL
-    if doc_id.null_count:
-        ok &= doc_id.is_valid().to_numpy(zero_copy_only=False)
-    rows = np.flatnonzero(ok)
-    if not len(rows):
-        return none, none, none
-    # row r's tail is the window of _TAIL bytes that starts at ends[r] - _TAIL
-    windows = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), _TAIL)
-    tail = windows[ends[rows] - _TAIL]
-    digit = tail - np.uint8(ord("0"))  # a non-digit byte wraps to >= 10
-    good = (
-        (tail[:, _SLASHES] == ord("/")).all(axis=1)
-        & (digit[:, _DIGITS] < 10).all(axis=1)
-    )
-    digit = digit[good]
-    return (
-        rows[good],
-        digit[:, _ORD] @ 10 ** np.arange(3, -1, -1),
-        digit[:, _IDX] @ 10 ** np.arange(7, -1, -1),
-    )

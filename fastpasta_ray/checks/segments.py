@@ -20,34 +20,35 @@ lanes/chips, delimited by a configurable ``segment_delim_id`` token:
        (custom_checks_cfg.rs:16-24, checks applied at
        lane_alpide_frame_analyzer.rs:180-320)
 
-Fully vectorized across the batch: one flatten, one delimiter scan, one
-segment-start derivation — no per-row Python. Row-local (fits map_batches,
-like the reference's per-frame analysis inside one validator thread).
+Fully vectorized across the batch: one delimiter scan and one
+segment-start derivation over the token layout the validate stage derives
+once per batch (``schema.token_rows``) — no per-row Python. Row-local
+(fits map_batches, like the reference's per-frame analysis inside one
+validator thread).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from fastpasta_ray import schema as S
-from fastpasta_ray.sketches import one_chunk
 
 
 def run_segment_checks(
     batch: pa.Table,
+    toks: S.TokenRows,
     *,
     delim_id: int,
     min_segments: int | None = None,
     max_segments: int | None = None,
-    check_headers: bool = True,
     allowed_orders: tuple | None = None,
     warning_sentinels: tuple | None = None,
     fatal_sentinels: tuple | None = None,
     fatal_heads: frozenset | None = None,
 ) -> tuple[pa.Table, list[int]]:
-    """Segment-structure checks over one SEQUENCES_POS batch. Returns
+    """Segment-structure checks over one SEQUENCES_POS batch, whose
+    ``schema.token_rows`` is ``toks``. Returns
     ``(violations, newly_fatal_headers)`` — the caller carries the fatal
     headers across batches of the same partition (the reference's
     per-validator ``fatal_lanes`` list, readout_frame.rs:40-50).
@@ -79,20 +80,8 @@ def run_segment_checks(
 
     ``fatal_heads``: headers already fatal from earlier batches of this
     partition."""
-    tokens = one_chunk(batch["tokens"])
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = one_chunk(tokens)
     n = batch.num_rows
-    lens_arr = pc.list_value_length(tokens)
-    lens = np.where(
-        pc.is_null(lens_arr).to_numpy(zero_copy_only=False),
-        0,
-        lens_arr.fill_null(0).to_numpy(zero_copy_only=False),
-    ).astype(np.int64)
-    flat = tokens.flatten()
-    vals = flat.to_numpy(zero_copy_only=False) if len(flat) else np.zeros(0, dtype=np.int64)
-    row_starts = np.zeros(n, dtype=np.int64)
-    np.cumsum(lens[:-1], out=row_starts[1:])
+    vals, row_starts, lens, _ = toks
     row_ends = row_starts + lens
     row_of = np.repeat(np.arange(n, dtype=np.int64), lens)
 
@@ -246,7 +235,7 @@ def run_segment_checks(
 
     # E74: all NON-fatal segment headers within a row must be equal (BC
     # equality)
-    if check_headers and len(heads_nf):
+    if len(heads_nf):
         hmin = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         hmax = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
         np.minimum.at(hmin, hrow_nf, heads_nf)

@@ -13,7 +13,11 @@ cdp_running.rs:520-531).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 # --- vocabulary / domain defaults (FIXTURES.md) ---------------------------
 VOCAB_SIZE = 50304
@@ -190,8 +194,6 @@ def rule_rows(hits: list) -> tuple:
     """One check function's per-rule hits, each ``(rows, code, column,
     details)``, as the row-aligned ``(rows, code, column, detail)`` that
     :func:`batch_violations` takes, rule after rule."""
-    import numpy as np
-
     rows, code, column, detail = [np.empty(0, np.int64)], [], [], []
     for r, c, col, d in hits:
         rows.append(np.asarray(r, dtype=np.int64))
@@ -225,3 +227,105 @@ def token_excerpt(flat, row_start: int, row_end: int, center: int, radius: int =
     lo = max(int(row_start), int(center) - radius)
     hi = min(int(row_end), int(center) + radius + 1)
     return " ".join(str(int(x)) for x in flat[lo:hi])
+
+
+# --- the per-batch parse: pass 1 decides these once per batch --------------
+class DocIds(NamedTuple):
+    """One batch's doc_id column, parsed by :func:`doc_id_fields`. Each
+    field is an array of row positions or of values at ``rows``."""
+
+    missing: np.ndarray    # null or "" (E13)
+    malformed: np.ndarray  # present, but not matching DOC_ID_RE (E12)
+    rows: np.ndarray       # rows ending in /dddd/dddddddd
+    ordinal: np.ndarray    # their 4-digit partition ordinal
+    index: np.ndarray      # their 8-digit doc index
+
+
+# "/dddd/dddddddd": the fixed-width tail every well-formed doc_id ends with
+_TAIL = 14
+_SLASHES = np.array([0, 5])
+_DIGITS = np.r_[1:5, 6:14]
+_TENS = 10 ** np.arange(7, -1, -1)
+
+
+def doc_id_fields(doc_id: pa.Array) -> DocIds:
+    r"""The one doc_id parse: E13's ``missing``, E12's ``malformed`` and the
+    running checks' ``(rows, ordinal, index)``, read from the Arrow offsets
+    and data buffers (no regex, no per-row Python); ``string`` and
+    ``large_string``, sliced or not.
+
+    ``malformed`` is exactly RE2's verdict on :data:`DOC_ID_RE`: ``\d`` and
+    ``[a-z]`` are ASCII and ``$`` is the end of the text, so a string
+    matches iff its last 14 bytes are the tail and the bytes before them
+    are one ASCII lowercase letter, then ``[a-z0-9_-]`` (no byte of a
+    multi-byte UTF-8 sequence is ASCII). ``rows`` are the present strings
+    that end in the tail, whatever their prefix; null rows never do."""
+    if pa.types.is_large_string(doc_id.type):
+        off_type = np.int64
+    elif pa.types.is_string(doc_id.type):
+        off_type = np.int32
+    else:
+        raise TypeError(f"doc_id must be string or large_string, got {doc_id.type}")
+    n = len(doc_id)
+    none = np.empty(0, np.int64)
+    if n == 0:
+        return DocIds(none, none, none, none, none)
+    _, offsets, data = doc_id.buffers()
+    offs = np.frombuffer(offsets, dtype=off_type, count=n + 1,
+                         offset=doc_id.offset * np.dtype(off_type).itemsize).astype(np.int64)
+    starts, ends = offs[:-1], offs[1:]
+    present = ends > starts
+    if doc_id.null_count:
+        present &= doc_id.is_valid().to_numpy(zero_copy_only=False)
+    rows = np.flatnonzero(present & (ends - starts >= _TAIL))
+    if not len(rows):
+        return DocIds(np.flatnonzero(~present), np.flatnonzero(present), none, none, none)
+    buf = np.frombuffer(data, np.uint8)
+    # row r's tail is the window of _TAIL bytes that starts at ends[r] - _TAIL
+    tail = np.lib.stride_tricks.sliding_window_view(buf, _TAIL)[ends[rows] - _TAIL]
+    digit = tail[:, _DIGITS] - np.uint8(ord("0"))  # a non-digit wraps to >= 10
+    good = (tail[:, _SLASHES] == ord("/")).all(axis=1) & (digit < 10).all(axis=1)
+    rows, digit = rows[good], digit[good].astype(np.int64)
+    # the prefix is one [a-z] byte, then [a-z0-9_-] bytes; a tail holds two
+    # bytes outside that class, its slashes, so a row with a tail is well
+    # formed iff its first byte is [a-z] and its string holds two such bytes
+    # (counted per row in one pass over the data; the rows that hold bytes
+    # tile it, null rows included)
+    data = buf[offs[0] : offs[-1]]
+    outside = ~(
+        (data - np.uint8(ord("a")) < 26) | (data - np.uint8(ord("0")) < 10)
+        | (data == ord("_")) | (data == ord("-"))
+    )
+    spans = np.flatnonzero(ends > starts)
+    n_out = np.zeros(n, dtype=off_type)  # a count never exceeds its string's length
+    n_out[spans] = np.add.reduceat(outside, starts[spans] - offs[0], dtype=off_type)
+    ok = (n_out[rows] == 2) & (buf[starts[rows]] - np.uint8(ord("a")) < 26)
+    well_formed = np.zeros(n, dtype=bool)
+    well_formed[rows[ok]] = True
+    return DocIds(
+        np.flatnonzero(~present),
+        np.flatnonzero(present & ~well_formed),
+        rows,
+        digit[:, :4] @ _TENS[4:],
+        digit[:, 4:] @ _TENS,
+    )
+
+
+class TokenRows(NamedTuple):
+    """One batch's ``tokens`` list layout, built by :func:`token_rows`."""
+
+    flat: np.ndarray    # the values of the valid rows (``flatten()``)
+    starts: np.ndarray  # each row's first position in ``flat``
+    lens: np.ndarray    # each row's length; 0 for a null row
+    valid: np.ndarray   # False for a null row (E100)
+
+
+def token_rows(tokens: pa.Array) -> TokenRows:
+    """The one derivation of the ``tokens`` layout that every payload check
+    reads. ``flatten()`` skips the values a null row may still span, so
+    null rows have length 0 and ``starts`` index into it."""
+    lens = pc.list_value_length(tokens).fill_null(0).to_numpy(zero_copy_only=False).astype(np.int64)
+    starts = np.zeros(len(tokens), dtype=np.int64)
+    np.cumsum(lens[:-1], out=starts[1:])
+    flat = tokens.flatten().to_numpy(zero_copy_only=False)
+    return TokenRows(flat, starts, lens, tokens.is_valid().to_numpy(zero_copy_only=False))

@@ -252,41 +252,33 @@ class ValidateFiles:
                 batch = batch.filter(S.source_mask(batch["source"], src_set))
             if batch.num_rows == 0:
                 continue
+            # --- the batch's one parse, read by every check below --------
+            doc_id = one_chunk(batch["doc_id"])
+            ids = S.doc_id_fields(doc_id)
+            toks = S.token_rows(one_chunk(batch["tokens"])) if cfg.read_payload else None
             # --- stats accumulation (vectorized, one pass) -----------------
             stats.row_count += batch.num_rows
-            vals = None
             minmax = None
-            if cfg.read_payload:
-                tokens = one_chunk(batch["tokens"])
-                flat = tokens.flatten()
-                stats.token_count += len(flat)
-                if len(flat):
-                    vals = flat.to_numpy(zero_copy_only=False)
-                    # fused cache-blocked min/max + bitmap scatter: one DRAM
-                    # pass over the token values instead of three
-                    from fastpasta_ray.sketches import scan_token_values
+            if toks is not None:
+                stats.token_count += len(toks.flat)
+                # fused cache-blocked min/max + bitmap scatter: one DRAM
+                # pass over the token values instead of three
+                from fastpasta_ray.sketches import scan_token_values
 
-                    minmax = scan_token_values(
-                        vals, stats.token_mm, stats.vocab_bitmap
-                    )
+                minmax = scan_token_values(toks.flat, stats.token_mm, stats.vocab_bitmap)
             ntok = one_chunk(batch["n_tok"]).to_numpy(zero_copy_only=False)
             stats.n_tok_hist.add(ntok)
             stats.source_hist.add_arrow(one_chunk(batch["source"]))
-            h = hash_strings(one_chunk(batch["doc_id"]))
+            h = hash_strings(doc_id)
             stats.hll.add_hashes(h)
             if keys is not None:
-                keys.append(kc._key_rows(
-                    one_chunk(batch["doc_id"]), one_chunk(batch["row_index"]).to_numpy(), ntok, h
-                ))
+                keys.append(kc._key_rows(doc_id, one_chunk(batch["row_index"]).to_numpy(), ntok, h))
             # --- checks: every check's table, concatenated once ------------
             if emitted < cfg.max_errors_per_part:
                 checks = [
                     run_row_checks(
-                        batch,
-                        vocab=cfg.vocab,
-                        source_domain=cfg.source_domain,
-                        flat_vals=vals,
-                        flat_minmax=minmax,
+                        batch, ids, toks, minmax,
+                        vocab=cfg.vocab, source_domain=cfg.source_domain,
                     )
                 ]
                 if cfg.read_payload and (
@@ -294,12 +286,12 @@ class ValidateFiles:
                 ):
                     from fastpasta_ray.checks.grammar import run_grammar_checks
 
-                    checks.append(run_grammar_checks(batch, cfg.grammar))
+                    checks.append(run_grammar_checks(batch, toks, cfg.grammar))
                 if cfg.read_payload and cfg.segment_delim_id is not None:
                     from fastpasta_ray.checks.segments import run_segment_checks
 
                     sv, new_fatal = run_segment_checks(
-                        batch,
+                        batch, toks,
                         delim_id=cfg.segment_delim_id,
                         min_segments=cfg.min_segments,
                         max_segments=cfg.max_segments,
@@ -320,7 +312,7 @@ class ValidateFiles:
 
                     checks.append(run_custom_checks(batch, cfg))
                 if running is not None:
-                    checks.append(running.check_batch(batch))
+                    checks.append(running.check_batch(batch, ids))
                 v = _filter_codes(pa.concat_tables(checks), cfg.enabled_codes)
                 if v.num_rows:
                     v = v.slice(0, cfg.max_errors_per_part - emitted)
@@ -330,7 +322,7 @@ class ValidateFiles:
                     yield v
             elif running is not None:
                 # keep running state advancing even when capped
-                running.check_batch(batch)
+                running.check_batch(batch, ids)
         # --- in-task drift gate vs the broadcast reference profile ---------
         drift_metrics = None
         n_drift = 0

@@ -11,6 +11,10 @@ batch or group boundary:
   header joins the partition's running fatal set and drops later rows of
   that header out of E74, across batches;
 - two swapped doc indexes straddling the 97-row batch boundary (E11);
+- around that boundary in another partition, one row each with null
+  tokens (E100), an uppercase doc_id prefix (E12), a null doc_id (E13),
+  a wrong n_tok (E10) and an out-of-vocab token (E70), so the per-batch
+  doc_id parse and token layout meet every batch cut;
 - a doc_id copied across partitions (E80), and a manifest with rows
   dropped (E71), expectations changed (E72) and extra rows (E701);
 - one wrong-schema and one unreadable partition (E14)."""
@@ -61,6 +65,20 @@ def _fixture(d: str, row_group_size: int) -> str:
     ids[96], ids[97] = ids[97], ids[96]
     ids[40] = pq.read_table(path(0), columns=["doc_id"])["doc_id"][0].as_py()
     write(t.set_column(0, "doc_id", pa.array(ids, pa.string())), path(3))
+    # part 5, rows 95-99 around the 97-row batch boundary: null tokens
+    # (E100), an uppercase prefix (E12), a null doc_id (E13), n_tok one
+    # too high (E10) and a token past the default vocab (E70)
+    t = pq.read_table(path(5))
+    ids, toks, ntok = (t[c].to_pylist() for c in ("doc_id", "tokens", "n_tok"))
+    toks[95] = None
+    ids[96] = ids[96].capitalize()
+    ids[97] = None
+    ntok[98] += 1
+    toks[99][2] = 60_000
+    for c, v in (("doc_id", ids), ("tokens", toks), ("n_tok", ntok)):
+        i = t.schema.get_field_index(c)
+        t = t.set_column(i, t.schema.field(i), pa.array(v, t.schema.field(i).type))
+    write(t, path(5))
     # manifest: part 4's rows 0-4 dropped (E71), part 5's first three
     # expectations changed (E72), two unknown doc_ids (E701)
     m = os.path.join(d, "_manifest.parquet")
@@ -119,7 +137,7 @@ def test_run_check_is_layout_invariant(layouts, monkeypatch):
         assert r == r0, key
     codes = set(v0["code"].to_pylist())
     assert {"E14", "E11", "E30", "E50", "E60", "E73", "E74", "E77", "E78",
-            "E80", "E71", "E72", "E701"} <= codes, codes
+            "E80", "E71", "E72", "E701", "E10", "E12", "E13", "E70", "E100"} <= codes, codes
     assert json.loads(r0)["fatal_segments"] == {"part-0001": [9]}
     # the fatal onset at row 120 carries over to row 200 in a later batch
     e74 = v0.filter(pc.equal(v0["code"], "E74"))["row_index"].to_pylist()

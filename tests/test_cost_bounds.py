@@ -12,6 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from fastpasta_ray import schema as S
 from fastpasta_ray.checks.key_checks import _C_DUP, _C_DUPREF, _bucket_candidates
 
 N = 200_000
@@ -55,3 +56,27 @@ def test_key_check_reduce_all_doc_ids_equal(with_manifest):
     assert out["loc"].to_numpy()[cand == _C_DUPREF].tolist() == [0]
     ratio = _best_wall_ratio(lambda t: _bucket_candidates(t, with_manifest), equal, distinct)
     assert ratio <= RATIO_BOUND, f"all-equal / distinct wall ratio {ratio:.2f}"
+
+
+@pytest.mark.parametrize("shape", ["last_prefix_byte_bad", "all_slashes"])
+def test_doc_id_parse_crafted_ids(shape):
+    """The doc_id parse behind E12, E13 and the running checks
+    (``schema.doc_id_fields``), on N crafted ids against N benign ids of the
+    same byte count: a long prefix whose only bad byte is its last one, or
+    a string of nothing but ``/``. Only the parse is timed, not the E12
+    messages."""
+    width = 64
+    pre = "a" * (width - 15)
+    benign = pa.array([f"{pre}a/0000/{i:08d}" for i in range(N)])
+    crafted = pa.array(
+        [f"{pre}A/0000/{i:08d}" for i in range(N)] if shape == "last_prefix_byte_bad"
+        else ["/" * width] * N
+    )
+    assert benign.nbytes == crafted.nbytes
+
+    ok, bad = S.doc_id_fields(benign), S.doc_id_fields(crafted)
+    assert len(ok.malformed) == 0 and len(ok.rows) == N
+    assert len(bad.malformed) == N and len(bad.missing) == 0
+    assert len(bad.rows) == (N if shape == "last_prefix_byte_bad" else 0)
+    ratio = _best_wall_ratio(S.doc_id_fields, crafted, benign)
+    assert ratio <= RATIO_BOUND, f"crafted / benign wall ratio {ratio:.2f}"

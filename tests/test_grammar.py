@@ -6,15 +6,32 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks.grammar import GrammarConfig, run_grammar_checks
+from fastpasta_ray.checks.segments import run_segment_checks
 from fastpasta_ray.pipelines.check import run_check
 from fastpasta_ray.stages.validate import CheckConfig
 from fastpasta_ray.synth import BOS_ID, EOS_ID, PAD_ID, SynthSpec, gen_partition, write_fixture
-from tests.test_row_checks import mk_batch
+from tests.test_row_checks import mk_batch, toks_of
 
 G = GrammarConfig(bos_id=BOS_ID, eos_id=EOS_ID, pad_id=PAD_ID)
+
+
+def grammar(batch, g):
+    """``run_grammar_checks`` with the batch's token-row layout."""
+    return run_grammar_checks(batch, toks_of(batch), g)
+
+
+def segments(batch, **kw):
+    """``run_segment_checks`` with the batch's token-row layout."""
+    return run_segment_checks(batch, toks_of(batch), **kw)
+
+
+def drop_code(v, code):
+    """``v`` without its ``code`` rows."""
+    return v.filter(pc.not_equal(v["code"], code))
 
 
 def codes_of(v):
@@ -22,13 +39,13 @@ def codes_of(v):
 
 
 def test_grammar_clean():
-    v = run_grammar_checks(mk_batch([("web/0000/00000001", [1, 7, 0, 0, 2], 5, "web")]),
-                           GrammarConfig(BOS_ID, EOS_ID, None))
+    v = grammar(mk_batch([("web/0000/00000001", [1, 7, 0, 0, 2], 5, "web")]),
+                GrammarConfig(BOS_ID, EOS_ID, None))
     assert v.num_rows == 0
 
 
 def test_grammar_missing_bos_eos():
-    v = run_grammar_checks(
+    v = grammar(
         mk_batch(
             [
                 ("web/0000/00000001", [9, 7, 2], 3, "web"),   # no BOS
@@ -48,7 +65,7 @@ def test_grammar_missing_bos_eos():
 
 
 def test_grammar_interior_pad():
-    v = run_grammar_checks(
+    v = grammar(
         mk_batch(
             [
                 ("web/0000/00000001", [1, 0, 7, 2], 4, "web"),     # pad at 1
@@ -65,7 +82,7 @@ def test_grammar_interior_pad():
 
 
 def test_grammar_null_and_empty_rows_skipped():
-    v = run_grammar_checks(
+    v = grammar(
         mk_batch(
             [
                 ("web/0000/00000001", None, 0, "web"),
@@ -142,8 +159,6 @@ def _seg_batch(token_rows):
 
 
 def test_segment_checks_exact_rows():
-    from fastpasta_ray.checks.segments import run_segment_checks
-
     DELIM = 99
     rows = [
         [5, 1, 2, 99, 5, 3, 99, 5, 4],      # 3 segments, headers all 5 → clean
@@ -154,7 +169,7 @@ def test_segment_checks_exact_rows():
         [5, 1, 99, 5, 2, 99],                # trailing delim → E75 (empty last)
         [],                                  # empty row: no segment checks
     ]
-    v, new_fatal = run_segment_checks(
+    v, new_fatal = segments(
         _seg_batch(rows), delim_id=DELIM, min_segments=2, max_segments=3
     )
     assert new_fatal == []
@@ -201,8 +216,6 @@ def test_segment_allowed_orders_e76():
     """chip_orders_ob analog (custom_checks_cfg.rs:16-24): the header
     sequence must be one of the allowed orderings — a swapped order is
     caught with an exact violation row; both allowed orders pass."""
-    from fastpasta_ray.checks.segments import run_segment_checks
-
     DELIM = 99
     rows = [
         [5, 1, 99, 6, 2, 99, 7, 3],   # headers (5,6,7) → allowed
@@ -210,12 +223,12 @@ def test_segment_allowed_orders_e76():
         [5, 1, 99, 7, 2, 99, 6, 3],   # headers (5,7,6) → WRONG order → E76
         [5, 1, 99, 6, 2],             # headers (5,6)   → length matches no order → E76
     ]
-    v, _ = run_segment_checks(
+    v, _ = segments(
         _seg_batch(rows),
         delim_id=DELIM,
-        check_headers=False,          # isolate E76 (headers differ → E74 noise)
         allowed_orders=((5, 6, 7), (8, 9)),
     )
+    v = drop_code(v, "E74")  # isolate E76 (headers differ → E74 noise)
     got = sorted(zip(v["row_index"].to_pylist(), v["code"].to_pylist()))
     assert got == [(2, "E76"), (3, "E76")]
     msgs = dict(zip(v["row_index"].to_pylist(), v["message"].to_pylist()))
@@ -271,8 +284,6 @@ def test_ape_ladder_warning_and_fatal():
     expect_lane_count -= fatal_lanes.len(), applied to the reporting frame
     itself, readout_frame.rs:106-118), and drops the fatal header out of
     E74 equality and E76 ordering."""
-    from fastpasta_ray.checks.segments import run_segment_checks
-
     DELIM, WARN, FATAL = 99, 901, 902
     rows = [
         [5, 1, 99, 5, 2, 99, 5, 3],           # clean: 3 segments
@@ -285,7 +296,7 @@ def test_ape_ladder_warning_and_fatal():
         [5, 1, 99, 7, 9, 99, 5, 2],            # header 7 STILL fatal: excluded
                                                # from E74; 3 segs vs [2,2] → E73
     ]
-    v, new_fatal = run_segment_checks(
+    v, new_fatal = segments(
         _seg_batch(rows),
         delim_id=DELIM,
         min_segments=3,
@@ -322,8 +333,6 @@ def test_ape_ladder_fatal_excluded_from_e76_orders():
     match — the validate_inner_lane_groupings adjustment
     (alpide_readout_frame.rs:96-129): after header 6 goes fatal, (5, 7) is
     a valid remnant of the allowed (5, 6, 7)."""
-    from fastpasta_ray.checks.segments import run_segment_checks
-
     DELIM, FATAL = 99, 902
     rows = [
         [5, 1, 99, 6, 2, 99, 7, 3],           # (5,6,7): allowed
@@ -332,13 +341,13 @@ def test_ape_ladder_fatal_excluded_from_e76_orders():
         [5, 1, 99, 7, 2],                      # (5,7) still OK (6 remains fatal)
         [7, 1, 99, 5, 2],                      # (7,5): wrong order → E76
     ]
-    v, new_fatal = run_segment_checks(
+    v, new_fatal = segments(
         _seg_batch(rows),
         delim_id=DELIM,
-        check_headers=False,
         allowed_orders=((5, 6, 7),),
         fatal_sentinels=(FATAL,),
     )
+    v = drop_code(v, "E74")  # isolate E76 and E78
     assert new_fatal == [6]
     got = sorted(zip(v["row_index"].to_pylist(), v["code"].to_pylist()))
     assert got == [(1, "E78"), (3, "E76")]
@@ -353,12 +362,11 @@ def test_ape_ladder_running_across_batches_and_report():
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from fastpasta_ray.checks.segments import run_segment_checks
     from fastpasta_ray.pipelines.check import run_check
     from fastpasta_ray.stages.validate import CheckConfig
 
     # unit-level: batch 2 sees batch 1's fatal header via fatal_heads
-    v2, nf2 = run_segment_checks(
+    v2, nf2 = segments(
         _seg_batch([[5, 1, 99, 7, 2]]),
         delim_id=99,
         min_segments=2,

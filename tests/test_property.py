@@ -29,6 +29,7 @@ from fastpasta_ray.checks.key_checks import CANDIDATE_SCHEMA, MANIFEST_BASE, _bu
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.functions.dedup import _shingle_hashes_flat
 from fastpasta_ray.sketches import IntHistogram
+from tests.test_row_checks import ids_of, row_checks, toks_of
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +173,7 @@ def test_grammar_matches_naive(token_rows):
             "tokens": pa.array(token_rows, type=pa.list_(pa.int32())),
         }
     )
-    out = run_grammar_checks(batch, GrammarConfig(BOS, EOS, PAD))
+    out = run_grammar_checks(batch, toks_of(batch), GrammarConfig(BOS, EOS, PAD))
     got = {(r, c) for r, c in zip(out["row_index"].to_pylist(), out["code"].to_pylist())}
     expect = set()
     for i, toks in enumerate(token_rows):
@@ -243,7 +244,7 @@ def test_interior_pad_rule_matches_reduceat(token_rows, skip):
             "tokens": pa.array(token_rows, type=pa.list_(pa.int32())),
         }
     ).slice(min(skip, n - 1))
-    out = run_grammar_checks(batch, GrammarConfig(pad_id=0))
+    out = run_grammar_checks(batch, toks_of(batch), GrammarConfig(pad_id=0))
     got = list(zip(out["row_index"].to_pylist(), out["message"].to_pylist()))
     assert got == _interior_pad_messages_reduceat(batch, 0)
 
@@ -274,19 +275,22 @@ def test_running_state_matches_naive(indices, split):
                 "doc_id": pa.array(chunk),
             }
         )
-        v = st_.check_batch(b)
+        v = st_.check_batch(b, ids_of(b))
         got.update(v["row_index"].to_pylist())
     assert got == naive
 
 
 # ---------------------------------------------------------------------------
-# doc_index_fields (fixed-width tail parse) vs the regex it replaces
+# doc_id_fields (one byte pass) vs the regexes it replaces
 # ---------------------------------------------------------------------------
 
 # near-miss material: ASCII digits, '/' and ':' (the bytes around '0'-'9'),
 # plus non-ASCII digits (Arabic-Indic, fullwidth), a multi-byte letter,
 # newline and NUL
 _TAIL_CHARS = list("0123456789/:a ") + ["\u0661", "\uff10", "\u00e9", "\n", "\x00"]
+# prefix material: the class [a-z0-9_-] at its edges, uppercase, '/' and a
+# multi-byte letter (an empty prefix is the empty text)
+_PREFIX_CHARS = list("abz09_-AZ/") + ["\u00e9"]
 
 
 def _mutate(s, op, pos, ch):
@@ -301,10 +305,17 @@ _doc_ids = st.one_of(
     st.builds(
         _mutate,
         st.builds(
-            lambda pre, o, i: f"{pre}/{o:04d}/{i:08d}",
-            st.text(max_size=5),
+            lambda pre, o, i, end: f"{pre}/{o:04d}/{i:08d}{end}",
+            st.one_of(
+                # well formed: [a-z], then the class [a-z0-9_-] at its edges
+                st.builds(str.__add__, st.sampled_from("az"),
+                          st.text(alphabet=st.sampled_from(list("az09_-")), max_size=5)),
+                st.text(alphabet=st.sampled_from(_PREFIX_CHARS), max_size=6),
+                st.text(max_size=5),
+            ),
             st.integers(0, 9999),
             st.integers(0, 10**8 - 1),
+            st.sampled_from(["", "", "\n"]),  # RE2's $ does not match before "\n"
         ),
         st.integers(0, 3),
         st.integers(0, 30),
@@ -313,17 +324,21 @@ _doc_ids = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
     st.lists(_doc_ids, max_size=12),
     st.lists(_doc_ids, max_size=3),
     st.sampled_from([pa.string(), pa.large_string()]),
     st.lists(st.booleans(), min_size=18, max_size=18),
 )
-def test_doc_index_fields_match_regex(ids, pad, typ, masked):
+def test_doc_id_fields_match_regex(ids, pad, typ, masked):
+    """``missing`` and ``malformed`` are the E13 and E12 verdicts of
+    ``match_substring_regex(DOC_ID_RE)`` (RE2), and the tail fields are
+    what ``extract_regex`` reads, on sliced arrays whose null slots may
+    still span bytes."""
     import pyarrow.compute as pc
 
-    from fastpasta_ray.checks.running_checks import doc_index_fields
+    from fastpasta_ray import schema as S
 
     full = pa.array(pad + ids + pad, type=typ)
     # null slots that still hold bytes (a null's offsets may span data)
@@ -333,14 +348,20 @@ def test_doc_index_fields_match_regex(ids, pad, typ, masked):
     )
     # a slice of a larger array: offsets start past zero
     arr = full.slice(len(pad), len(ids))
+    got = S.doc_id_fields(arr)
+    values = arr.to_pylist()
+    matched = pc.match_substring_regex(arr, S.DOC_ID_RE).to_pylist()
+    assert got.missing.tolist() == [i for i, v in enumerate(values) if not v]
+    assert got.malformed.tolist() == [
+        i for i, (v, ok) in enumerate(zip(values, matched)) if v and not ok
+    ]
     groups = pc.extract_regex(arr, r"/(?P<ord>\d{4})/(?P<idx>\d{8})$")
     want = [
         (i, int(g["ord"]), int(g["idx"]))
         for i, g in enumerate(groups.to_pylist())
         if g is not None
     ]
-    rows, ords, idx = doc_index_fields(arr)
-    assert list(zip(rows.tolist(), ords.tolist(), idx.tolist())) == want
+    assert list(zip(got.rows.tolist(), got.ordinal.tolist(), got.index.tolist())) == want
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +369,9 @@ def test_doc_index_fields_match_regex(ids, pad, typ, masked):
 # ---------------------------------------------------------------------------
 
 row_strategy = st.tuples(
-    st.one_of(st.none(), st.sampled_from(["", "bad", "web/0000/00000007", "zz1/0001/00000002"])),
+    st.one_of(st.none(), st.sampled_from(
+        ["", "bad", "web/0000/00000007", "zz1/0001/00000002", "web/0000/00000007\n"]
+    )),
     st.one_of(st.none(), st.lists(st.integers(-2, 12), max_size=5)),
     st.integers(0, 6),
     st.one_of(st.none(), st.sampled_from(["", "web", "books", "nope"])),
@@ -361,7 +384,6 @@ def test_row_checks_match_naive(rows):
     import re
 
     from fastpasta_ray import schema as S
-    from fastpasta_ray.checks.row_checks import run_row_checks
 
     VOCAB = 10
     DOMAIN = ("web", "books")
@@ -375,7 +397,7 @@ def test_row_checks_match_naive(rows):
             "source": pa.array([r[3] for r in rows], type=pa.string()),
         }
     )
-    v = run_row_checks(batch, vocab=VOCAB, source_domain=DOMAIN)
+    v = row_checks(batch, vocab=VOCAB, source_domain=DOMAIN)
     got = {(r, c) for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist())}
 
     expect = set()
@@ -397,7 +419,7 @@ def test_row_checks_match_naive(rows):
             expect.add((i, "E41"))
         if did is None or did == "":
             expect.add((i, "E13"))
-        elif not pat.match(did):
+        elif not pat.fullmatch(did):
             expect.add((i, "E12"))
     assert got == expect
     got_e70 = {
@@ -430,8 +452,6 @@ def test_e70_int32_mask_matches_two_compares(vocab, rows):
     """The one-compare int32 E70 mask flags exactly the rows the two-compare
     formula ``(v < 0) | (v >= vocab)`` flags, with negative ids, ids at
     ``vocab - 1`` and ``vocab``, and the int32 extremes."""
-    from fastpasta_ray.checks.row_checks import run_row_checks
-
     named = {"neg": -vocab, "vocab-1": vocab - 1, "vocab": min(vocab, INT32_MAX)}
     toks = [[named.get(t, t) if isinstance(t, str) else t for t in r] for r in rows]
     batch = pa.table(
@@ -444,7 +464,7 @@ def test_e70_int32_mask_matches_two_compares(vocab, rows):
             "source": pa.array(["web"] * len(toks)),
         }
     )
-    v = run_row_checks(batch, vocab=vocab, source_domain=("web",))
+    v = row_checks(batch, vocab=vocab, source_domain=("web",))
     got = {r for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist()) if c == "E70"}
     want = set()
     for i, r in enumerate(toks):
@@ -670,7 +690,8 @@ def test_segment_fatal_carry_batch_split_invariant(seg_specs_rows, split):
         fatal_sentinels=(FATAL,),
         allowed_orders=tuple((5 + a, 5 + b) for a in range(7) for b in range(7)),
     )
-    v_one, nf_one = run_segment_checks(batch_of(rows, 0), fatal_heads=frozenset(), **kw)
+    b = batch_of(rows, 0)
+    v_one, nf_one = run_segment_checks(b, toks_of(b), fatal_heads=frozenset(), **kw)
     one = sorted(
         zip(v_one["row_index"].to_pylist(), v_one["code"].to_pylist(), v_one["message"].to_pylist())
     )
@@ -680,7 +701,8 @@ def test_segment_fatal_carry_batch_split_invariant(seg_specs_rows, split):
     nf_all: list = []
     for start in range(0, len(rows), split):
         chunk = rows[start : start + split]
-        v, nf = run_segment_checks(batch_of(chunk, start), fatal_heads=heads, **kw)
+        b = batch_of(chunk, start)
+        v, nf = run_segment_checks(b, toks_of(b), fatal_heads=heads, **kw)
         # row_index column already carries the global position
         got.extend(
             zip(v["row_index"].to_pylist(), v["code"].to_pylist(), v["message"].to_pylist())

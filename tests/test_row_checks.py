@@ -8,6 +8,7 @@ import pyarrow as pa
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks.row_checks import run_row_checks
 from fastpasta_ray.checks.running_checks import RunningState
+from fastpasta_ray.sketches import one_chunk
 
 
 def mk_batch(rows):
@@ -25,6 +26,29 @@ def mk_batch(rows):
     )
 
 
+def ids_of(batch):
+    """The batch's doc_id parse, as the validate stage builds it."""
+    return S.doc_id_fields(one_chunk(batch["doc_id"]))
+
+
+def toks_of(batch):
+    """The batch's token-row layout, as the validate stage builds it."""
+    return S.token_rows(one_chunk(batch["tokens"]))
+
+
+def row_checks(batch, **kw):
+    """``run_row_checks`` with the parse, layout and token min/max the
+    validate stage hands it."""
+    toks = toks_of(batch)
+    minmax = (int(toks.flat.min()), int(toks.flat.max())) if len(toks.flat) else None
+    return run_row_checks(batch, ids_of(batch), toks, minmax, **kw)
+
+
+def running(st, batch):
+    """``st.check_batch`` with the batch's doc_id parse."""
+    return st.check_batch(batch, ids_of(batch))
+
+
 CLEAN = ("web/0000/00000001", [1, 2, 3], 3, "web")
 
 
@@ -33,19 +57,19 @@ def codes_of(v):
 
 
 def test_clean_row_no_violations():
-    v = run_row_checks(mk_batch([CLEAN]))
+    v = row_checks(mk_batch([CLEAN]))
     assert v.num_rows == 0
     assert v.schema.equals(S.VIOLATIONS_SCHEMA)
 
 
 def test_ntok_mismatch_exact_row():
-    v = run_row_checks(mk_batch([CLEAN, ("web/0000/00000002", [1, 2], 3, "web")]))
+    v = row_checks(mk_batch([CLEAN, ("web/0000/00000002", [1, 2], 3, "web")]))
     assert codes_of(v) == [(1, "E10")]
     assert v["message"].to_pylist() == ["[E10] n_tok mismatch: expected 3 got 2"]
 
 
 def test_token_out_of_range_reports_first_offender():
-    v = run_row_checks(
+    v = row_checks(
         mk_batch([("web/0000/00000002", [1, 60000, 70000], 3, "web"), CLEAN])
     )
     assert codes_of(v) == [(0, "E70")]
@@ -57,19 +81,19 @@ def test_token_out_of_range_reports_first_offender():
 
 
 def test_negative_token():
-    v = run_row_checks(mk_batch([("web/0000/00000002", [-1, 5], 2, "web")]))
+    v = row_checks(mk_batch([("web/0000/00000002", [-1, 5], 2, "web")]))
     assert codes_of(v) == [(0, "E70")]
     assert "token id -1" in v["message"][0].as_py()
 
 
 def test_null_tokens_truncated():
-    v = run_row_checks(mk_batch([("web/0000/00000002", None, 3, "web")]))
+    v = row_checks(mk_batch([("web/0000/00000002", None, 3, "web")]))
     assert codes_of(v) == [(0, "E100")]
     assert v["message"].to_pylist() == ["[E100] tokens list is null (truncated row)"]
 
 
 def test_source_null_empty_and_domain():
-    v = run_row_checks(
+    v = row_checks(
         mk_batch(
             [
                 ("web/0000/00000001", [1], 1, None),
@@ -83,7 +107,7 @@ def test_source_null_empty_and_domain():
 
 
 def test_doc_id_format_and_null():
-    v = run_row_checks(
+    v = row_checks(
         mk_batch(
             [
                 (None, [1], 1, "web"),
@@ -98,7 +122,7 @@ def test_doc_id_format_and_null():
 
 def test_multiple_codes_one_row():
     # one row can violate several checks at once
-    v = run_row_checks(mk_batch([("bad", [99999], 5, "nope")]))
+    v = row_checks(mk_batch([("bad", [99999], 5, "nope")]))
     got = sorted(v["code"].to_pylist())
     assert got == ["E10", "E12", "E41", "E70"]
 
@@ -106,10 +130,10 @@ def test_multiple_codes_one_row():
 def test_running_monotonic_across_batches():
     st = RunningState()
     b1 = mk_batch([("web/0000/00000005", [1], 1, "web")])
-    v1 = st.check_batch(b1)
+    v1 = running(st, b1)
     assert v1.num_rows == 0
     b2 = mk_batch([("web/0000/00000003", [1], 1, "web")])
-    v2 = st.check_batch(b2)
+    v2 = running(st, b2)
     assert codes_of(v2) == [(0, "E11")]
     assert v2["message"].to_pylist() == [
         "[E11] doc index not increasing: 3 after 5"
@@ -124,7 +148,7 @@ def test_running_equal_index_is_violation():
             ("web/0000/00000001", [1], 1, "web"),
         ]
     )
-    v = st.check_batch(b)
+    v = running(st, b)
     assert codes_of(v) == [(1, "E11")]
 
 
@@ -137,14 +161,29 @@ def test_running_skips_malformed_ids():
             ("web/0000/00000004", [1], 1, "web"),
         ]
     )
-    assert st.check_batch(b).num_rows == 0
+    assert running(st, b).num_rows == 0
     assert st.last_idx == 4
+
+
+def test_malformed_prefix_gets_e12_and_still_e11():
+    """Only a doc_id without the ``/dddd/dddddddd`` tail leaves the running
+    checks: an uppercase prefix is E12, and its tail still orders the row
+    (E11 after a higher index)."""
+    b = mk_batch([("web/0000/00000005", [1], 1, "web"), ("Web/0000/00000003", [1], 1, "web")])
+    v = row_checks(b)
+    assert codes_of(v) == [(1, "E12")]
+    assert v["message"].to_pylist() == [
+        f"[E12] doc_id 'Web/0000/00000003' does not match {S.DOC_ID_RE}"
+    ]
+    v = running(RunningState(), b)
+    assert codes_of(v) == [(1, "E11")]
+    assert v["message"].to_pylist() == ["[E11] doc index not increasing: 3 after 5"]
 
 
 def test_mixed_null_and_out_of_range_rows():
     """Null tokens (E100) and out-of-range tokens (E70) in one batch: the
     flat→row index mapping must account for dropped null rows."""
-    v = run_row_checks(
+    v = row_checks(
         mk_batch(
             [
                 ("web/0000/00000001", None, 3, "web"),
@@ -175,7 +214,7 @@ def test_stride_fresh_vs_continuation_exact_strings():
     """First mismatch → E440; immediately following mismatch → E441, each
     with byte-exact messages (first-vs-continuation split, tdh.rs:60-206)."""
     st = RunningState(expected_stride=2)
-    v = st.check_batch(mk_batch(_ids(0, 2, 5, 8, 10)))
+    v = running(st, mk_batch(_ids(0, 2, 5, 8, 10)))
     assert [(r, c) for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist())] == [
         (2, "E440"), (3, "E441"),
     ]
@@ -189,18 +228,18 @@ def test_stride_continuation_carries_across_batches():
     """The fresh/continuation verdict survives a batch boundary: a mismatch
     at the end of batch 1 makes batch 2's first mismatch a continuation."""
     st = RunningState(expected_stride=1)
-    v1 = st.check_batch(mk_batch(_ids(0, 5)))
+    v1 = running(st, mk_batch(_ids(0, 5)))
     assert v1["code"].to_pylist() == ["E440"]
-    v2 = st.check_batch(mk_batch(_ids(9)))
+    v2 = running(st, mk_batch(_ids(9)))
     assert v2["code"].to_pylist() == ["E441"]
     # a clean interval resets the continuation state
-    v3 = st.check_batch(mk_batch(_ids(10, 14)))
+    v3 = running(st, mk_batch(_ids(10, 14)))
     assert v3["code"].to_pylist() == ["E440"]
 
 
 def test_stride_repeat_and_decrease_codes():
     st = RunningState(expected_stride=1)
-    v = st.check_batch(mk_batch(_ids(4, 4, 2)))
+    v = running(st, mk_batch(_ids(4, 4, 2)))
     assert v["code"].to_pylist() == ["E442", "E443"]
     assert v["message"].to_pylist() == [
         "[E442] doc index 4 repeated (stride 0, expected 1)",
@@ -212,7 +251,7 @@ def test_stride_wrap_is_clean():
     """Index wrap at 10^8 with the right phase is NOT a violation (the
     reference wraps trigger_bc at MAX_BC, tdh.rs:96-108)."""
     st = RunningState(expected_stride=5)
-    v = st.check_batch(mk_batch(_ids(99_999_998, 3)))
+    v = running(st, mk_batch(_ids(99_999_998, 3)))
     assert v.num_rows == 0
 
 
@@ -230,7 +269,7 @@ def test_index_row_desync_e445_exact_strings():
     st = RunningState(expected_stride=2, stride_multiples=True)
     # rows at original positions 0,3,5 with doc indexes 0,6,8:
     # 0->6 over row gap 3 = 3x2 OK; 6->8 over row gap 2 should be 4, not 2.
-    v = st.check_batch(mk_batch_at(_ids(0, 6, 8), [0, 3, 5]))
+    v = running(st, mk_batch_at(_ids(0, 6, 8), [0, 3, 5]))
     assert [(r, c) for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist())] == [
         (5, "E445"),
     ]
@@ -241,9 +280,9 @@ def test_index_row_desync_e445_exact_strings():
 
 def test_index_row_desync_e445_carries_across_batches():
     st = RunningState(expected_stride=1, stride_multiples=True)
-    assert st.check_batch(mk_batch_at(_ids(0, 4), [0, 4])).num_rows == 0
+    assert running(st, mk_batch_at(_ids(0, 4), [0, 4])).num_rows == 0
     # next batch: doc index advanced 2 but row position advanced 3
-    v = st.check_batch(mk_batch_at(_ids(6), [7]))
+    v = running(st, mk_batch_at(_ids(6), [7]))
     assert v["code"].to_pylist() == ["E445"]
 
 
@@ -251,7 +290,7 @@ def test_index_row_desync_not_doubled_with_e44x():
     """Intervals already flagged by E440-E443 must not also emit E445."""
     st = RunningState(expected_stride=2, stride_multiples=True)
     # delta 3 is not a multiple of 2 -> E440 only, no E445
-    v = st.check_batch(mk_batch_at(_ids(0, 3), [0, 1]))
+    v = running(st, mk_batch_at(_ids(0, 3), [0, 1]))
     assert v["code"].to_pylist() == ["E440"]
 
 
@@ -261,7 +300,7 @@ def test_stride_multiples_full_wrap_gap_accepted():
     stride when stride does not divide the wrap — accepted, not E440."""
     st = RunningState(expected_stride=3, stride_multiples=True)
     # k = 33,333,334 skipped rows: 1 + 3k = 100,000,003 -> wraps to 3
-    v = st.check_batch(mk_batch_at(_ids(1, 3), [0, 33_333_334]))
+    v = running(st, mk_batch_at(_ids(1, 3), [0, 33_333_334]))
     assert v.num_rows == 0, v.to_pydict()
 
 
@@ -269,7 +308,7 @@ def test_e44_prefix_enables_e445():
     from fastpasta_ray.stages.validate import _filter_codes
 
     st = RunningState(expected_stride=2, stride_multiples=True)
-    v = st.check_batch(mk_batch_at(_ids(0, 6, 8), [0, 3, 5]))
+    v = running(st, mk_batch_at(_ids(0, 6, 8), [0, 3, 5]))
     kept = _filter_codes(v, ("E44",))
     assert kept["code"].to_pylist() == ["E445"]
     assert _filter_codes(v, ("E70",)).num_rows == 0
@@ -280,7 +319,7 @@ def test_partition_ordinal_set_once_e444():
     mid-partition (set-once orbit analog) — both modes."""
     st = RunningState()  # monotonic mode
     b = mk_batch(_ids(1) + _ids(2, ordinal="0007") + _ids(3))
-    v = st.check_batch(b)
+    v = running(st, b)
     assert [(r, c) for r, c in zip(v["row_index"].to_pylist(), v["code"].to_pylist())] == [
         (1, "E444"),
     ]

@@ -18,13 +18,13 @@ from fastpasta_ray.checks import key_checks as K
 from fastpasta_ray.checks.drift import build_profile, drift_check
 from fastpasta_ray.checks.grammar import GrammarConfig, run_grammar_checks
 from fastpasta_ray.checks.registry import check_max_len, run_custom_checks
-from fastpasta_ray.checks.row_checks import run_row_checks
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.checks.segments import run_segment_checks
 from fastpasta_ray.pipelines.check import schema_violation
 from fastpasta_ray.sketches import PartStats, hash_strings
 from fastpasta_ray.sources.parquet import read_footers
 from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
+from tests import test_row_checks as rc
 
 
 def _batch(doc_idx, tokens, source="web"):
@@ -47,26 +47,29 @@ CLEAN = [[1, 5, 6, 2], [1, 7, 2]]
 
 def row_checks(trip, tmp_path):
     toks = [[1, S.VOCAB_SIZE + 3, 2], [1, 7, 2]] if trip else CLEAN
-    return run_row_checks(_batch([1, 2], toks))
+    return rc.row_checks(_batch([1, 2], toks))
 
 
 def grammar(trip, tmp_path):
     toks = [[9, 5, 0, 6], [1, 7, 2]] if trip else CLEAN
-    return run_grammar_checks(_batch([1, 2], toks), GrammarConfig(1, 2, 0))
+    b = _batch([1, 2], toks)
+    return run_grammar_checks(b, rc.toks_of(b), GrammarConfig(1, 2, 0))
 
 
 def segments(trip, tmp_path):
     # delimiter 3; headers must match, 2..3 segments; 90 warns, 91 is fatal
     toks = [[4, 5, 3, 6, 90], [4, 3, 3, 4, 91]] if trip else [[4, 5, 3, 4, 6], [4, 3, 4]]
+    b = _batch([1, 2], toks)
     table, _ = run_segment_checks(
-        _batch([1, 2], toks), delim_id=3, min_segments=2, max_segments=3,
+        b, rc.toks_of(b), delim_id=3, min_segments=2, max_segments=3,
         warning_sentinels=(90,), fatal_sentinels=(91,),
     )
     return table
 
 
 def running_checks(trip, tmp_path):
-    return RunningState(None).check_batch(_batch([5, 3] if trip else [3, 5], CLEAN))
+    b = _batch([5, 3] if trip else [3, 5], CLEAN)
+    return RunningState(None).check_batch(b, rc.ids_of(b))
 
 
 def custom_max_len(trip, tmp_path):
