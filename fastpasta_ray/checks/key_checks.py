@@ -52,7 +52,11 @@ as SQL UNIQUE / FOREIGN KEY do): a row, sequence or manifest side alike,
 enters the exchange only when its doc_id is non-null and non-empty
 (:func:`_key_rows`, which pass 1 and the cut both call). A
 sequence row without a key already got E13 in pass 1; a manifest row
-without one names no document and takes part in no check.
+without one names no document and takes part in no check. A null
+``n_tok`` or ``expected_n_tok`` likewise has no value to compare: it
+travels as :data:`NULL_N_TOK`, E72 compares only two present values, and
+a doc_id's manifest expectation is the MIN of its present ones, as SQL
+MIN skips NULL. A null ``n_tok`` already got E10 in pass 1.
 
 All four checks ride the same single shuffle:
   E80  duplicate doc_id        (within and across partitions)
@@ -83,6 +87,9 @@ logger = logging.getLogger(__name__)
 MANIFEST_PART = "__manifest__"
 MANIFEST_BASE = np.int64(-(1 << 62))  # manifest loc = MANIFEST_BASE + row_idx
 ROW_BITS = np.int64(40)  # row_index < 2^40 rows per partition file
+# a null n_tok / expected_n_tok in the exchange: above every int32 count,
+# so the manifest side's per-hash MIN passes over it
+NULL_N_TOK = np.iinfo(np.int64).max
 
 
 def _loc(part_idx: int | None, row):
@@ -189,7 +196,7 @@ def _bucket_candidates(g: pa.Table, with_manifest: bool) -> pa.Table:
     has_m = mh[pos] == sh if len(mh) else np.zeros(len(sh), dtype=bool)
     sexp = np.full(len(sh), -1, dtype=np.int64)  # -1 = no expectation
     sexp[has_m] = mexp[pos[has_m]]
-    bad = (sexp >= 0) & (sn != sexp)
+    bad = (sexp >= 0) & (sexp != NULL_N_TOK) & (sn != NULL_N_TOK) & (sn != sexp)
     manref = np.zeros(len(mh), dtype=bool)
     manref[pos[bad]] = True
     empty = np.ones(len(mh), dtype=bool)
@@ -316,15 +323,18 @@ def _keyed(doc_id) -> pa.Array:
     return pc.and_kleene(pc.is_valid(doc_id), pc.not_equal(doc_id, pa.scalar("")))
 
 
-def _key_rows(doc_id: pa.Array, row: np.ndarray, n_tok: np.ndarray, h=None):
+def _key_rows(doc_id: pa.Array, row: np.ndarray, n_tok: pa.Array, h=None):
     """The rows of one batch that enter the exchange, as ``(h, row, n_tok)``
-    arrays: the rows :func:`_keyed` admits, hashed after the exemption.
-    Pass 1, which already hashed every row for its HLL, passes those hashes
-    as ``h``; :func:`_cut` hashes only the admitted doc_ids."""
+    arrays: the rows :func:`_keyed` admits, hashed after the exemption,
+    with a null ``n_tok`` as :data:`NULL_N_TOK`. Pass 1, which already
+    hashed every row for its HLL, passes those hashes as ``h``;
+    :func:`_cut` hashes only the admitted doc_ids."""
     mask = _keyed(doc_id)
     keyed = mask.to_numpy(zero_copy_only=False)
     h = hash_strings(doc_id.filter(mask)) if h is None else h[keyed]
-    return h, row[keyed], n_tok[keyed].astype(np.int64)
+    if n_tok.null_count:
+        n_tok = n_tok.cast(pa.int64()).fill_null(NULL_N_TOK)
+    return h, row[keyed], n_tok.to_numpy(zero_copy_only=False)[keyed].astype(np.int64)
 
 
 def _cut(path: str, part_idx: int | None, batch_rows=None, filter_sources=None,
@@ -359,12 +369,11 @@ def _cut(path: str, part_idx: int | None, batch_rows=None, filter_sources=None,
     ):
         pos = np.arange(row, row + rb.num_rows, dtype=np.int64)
         row += rb.num_rows
-        doc_id, ntok = rb["doc_id"], rb[n_tok].to_numpy(zero_copy_only=False)
+        doc_id, ntok = rb["doc_id"], rb[n_tok]
         if filter_sources is not None:
             keep = S.source_mask(rb["source"], src_set)
-            doc_id = doc_id.filter(keep)
-            keep = keep.to_numpy(zero_copy_only=False)
-            pos, ntok = pos[keep], ntok[keep]
+            doc_id, ntok = doc_id.filter(keep), ntok.filter(keep)
+            pos = pos[keep.to_numpy(zero_copy_only=False)]
         h, rows, ntok = _key_rows(doc_id, pos, ntok)
         yield h, _loc(part_idx, rows), ntok
 

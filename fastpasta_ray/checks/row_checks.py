@@ -11,7 +11,8 @@ The checks parse nothing themselves: the validate stage parses each
 batch once and hands every check the same result, as the reference
 deserializes each record header once for all its validators
 (rdh_cru.rs:50-63). E12/E13 read ``schema.doc_id_fields``, and
-E10/E70/E100 read ``schema.token_rows``.
+E10's length compare, E70 and E100 read ``schema.token_rows``; a null
+``n_tok`` gets its own E10 with or without the payload.
 
 Message formats are FROZEN (tests assert byte-exact strings, mirroring
 cdp_running.rs:520-531 exact-string asserts).
@@ -46,6 +47,7 @@ def run_row_checks(
     (``sketches.scan_token_values``), None when the batch has no token.
     """
     source = one_chunk(batch["source"])
+    n_tok = one_chunk(batch["n_tok"])
     hits: list[tuple] = []  # (rows, code, column, details) per rule
 
     if toks is not None:
@@ -57,7 +59,6 @@ def run_row_checks(
             ["tokens list is null (truncated row)"] * len(null_rows),
         ))
         # --- E10: n_tok != len(tokens) — analog RDH sanity [E10]
-        n_tok = one_chunk(batch["n_tok"])
         ntok_np = n_tok.to_numpy(zero_copy_only=False)
         mism = valid & (lens != ntok_np)
         if n_tok.null_count:
@@ -67,6 +68,10 @@ def run_row_checks(
             mrows, S.E_NTOK_MISMATCH, "n_tok",
             [f"n_tok mismatch: expected {int(ntok_np[r])} got {int(lens[r])}" for r in mrows],
         ))
+    # --- E10: a null n_tok has no count to check, with or without the payload
+    if n_tok.null_count:
+        null_ntok = np.flatnonzero(n_tok.is_null().to_numpy(zero_copy_only=False))
+        hits.append((null_ntok, S.E_NTOK_MISMATCH, "n_tok", ["n_tok is null"] * len(null_ntok)))
 
     # --- E70: token out of vocab range — analog invalid data-word ID [E70]
     # cheap global min/max gate first: the expensive per-token mask (and its

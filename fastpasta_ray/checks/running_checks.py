@@ -106,9 +106,7 @@ class RunningState:
         have_prev = self.last_idx is not None
         prev[0] = self.last_idx if have_prev else np.iinfo(np.int64).min
 
-        out_pos: list[np.ndarray] = []
-        out_codes: list[list] = []
-        out_msgs: list[list] = []
+        hits: list[tuple] = []  # (rows, code, column, details) per rule
 
         # --- E444: set-once partition ordinal (orbit analog) ---------------
         if self.first_ordinal is None:
@@ -116,14 +114,13 @@ class RunningState:
         bad_ord = ords != self.first_ordinal
         if bad_ord.any():
             w = np.flatnonzero(bad_ord)
-            out_pos.append(vrows[w])
-            out_codes.append([S.E_PART_ORDINAL] * len(w))
-            out_msgs.append(
+            hits.append((
+                vrows[w], S.E_PART_ORDINAL, "doc_id",
                 [
                     f"doc_id partition ordinal {int(o)} != partition's first {self.first_ordinal}"
                     for o in ords[w]
-                ]
-            )
+                ],
+            ))
 
         if self.expected_stride is not None:
             # exact-period mode: (cur - prev) mod wrap == stride; the first
@@ -187,13 +184,10 @@ class RunningState:
                 ),
             ):
                 w = np.flatnonzero(mask)
-                if not len(w):
-                    continue
-                out_pos.append(vrows[w])
-                out_codes.append([code] * len(w))
-                out_msgs.append(
-                    [fmt(int(c), int(p), int(d)) for c, p, d in zip(seq[w], prev[w], delta[w])]
-                )
+                hits.append((
+                    vrows[w], code, "doc_id",
+                    [fmt(int(c), int(p), int(d)) for c, p, d in zip(seq[w], prev[w], delta[w])],
+                ))
             # --- E445: doc-index advance vs row_index advance (filtered
             # mode only — see module docstring). Gated on intervals the
             # E440-E443 lanes did NOT flag (no double-reporting).
@@ -212,43 +206,29 @@ class RunningState:
                 exp_delta = np.mod(row_gap * stride, self.index_wrap)
                 desync = ~bad & ~no_interval & (delta != exp_delta)
                 w = np.flatnonzero(desync)
-                if len(w):
-                    out_pos.append(vrows[w])
-                    out_codes.append([S.E_INDEX_ROW_DESYNC] * len(w))
-                    out_msgs.append(
-                        [
-                            f"doc index {int(c)} after {int(p)}: stride "
-                            f"{int(d)} != row gap {int(g)} x expected "
-                            f"stride {stride}"
-                            for c, p, d, g in zip(
-                                seq[w], prev[w], delta[w], row_gap[w]
-                            )
-                        ]
-                    )
+                hits.append((
+                    vrows[w], S.E_INDEX_ROW_DESYNC, "doc_id",
+                    [
+                        f"doc index {int(c)} after {int(p)}: stride "
+                        f"{int(d)} != row gap {int(g)} x expected stride {stride}"
+                        for c, p, d, g in zip(seq[w], prev[w], delta[w], row_gap[w])
+                    ],
+                ))
                 self.last_row_index = int(row_np[-1])
         else:
             bad = seq <= prev
             w = np.flatnonzero(bad)
-            if len(w):
-                out_pos.append(vrows[w])
-                out_codes.append([S.E_ORDER] * len(w))
-                out_msgs.append(
-                    [
-                        f"doc index not increasing: {int(c)} after {int(p)}"
-                        for c, p in zip(seq[w], prev[w])
-                    ]
-                )
+            hits.append((
+                vrows[w], S.E_ORDER, "doc_id",
+                [f"doc index not increasing: {int(c)} after {int(p)}" for c, p in zip(seq[w], prev[w])],
+            ))
         # carry the IMMEDIATE predecessor (last valid index), not the max:
         # the in-batch comparison is each-row-vs-previous-row, and the
         # cross-batch carry must match or results would depend on where
         # batch boundaries fall (caught by hypothesis)
         self.last_idx = int(seq[-1])
-        if not out_pos:
-            return S.VIOLATIONS_SCHEMA.empty_table()
-        pos = np.concatenate(out_pos)
-        codes = [c for lane in out_codes for c in lane]
-        msgs = [m for lane in out_msgs for m in lane]
-        # emit in row order (stable across lane concatenation)
+        pos, codes, _, msgs = S.rule_rows(hits)
+        # emit in row order (stable across the rules)
         order = np.argsort(pos, kind="stable")
         return S.batch_violations(
             batch, pos[order], [codes[i] for i in order], "doc_id", [msgs[i] for i in order]

@@ -25,6 +25,15 @@ segment-start derivation over the token layout the validate stage derives
 once per batch (``schema.token_rows``) — no per-row Python. Row-local
 (fits map_batches, like the reference's per-frame analysis inside one
 validator thread).
+
+The running fatal set (the reference's per-link ``fatal_lanes``,
+readout_frame.rs:40-50) is one fact per header, its ONSET row: a header
+is fatal at row r iff it was fatal before the batch, or it first reports
+fatal at a row <= r — the reporting row included, as the reference adds
+new fatal lanes before it checks the frame that reported them
+(readout_frame.rs:106-118). The per-header onsets are the batch's whole
+fatal-set summary; the checks cost O(n + #segments · log #onsets) plus
+O(#rows · order length) per allowed order, however many headers go fatal.
 """
 
 from __future__ import annotations
@@ -49,9 +58,10 @@ def run_segment_checks(
 ) -> tuple[pa.Table, list[int]]:
     """Segment-structure checks over one SEQUENCES_POS batch, whose
     ``schema.token_rows`` is ``toks``. Returns
-    ``(violations, newly_fatal_headers)`` — the caller carries the fatal
-    headers across batches of the same partition (the reference's
-    per-validator ``fatal_lanes`` list, readout_frame.rs:40-50).
+    ``(violations, newly_fatal_headers)``, the new headers in onset order
+    — the caller carries the fatal headers across batches of the same
+    partition (the reference's per-validator ``fatal_lanes`` list,
+    readout_frame.rs:40-50).
 
     ``allowed_orders``: tuple of allowed segment-header sequences (each a
     tuple of token ids). When set, every row with ≥1 segment must have a
@@ -63,18 +73,18 @@ def run_segment_checks(
     that, seen anywhere inside a segment, set that segment's status.
     WARNING segments are reported (E77) but keep participating in every
     check — the reference only log::warn's them. A FATAL segment is
-    reported (E78) and its HEADER joins the running fatal set: from the
-    row where it goes fatal onward (row-exact within the batch, like the
-    reference applying new fatal lanes to the very frame that reported
-    them, readout_frame.rs:106-118),
+    reported (E78) and its HEADER joins the running fatal set at its
+    onset row, the first row where it reports fatal: a header is fatal at
+    row r iff it is in ``fatal_heads`` or its onset is <= r. At every row
+    where a header is fatal,
       - the E73 band drops by the running fatal count — the
         ``expect_lane_count -= fatal_lanes.len()`` analog
         (alpide_readout_frame.rs:65-68); observed still counts every
-        segment, so the transition row flags exactly like the reference;
-      - fatal-headed segments are excluded from E74 header equality (a
-        fatal lane never reaches ``validated_lanes``, alpide.rs:51-58);
+        segment, so the onset row flags exactly like the reference;
+      - its segments are excluded from E74 header equality (a fatal lane
+        never reaches ``validated_lanes``, alpide.rs:51-58);
       - E76 matches the row's NON-fatal header sequence against each
-        allowed order with fatal headers REMOVED
+        allowed order with that row's fatal headers REMOVED
         (validate_inner_lane_groupings' grouping adjustment,
         alpide_readout_frame.rs:96-129).
 
@@ -94,23 +104,17 @@ def run_segment_checks(
     seg_start = (~is_delim) & (prev_is_delim | at_row_start)
     seg_per_row = np.bincount(row_of[seg_start], minlength=n)
 
-    # an EMPTY segment exists where a delimiter is immediately preceded by
-    # a delimiter (within the same row) or sits at the row start/end
-    empty_after = is_delim & (prev_is_delim & ~at_row_start)
-    at_start_delim = is_delim & at_row_start
-    next_is_delim = np.r_[is_delim[1:], True]
+    # an EMPTY segment: each delimiter at a row's start, at its end, or
+    # right after another delimiter counts once
     at_row_end = np.zeros(len(vals), dtype=bool)
-    if n:
-        at_row_end[row_ends[lens > 0] - 1] = True
-    trailing_delim = is_delim & at_row_end
-    empty_seg = empty_after | at_start_delim | trailing_delim
+    at_row_end[row_ends[lens > 0] - 1] = True
+    empty_seg = is_delim & (prev_is_delim | at_row_start | at_row_end)
     empty_per_row = np.bincount(row_of[empty_seg], minlength=n)
 
     hits: list[tuple] = []  # (rows, code, column, details) per rule
 
     # --- per-segment header + status (APE ladder) --------------------------
-    heads = vals[seg_start] if seg_start.any() else np.zeros(0, dtype=np.int64)
-    hrow = row_of[seg_start] if seg_start.any() else np.zeros(0, dtype=np.int64)
+    heads, hrow = vals[seg_start], row_of[seg_start]  # hrow is sorted
     n_seg = len(heads)
     seg_warn = np.zeros(n_seg, dtype=bool)
     seg_fatal = np.zeros(n_seg, dtype=bool)
@@ -127,45 +131,30 @@ def run_segment_checks(
             seg_fatal[seg_of[hit]] = True
         seg_warn &= ~seg_fatal  # FATAL outranks WARNING (the ladder)
 
-    # running fatal set, row-exact "eras": the set grows at the first row
-    # where each new header reports fatal and applies FROM that row on —
-    # including the reporting row itself, exactly like the reference adding
-    # new fatal lanes before checking the same frame
-    # (readout_frame.rs:106-118). era_of[r] indexes the fatal set in force
-    # at row r; the number of eras is 1 + #distinct onset rows (anomaly-
-    # rare — the zero-fatal hot path below stays fully vectorized).
-    prior = np.array(sorted(fatal_heads), dtype=np.int64) if fatal_heads else np.zeros(0, dtype=np.int64)
-    new_fatal: list[int] = []
-    if seg_fatal.any():
-        fh, fr = heads[seg_fatal], hrow[seg_fatal]
-        fresh = ~np.isin(fh, prior)
-        uh, first_idx = np.unique(fh[fresh], return_index=True)
-        onset = fr[fresh][first_idx]
-        occ = np.argsort(onset, kind="stable")
-        uh, onset = uh[occ], onset[occ]
-        new_fatal = [int(h) for h in uh]
-    else:
-        uh = np.zeros(0, dtype=np.int64)
-        onset = np.zeros(0, dtype=np.int64)
-    bounds = np.unique(onset)
-    era_of = np.searchsorted(bounds, np.arange(n), side="right")
-    era_sets = [prior]
-    for b in bounds:
-        era_sets.append(
-            np.unique(np.concatenate([prior, uh[onset <= b]]))
-        )
-    era_sizes = np.array([len(s) for s in era_sets], dtype=np.int64)
-    nf_per_row = era_sizes[era_of]
-    # per-segment exclusion: header in the fatal set in force at its row
-    if n_seg and (len(prior) or len(uh)):
-        seg_excl = np.zeros(n_seg, dtype=bool)
-        seg_era = era_of[hrow]
-        for e, fs in enumerate(era_sets):
-            if len(fs):
-                m = seg_era == e
-                seg_excl[m] = np.isin(heads[m], fs)
-    else:
-        seg_excl = np.zeros(n_seg, dtype=bool)
+    # the running fatal set as onsets: the fresh fatal headers ``uh``
+    # (sorted) and, aligned, the first row where each reports fatal
+    prior = np.array(sorted(fatal_heads or ()), dtype=np.int64)
+    fh, fr = heads[seg_fatal], hrow[seg_fatal]
+    uh, first = np.unique(fh, return_index=True)
+    onset = fr[first]
+    fresh = ~np.isin(uh, prior)
+    uh, onset = uh[fresh], onset[fresh]
+    new_fatal = [int(h) for h in uh[np.argsort(onset, kind="stable")]]
+
+    def onset_of(h: np.ndarray) -> np.ndarray:
+        """The row from which each header in ``h`` is fatal: -1 for a
+        prior header, n for one that is not fatal in this batch."""
+        at = np.full(len(h), n, dtype=np.int64)
+        if len(uh):
+            i = np.minimum(np.searchsorted(uh, h), len(uh) - 1)
+            hit = uh[i] == h
+            at[hit] = onset[i[hit]]
+        if len(prior):
+            at[np.isin(h, prior)] = -1
+        return at
+
+    # fatal count per row: the prior set plus the onsets at or before it
+    nf_per_row = len(prior) + np.searchsorted(np.sort(onset), np.arange(n), side="right")
 
     # E77/E78: segment status reports (one row per affected sequence row)
     if seg_warn.any():
@@ -179,16 +168,16 @@ def run_segment_checks(
                 for r in rows77
             ],
         ))
-    if seg_fatal.any():
-        fatal_per_row = np.bincount(hrow[seg_fatal], minlength=n)
-        rows78 = np.flatnonzero(fatal_per_row > 0)
+    if len(fh):
+        # fr is sorted, so each reporting row's fatal headers are one slice
+        rows78, lo, cnt = np.unique(fr, return_index=True, return_counts=True)
         hits.append((
             rows78, S.E_SEG_FATAL, "tokens",
             [
-                f"{int(fatal_per_row[r])} segment(s) in FATAL status; "
-                f"headers {sorted(int(h) for h in np.unique(heads[seg_fatal & (hrow == r)]))} "
+                f"{int(c)} segment(s) in FATAL status; "
+                f"headers {sorted(set(fh[a : a + c].tolist()))} "
                 "excluded from lane checks from this row on"
-                for r in rows78
+                for a, c in zip(lo, cnt)
             ],
         ))
 
@@ -207,13 +196,8 @@ def run_segment_checks(
     hits.append((
         rows73, S.E_SEG_COUNT, "tokens",
         [
-            f"segment count {int(seg_per_row[r])} outside "
-            f"[{min_segments}, {max_segments}]"
-            + (
-                f" less {int(nf_per_row[r])} fatal segment(s)"
-                if nf_per_row[r]
-                else ""
-            )
+            f"segment count {int(seg_per_row[r])} outside [{min_segments}, {max_segments}]"
+            + (f" less {int(nf_per_row[r])} fatal segment(s)" if nf_per_row[r] else "")
             for r in rows73
         ],
     ))
@@ -228,10 +212,10 @@ def run_segment_checks(
     # fatal-headed segments drop out of E74/E76 (a fatal lane never reaches
     # validated_lanes, alpide.rs:51-58; groupings adjust around fatal lanes,
     # alpide_readout_frame.rs:96-129)
-    live = ~seg_excl
+    live = onset_of(heads) > hrow
     heads_nf = heads[live]
     hrow_nf = hrow[live]
-    live_per_row = np.bincount(hrow_nf, minlength=n) if len(hrow_nf) else np.zeros(n, dtype=np.int64)
+    live_per_row = np.bincount(hrow_nf, minlength=n)
 
     # E74: all NON-fatal segment headers within a row must be equal (BC
     # equality)
@@ -251,27 +235,41 @@ def run_segment_checks(
 
     # E76: the NON-fatal header sequence must be one of the allowed
     # orderings with that row's fatal headers removed (chip_orders_ob
-    # analog + the fatal-lane grouping adjustment). Vectorized per
-    # (era, allowed order): rows in one era share a fatal set, so the
-    # filtered order is computed once per era and compared blockwise.
+    # analog + the fatal-lane grouping adjustment). Per allowed order:
+    # prior-fatal entries go from every row; the rows whose live length
+    # the order can still match are one slice of the candidates sorted by
+    # live length; and only an order with an entry that goes fatal in
+    # this batch needs a per-row (rows × order length) keep-mask.
     if allowed_orders and len(heads_nf):
         hoff = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(live_per_row, out=hoff[1:])
         candidate = has_tokens & (live_per_row > 0)
+        by_len = np.flatnonzero(candidate)
+        by_len = by_len[np.argsort(live_per_row[by_len], kind="stable")]
+        len_sorted = live_per_row[by_len]
         matched = np.zeros(n, dtype=bool)
-        for e, fs in enumerate(era_sets):
-            era_rows = era_of == e
-            for order in allowed_orders:
-                order_np = np.asarray(order, dtype=np.int64)
-                if len(fs):
-                    order_np = order_np[~np.isin(order_np, fs)]
-                L = len(order_np)
-                rows_l = np.flatnonzero(era_rows & candidate & (live_per_row == L))
-                if not len(rows_l):
-                    continue
-                gather = (hoff[rows_l][:, None] + np.arange(L)[None, :]).reshape(-1)
-                block = heads_nf[gather].reshape(len(rows_l), L)
-                matched[rows_l] |= (block == order_np[None, :]).all(axis=1)
+        for order in allowed_orders:
+            order_np = np.asarray(order, dtype=np.int64)
+            at = onset_of(order_np)
+            order_np, at = order_np[at >= 0], at[at >= 0]
+            L = len(order_np)
+            moving = at < n  # goes fatal at some row of this batch
+            rows_l = by_len[
+                np.searchsorted(len_sorted, L - int(moving.sum())) :
+                np.searchsorted(len_sorted, L, side="right")
+            ]
+            if not len(rows_l):
+                continue
+            if moving.any():
+                keep = at[None, :] > rows_l[:, None]
+                fits = keep.sum(axis=1) == live_per_row[rows_l]
+                rows_l, keep = rows_l[fits], keep[fits]
+                # the live header each kept entry must equal
+                col = np.maximum(np.cumsum(keep, axis=1) - 1, 0)
+                eq = (heads_nf[hoff[rows_l][:, None] + col] == order_np) | ~keep
+            else:
+                eq = heads_nf[hoff[rows_l][:, None] + np.arange(L)] == order_np
+            matched[rows_l[eq.all(axis=1)]] = True
         rows76 = np.flatnonzero(candidate & ~matched)
         hits.append((
             rows76, S.E_SEG_ORDER, "tokens",

@@ -32,6 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -219,10 +220,10 @@ class ValidateFiles:
         drift_metrics)`` once the file is done. The driver has already
         tested the file's schema (``pipelines.check.schema_violation``)."""
         cfg = self.cfg
+        # stats.fatal_segments is also the partition's running fatal set of
+        # the segment checks (APE ladder analog; grows batch to batch like
+        # the reference's fatal_lanes)
         stats = PartStats(vocab=cfg.vocab, has_payload=cfg.read_payload)
-        # running fatal-segment headers for THIS partition (APE ladder
-        # analog; grows batch-to-batch like the reference's fatal_lanes)
-        fatal_heads: frozenset = frozenset()
         running = (
             RunningState(
                 cfg.expected_index_stride,
@@ -266,63 +267,65 @@ class ValidateFiles:
                 from fastpasta_ray.sketches import scan_token_values
 
                 minmax = scan_token_values(toks.flat, stats.token_mm, stats.vocab_bitmap)
-            ntok = one_chunk(batch["n_tok"]).to_numpy(zero_copy_only=False)
-            stats.n_tok_hist.add(ntok)
+            ntok = one_chunk(batch["n_tok"])
+            stats.n_tok_hist.add(ntok.drop_null().to_numpy(zero_copy_only=False))  # E10 flags a null
             stats.source_hist.add_arrow(one_chunk(batch["source"]))
             h = hash_strings(doc_id)
             stats.hll.add_hashes(h)
             if keys is not None:
                 keys.append(kc._key_rows(doc_id, one_chunk(batch["row_index"]).to_numpy(), ntok, h))
             # --- checks: every check's table, concatenated once ------------
-            if emitted < cfg.max_errors_per_part:
-                checks = [
-                    run_row_checks(
-                        batch, ids, toks, minmax,
-                        vocab=cfg.vocab, source_domain=cfg.source_domain,
-                    )
-                ]
+            # past the per-partition cap only the carried state advances:
+            # the running checks and the segment checks' fatal set
+            room = cfg.max_errors_per_part - emitted
+            checks = []
+            if room > 0:
+                checks.append(run_row_checks(
+                    batch, ids, toks, minmax,
+                    vocab=cfg.vocab, source_domain=cfg.source_domain,
+                ))
                 if cfg.read_payload and (
                     cfg.bos_id is not None or cfg.eos_id is not None or cfg.pad_id is not None
                 ):
                     from fastpasta_ray.checks.grammar import run_grammar_checks
 
                     checks.append(run_grammar_checks(batch, toks, cfg.grammar))
-                if cfg.read_payload and cfg.segment_delim_id is not None:
-                    from fastpasta_ray.checks.segments import run_segment_checks
+            if cfg.read_payload and cfg.segment_delim_id is not None:
+                from fastpasta_ray.checks.segments import run_segment_checks
 
-                    sv, new_fatal = run_segment_checks(
-                        batch, toks,
-                        delim_id=cfg.segment_delim_id,
-                        min_segments=cfg.min_segments,
-                        max_segments=cfg.max_segments,
-                        allowed_orders=cfg.allowed_segment_orders,
-                        warning_sentinels=cfg.warning_sentinel_ids,
-                        fatal_sentinels=cfg.fatal_sentinel_ids,
-                        fatal_heads=fatal_heads,
-                    )
-                    if new_fatal:
-                        # per-partition running fatal set (the reference's
-                        # add_fatal_lanes, readout_frame.rs:40-50); surfaced
-                        # in the report via PartStats
-                        fatal_heads = frozenset(fatal_heads | set(new_fatal))
-                        stats.fatal_segments |= set(new_fatal)
-                    checks.append(sv)
-                if cfg.extra.get("custom_checks"):
-                    from fastpasta_ray.checks.registry import run_custom_checks
+                sv, new_fatal = run_segment_checks(
+                    batch, toks,
+                    delim_id=cfg.segment_delim_id,
+                    min_segments=cfg.min_segments,
+                    max_segments=cfg.max_segments,
+                    allowed_orders=cfg.allowed_segment_orders,
+                    warning_sentinels=cfg.warning_sentinel_ids,
+                    fatal_sentinels=cfg.fatal_sentinel_ids,
+                    fatal_heads=stats.fatal_segments,
+                )
+                # the reference's add_fatal_lanes (readout_frame.rs:40-50);
+                # surfaced in the report via PartStats
+                stats.fatal_segments.update(new_fatal)
+                checks.append(sv)
+            if room > 0 and cfg.extra.get("custom_checks"):
+                from fastpasta_ray.checks.registry import run_custom_checks
 
-                    checks.append(run_custom_checks(batch, cfg))
-                if running is not None:
-                    checks.append(running.check_batch(batch, ids))
-                v = _filter_codes(pa.concat_tables(checks), cfg.enabled_codes)
-                if v.num_rows:
-                    v = v.slice(0, cfg.max_errors_per_part - emitted)
-                    emitted += v.num_rows
-                    if self.checkpoint_dir is not None:
-                        own_violations.append(v)
-                    yield v
-            elif running is not None:
-                # keep running state advancing even when capped
-                running.check_batch(batch, ids)
+                checks.append(run_custom_checks(batch, cfg))
+            if running is not None:
+                checks.append(running.check_batch(batch, ids))
+            if room <= 0:
+                continue
+            v = _filter_codes(pa.concat_tables(checks), cfg.enabled_codes)
+            if v.num_rows > room:
+                # the cap keeps the partition's first violations in row
+                # order, however the rows are cut into batches
+                order = np.argsort(v["row_index"].to_numpy(), kind="stable")
+                v = v.take(pa.array(order[:room]))
+            if v.num_rows:
+                emitted += v.num_rows
+                if self.checkpoint_dir is not None:
+                    own_violations.append(v)
+                yield v
         # --- in-task drift gate vs the broadcast reference profile ---------
         drift_metrics = None
         n_drift = 0

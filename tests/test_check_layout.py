@@ -111,11 +111,12 @@ def layouts(tmp_path_factory):
     return out
 
 
-def test_run_check_is_layout_invariant(layouts, monkeypatch):
-    """``batch_rows`` {"auto", 97} × row groups {default, 37 rows} ×
-    ``cluster_cpus`` 1 and 3 (patched in every module that imports it, so
-    pass 1 and the manifest maps are grouped differently): all eight runs
-    give equal violations and byte-identical report JSON."""
+def _layout_runs(layouts, monkeypatch, **cfg_kw):
+    """``run_check`` at ``batch_rows`` {"auto", 97} × row groups {default,
+    37 rows} × ``cluster_cpus`` 1 and 3 (patched in every module that
+    imports it, so pass 1 and the manifest maps are grouped differently);
+    asserts that all eight runs give equal violations and byte-identical
+    report JSON, and returns the first run's ``(violations, report)``."""
     runs = {}
     for cpus in (1, 3):
         for mod in [m for n, m in sys.modules.items() if n.startswith("fastpasta_ray")]:
@@ -126,7 +127,7 @@ def test_run_check_is_layout_invariant(layouts, monkeypatch):
                 cfg = CheckConfig(
                     batch_rows=batch_rows, bos_id=BOS_ID, eos_id=EOS_ID, pad_id=PAD_ID,
                     segment_delim_id=DELIM, min_segments=1, max_segments=2,
-                    warning_sentinel_ids=(WARN,), fatal_sentinel_ids=(FATAL,),
+                    warning_sentinel_ids=(WARN,), fatal_sentinel_ids=(FATAL,), **cfg_kw,
                 )
                 res = run_check(d, cfg, manifest_path=m)
                 runs[cpus, rgs, batch_rows] = res.violations, json.dumps(res.report,
@@ -135,10 +136,34 @@ def test_run_check_is_layout_invariant(layouts, monkeypatch):
     for key, (v, r) in runs.items():
         assert v.equals(v0), key
         assert r == r0, key
+    return v0, json.loads(r0)
+
+
+def test_run_check_is_layout_invariant(layouts, monkeypatch):
+    """All eight layouts give equal violations and byte-identical report
+    JSON, and every planted defect is found."""
+    v0, report = _layout_runs(layouts, monkeypatch)
     codes = set(v0["code"].to_pylist())
     assert {"E14", "E11", "E30", "E50", "E60", "E73", "E74", "E77", "E78",
             "E80", "E71", "E72", "E701", "E10", "E12", "E13", "E70", "E100"} <= codes, codes
-    assert json.loads(r0)["fatal_segments"] == {"part-0001": [9]}
+    assert report["fatal_segments"] == {"part-0001": [9]}
     # the fatal onset at row 120 carries over to row 200 in a later batch
     e74 = v0.filter(pc.equal(v0["code"], "E74"))["row_index"].to_pylist()
     assert 50 in e74 and 250 in e74 and 200 not in e74, e74
+
+
+def test_capped_run_check_is_layout_invariant(layouts, monkeypatch):
+    """With ``max_errors_per_part`` 3, part 1 reaches the cap inside its
+    first 97-row batch (E74 at rows 10 and 50, E73 at row 60), before its
+    fatal onset at row 120. Every layout keeps each partition's first three
+    pass-1 violations in row order, and the capped batches still carry
+    the fatal header into the report."""
+    v0, report = _layout_runs(layouts, monkeypatch, max_errors_per_part=3)
+    assert report["fatal_segments"] == {"part-0001": [9]}
+    kept = lambda p: [  # noqa: E731
+        (r["row_index"], r["code"]) for r in v0.to_pylist() if r["part"] == p
+    ]
+    assert kept("part-0001") == [(10, "E74"), (50, "E74"), (60, "E73")]
+    # part 5's pass-1 rows (the key checks of pass 2 are not capped)
+    assert [k for k in kept("part-0005") if k[1] not in ("E71", "E72")] == [
+        (95, "E100"), (96, "E12"), (97, "E13")]

@@ -14,6 +14,7 @@ import pytest
 
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks.key_checks import _C_DUP, _C_DUPREF, _bucket_candidates
+from fastpasta_ray.checks.segments import run_segment_checks
 
 N = 200_000
 RATIO_BOUND = 3.0
@@ -80,3 +81,37 @@ def test_doc_id_parse_crafted_ids(shape):
     assert len(bad.rows) == (N if shape == "last_prefix_byte_bad" else 0)
     ratio = _best_wall_ratio(S.doc_id_fields, crafted, benign)
     assert ratio <= RATIO_BOUND, f"crafted / benign wall ratio {ratio:.2f}"
+
+
+def test_segment_fatal_onset_every_row():
+    """Segment checks, a new fatal header on every row: 4,000 rows of
+    ``[H, 1, FATAL, D, 5, 1, D, 6, 1]`` with a fresh H per row, against the
+    same rows with one H. Both sides emit E73, E74 and E78 on every row,
+    and each side's one allowed order starts with its first fatal header,
+    so E76 needs the per-row keep-mask on both."""
+    n, D, FATAL = 4_000, 3, 9_999
+
+    def batch(heads):
+        t = pa.table({
+            "part": ["p"] * n,
+            "row_index": pa.array(range(n), pa.int64()),
+            "doc_id": [f"d{i}" for i in range(n)],
+            "tokens": pa.array([[h, 1, FATAL, D, 5, 1, D, 6, 1] for h in heads],
+                               pa.list_(pa.int32())),
+        })
+        return t, S.token_rows(t["tokens"].combine_chunks()), (int(heads[0]), 5, 6)
+
+    def run(side):
+        t, toks, order = side
+        return run_segment_checks(t, toks, delim_id=D, max_segments=2,
+                                  allowed_orders=(order,), fatal_sentinels=(FATAL,))
+
+    crafted, benign = batch(range(1_000, 1_000 + n)), batch([7] * n)
+    for side, n_new in ((crafted, n), (benign, 1)):
+        v, new_fatal = run(side)
+        assert len(new_fatal) == n_new
+        codes = v["code"].to_numpy(zero_copy_only=False)
+        assert sorted(set(codes)) == ["E73", "E74", "E78"]
+        assert all((codes == c).sum() == n for c in ("E73", "E74", "E78"))
+    ratio = _best_wall_ratio(run, crafted, benign)
+    assert ratio <= RATIO_BOUND, f"onset-every-row / one-onset wall ratio {ratio:.2f}"

@@ -354,9 +354,9 @@ def test_ape_ladder_fatal_excluded_from_e76_orders():
 
 
 def test_ape_ladder_running_across_batches_and_report():
-    """The fatal set carries across batches of a partition (the caller-side
-    fatal_heads loop in ValidateFiles) and surfaces as the per-run fatal
-    list in the report — readout_frame.rs:40-50 add_fatal_lanes."""
+    """The fatal set carries across batches of a partition (ValidateFiles
+    passes and grows PartStats.fatal_segments) and surfaces as the per-run
+    fatal list in the report — readout_frame.rs:40-50 add_fatal_lanes."""
     import os
 
     import pyarrow as pa

@@ -5,6 +5,7 @@ partitions pass 1 does not reach are still key-checked, and that the
 ``loc`` packing fails loudly instead of merging keys."""
 
 import os
+import sys
 
 import numpy as np
 import pyarrow as pa
@@ -308,3 +309,49 @@ def test_footers_are_read_in_one_place():
     for path in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
         owners |= _calls_by_function(path, footer_read)
     assert owners == {"read_footers", "auto_batch_rows", "_cut", "_read_rows_by_index"}
+
+
+@pytest.mark.parametrize("read_payload", [True, False])
+def test_null_n_tok_is_a_violation_not_a_crash(tmp_path, monkeypatch, read_payload):
+    """A null ``n_tok`` gets one E10 in pass 1, with or without the payload,
+    and stays out of the n_tok histogram. In the key checks a null
+    ``n_tok`` or ``expected_n_tok`` has no value, so it makes no E72; a
+    doc_id's expectation is the MIN of its present ones, so a second
+    manifest row with a null expectation does not hide a wrong one. One
+    CPU, so one reduce task sees every key."""
+    for mod in [m for n, m in sys.modules.items() if n.startswith("fastpasta_ray")]:
+        if hasattr(mod, "cluster_cpus"):
+            monkeypatch.setattr(mod, "cluster_cpus", lambda default=8: 1)
+    d = str(tmp_path)
+    write_fixture(d, SynthSpec(n_rows=40, n_parts=2, mean_n_tok=8))
+    files = sequence_files(d)
+    for path, row in zip(files, (3, 5)):
+        t = pq.read_table(path)
+        ntok = t["n_tok"].to_pylist()
+        ntok[row] = None
+        i = t.schema.get_field_index("n_tok")
+        pq.write_table(t.set_column(i, t.schema.field(i), pa.array(ntok, pa.int32())), path)
+    ids = pq.read_table(files[1], columns=["doc_id"])["doc_id"].to_pylist()
+    m = os.path.join(d, "_manifest.parquet")
+    man = pq.read_table(m)
+    exp = man["expected_n_tok"].to_pylist()
+    pos = {doc: i for i, doc in enumerate(man["doc_id"].to_pylist())}
+    exp[pos[ids[7]]] = None  # no expectation: no E72
+    exp[pos[ids[9]]] += 1  # a wrong one, plus a null twin below: E72
+    wrong = exp[pos[ids[9]]]
+    twin = man.take([pos[ids[9]]]).set_column(2, man.schema.field(2),
+                                                pa.array([None], pa.int32()))
+    man = man.set_column(2, man.schema.field(2), pa.array(exp, pa.int32()))
+    pq.write_table(pa.concat_tables([man, twin]), m)
+
+    res = run_check(d, CheckConfig(read_payload=read_payload), manifest_path=m)
+    got = {(r["part"], r["row_index"], r["message"]) for r in res.violations.to_pylist()}
+    assert got == {
+        ("part-0000", 3, "[E10] n_tok is null"),
+        ("part-0001", 5, "[E10] n_tok is null"),
+        ("part-0001", 9, f"[E72] n_tok {wrong - 1} != manifest expected {wrong}"),
+    }, got
+    assert res.stats_by_part["part-0000"].n_tok_hist.n == 39
+    # the cut both exchange sides read through carries the null as no value
+    (_, loc, ntok), = K._cut(files[0], 0)
+    assert ntok[K._unloc(loc)[1] == 3].tolist() == [K.NULL_N_TOK]

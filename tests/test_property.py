@@ -636,37 +636,104 @@ def test_semantic_dedup_blocked_kernel_matches_naive(n, block, seed):
 
 
 # ---------------------------------------------------------------------------
-# APE fatal-carry: batch-split invariance (the era mechanism is row-exact,
-# so the (violations, fatal set) must not depend on where batch boundaries
-# fall — the same invariant the RunningState test pins for E11)
+# Segment checks (E73-E78) and the APE fatal carry vs a naive per-row model;
+# the fatal set is row-exact, so the (violations, fatal set) must also not
+# depend on where batch boundaries fall — the same invariant the
+# RunningState test pins for E11
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+SEG_DELIM, SEG_WARN, SEG_FATAL = 99, 901, 902
+
+
+def naive_segment_checks(rows, fatal_heads, min_segments, max_segments, allowed_orders):
+    """Row by row: ``(row, code, message)`` triples and the new fatal
+    headers in onset order. A row's fatal headers join the running set
+    before that row is checked."""
+    fatal, new_fatal, out = set(fatal_heads), [], []
+    for r, toks in enumerate(rows):
+        pieces, cur = [], []
+        for t in toks:
+            if t == SEG_DELIM:
+                pieces.append(cur)
+                cur = []
+            else:
+                cur.append(t)
+        pieces.append(cur)
+        segs = [p for p in pieces if p]
+        # each delimiter at the row's start, at its end, or right after
+        # another delimiter counts once
+        n_empty = sum(
+            t == SEG_DELIM and (i == 0 or i == len(toks) - 1 or toks[i - 1] == SEG_DELIM)
+            for i, t in enumerate(toks)
+        )
+        fatal_segs = [p for p in segs if SEG_FATAL in p]
+        n_warn = sum(SEG_WARN in p and SEG_FATAL not in p for p in segs)
+        fresh = sorted({p[0] for p in fatal_segs} - fatal)
+        new_fatal += fresh
+        fatal |= set(fresh)
+        if n_warn:
+            out.append((r, "E77", f"[E77] {n_warn} segment(s) in WARNING status "
+                                  "(warning sentinel seen)"))
+        if fatal_segs:
+            out.append((r, "E78", f"[E78] {len(fatal_segs)} segment(s) in FATAL status; "
+                                  f"headers {sorted({p[0] for p in fatal_segs})} "
+                                  "excluded from lane checks from this row on"))
+        nf = len(fatal)
+        if toks and (
+            (min_segments is not None and len(segs) < min_segments - nf)
+            or (max_segments is not None and len(segs) > max_segments - nf)
+        ):
+            less = f" less {nf} fatal segment(s)" if nf else ""
+            out.append((r, "E73", f"[E73] segment count {len(segs)} outside "
+                                  f"[{min_segments}, {max_segments}]{less}"))
+        if n_empty:
+            out.append((r, "E75", f"[E75] {n_empty} empty segment(s)"))
+        live = [p[0] for p in segs if p[0] not in fatal]
+        if len(set(live)) > 1:
+            out.append((r, "E74", f"[E74] segment headers differ: min {min(live)} "
+                                  f"!= max {max(live)}"))
+        if allowed_orders and live and not any(
+            live == [h for h in o if h not in fatal] for o in allowed_orders
+        ):
+            out.append((r, "E76", f"[E76] segment header order {live} not in allowed "
+                                  "orderings"))
+    return sorted(out), new_fatal
+
+
+# a segment: header 5..11 and a status; "empty" is a segment with no token
+seg_spec = st.tuples(st.integers(5, 11), st.sampled_from(["ok", "warn", "fatal", "both", "empty"]))
+
+
+@settings(max_examples=80, deadline=None)
 @given(
-    st.lists(
-        st.lists(st.integers(0, 6), min_size=0, max_size=8), min_size=1, max_size=12
-    ),
+    st.lists(st.lists(seg_spec, max_size=6), min_size=1, max_size=12),
     st.integers(1, 4),
+    st.frozensets(st.integers(5, 11), max_size=2),
+    st.one_of(st.none(), st.integers(0, 4)),
+    st.one_of(st.none(), st.integers(0, 5)),
+    st.lists(st.lists(st.integers(5, 11), max_size=4).map(tuple), max_size=4).map(tuple),
 )
-def test_segment_fatal_carry_batch_split_invariant(seg_specs_rows, split):
-    """Rows are built from per-segment specs: header token in [5, 11] (5 +
-    spec value) and a FATAL sentinel inside segments whose spec is even.
-    Violations and the running fatal set must be identical whether the rows
-    are checked in one batch or split at arbitrary boundaries with
-    fatal_heads carried between calls."""
+def test_segment_fatal_carry_batch_split_invariant(
+    seg_specs_rows, split, prior, min_segments, max_segments, allowed_orders
+):
+    """Rows are built from per-segment specs: a header, a filler token, and
+    a WARNING and/or FATAL sentinel; an "empty" spec gives two adjacent
+    delimiters, or one at the row's start or end. The allowed orders may
+    hold fatal and repeated headers, and some headers may be fatal before
+    the batch. The violations and the new fatal headers equal the naive
+    model's, whether the rows are checked in one batch or split at
+    arbitrary boundaries with the fatal set carried between calls."""
     from fastpasta_ray.checks.segments import run_segment_checks
 
-    DELIM, FATAL = 99, 902
+    status = {"ok": [], "warn": [SEG_WARN], "fatal": [SEG_FATAL], "both": [SEG_WARN, SEG_FATAL]}
 
     def build_row(specs):
         toks = []
-        for k, sp in enumerate(specs):
+        for k, (head, st_) in enumerate(specs):
             if k:
-                toks.append(DELIM)
-            toks.append(5 + sp)  # header
-            toks.append(1)
-            if sp % 2 == 0:
-                toks.append(FATAL)
+                toks.append(SEG_DELIM)
+            if st_ != "empty":
+                toks += [head, 1] + status[st_]
         return toks
 
     rows = [build_row(sp) for sp in seg_specs_rows]
@@ -684,33 +751,37 @@ def test_segment_fatal_carry_batch_split_invariant(seg_specs_rows, split):
         )
 
     kw = dict(
-        delim_id=DELIM,
-        min_segments=1,
-        max_segments=4,
-        fatal_sentinels=(FATAL,),
-        allowed_orders=tuple((5 + a, 5 + b) for a in range(7) for b in range(7)),
-    )
-    b = batch_of(rows, 0)
-    v_one, nf_one = run_segment_checks(b, toks_of(b), fatal_heads=frozenset(), **kw)
-    one = sorted(
-        zip(v_one["row_index"].to_pylist(), v_one["code"].to_pylist(), v_one["message"].to_pylist())
+        delim_id=SEG_DELIM,
+        min_segments=min_segments,
+        max_segments=max_segments,
+        warning_sentinels=(SEG_WARN,),
+        fatal_sentinels=(SEG_FATAL,),
+        allowed_orders=allowed_orders,
     )
 
+    def triples(v):
+        return zip(v["row_index"].to_pylist(), v["code"].to_pylist(), v["message"].to_pylist())
+
+    want, want_fatal = naive_segment_checks(rows, prior, min_segments, max_segments,
+                                            allowed_orders)
+    b = batch_of(rows, 0)
+    v_one, nf_one = run_segment_checks(b, toks_of(b), fatal_heads=prior, **kw)
+    assert sorted(triples(v_one)) == want
+    assert nf_one == want_fatal
+
     got = []
-    heads: frozenset = frozenset()
+    heads = set(prior)
     nf_all: list = []
     for start in range(0, len(rows), split):
         chunk = rows[start : start + split]
         b = batch_of(chunk, start)
         v, nf = run_segment_checks(b, toks_of(b), fatal_heads=heads, **kw)
         # row_index column already carries the global position
-        got.extend(
-            zip(v["row_index"].to_pylist(), v["code"].to_pylist(), v["message"].to_pylist())
-        )
-        heads = frozenset(heads | set(nf))
+        got.extend(triples(v))
+        heads |= set(nf)
         nf_all.extend(nf)
-    assert sorted(got) == one
-    assert sorted(nf_all) == sorted(nf_one)
+    assert sorted(got) == want
+    assert nf_all == want_fatal
 
 
 # ---------------------------------------------------------------------------
