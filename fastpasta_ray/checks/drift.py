@@ -24,43 +24,15 @@ DEFAULT_EDGES = np.array(
 )
 
 
-def tree_merge_stats(
-    blobs: list[dict], *, fanout: int = 64, task_threshold: int = 256
-) -> PartStats:
-    """Merge serialized PartStats blobs in a TREE of Ray tasks.
-
-    The driver fold is fine up to a few thousand partials (~20 KB each);
-    at 10^5–10^6 partition files the partials total GBs and the serial
-    fold becomes the tail — every state is associative, so merge groups
-    of ``fanout`` in parallel tasks, then recurse. Below ``task_threshold``
-    blobs the plain driver fold is used (task overhead would dominate)."""
-    import ray as _ray
-
-    @_ray.remote
-    def _merge_group(group: list[dict]) -> dict:
-        g = PartStats()
-        for b in group:
-            g.merge(PartStats.from_json(b))
-        return g.to_json()
-
-    while len(blobs) > task_threshold:
-        refs = [
-            _merge_group.remote(blobs[i : i + fanout])
-            for i in range(0, len(blobs), fanout)
-        ]
-        blobs = _ray.get(refs)
-    g = PartStats()
-    for b in blobs:
-        g.merge(PartStats.from_json(b))
-    return g
-
-
 def build_profile(stats_by_part: dict[str, PartStats], violations_by_code: dict[str, int] | None = None) -> dict:
-    """Serializable reference profile (FIXTURES.md `reference_profile`),
-    merged by :func:`tree_merge_stats` (the partials are associative
-    mergeable sketches — SURVEY §4 stats-merge topology, strictly better
-    than the reference's single consumer)."""
-    g = tree_merge_stats([ps.to_json() for ps in stats_by_part.values()])
+    """Serializable reference profile (FIXTURES.md `reference_profile`):
+    one fold of the per-partition partials (associative mergeable
+    sketches) into a fresh ``PartStats``, so the parts, which the report
+    still reads, stay as they were."""
+    parts = list(stats_by_part.values())
+    g = PartStats(parts[0].vocab_bitmap.vocab) if parts else PartStats()
+    for ps in parts:
+        g.merge(ps)
     return {
         "row_count": g.row_count,
         "token_count": g.token_count,

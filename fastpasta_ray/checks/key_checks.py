@@ -194,9 +194,9 @@ def _bucket_candidates(g: pa.Table, with_manifest: bool) -> pa.Table:
         m, mh, mn = m[mstart], mh[mstart], mn[mstart]
     pos = np.minimum(np.searchsorted(mh, sh), max(len(mh) - 1, 0))
     has_m = mh[pos] == sh if len(mh) else np.zeros(len(sh), dtype=bool)
-    sexp = np.full(len(sh), -1, dtype=np.int64)  # -1 = no expectation
+    sexp = np.full(len(sh), -1, dtype=np.int64)  # rows without a manifest row
     sexp[has_m] = mexp[pos[has_m]]
-    bad = (sexp >= 0) & (sexp != NULL_N_TOK) & (sn != NULL_N_TOK) & (sn != sexp)
+    bad = has_m & (sexp != NULL_N_TOK) & (sn != NULL_N_TOK) & (sn != sexp)
     manref = np.zeros(len(mh), dtype=bool)
     manref[pos[bad]] = True
     empty = np.ones(len(mh), dtype=bool)

@@ -21,10 +21,10 @@ Mirrors the reference's `fastpasta check all` lifecycle (SURVEY.md §3.1):
       pass 1 did not read in this run (committed by an earlier run, or
       skipped by the global error budget) get a column-pruned scalar read;
       their schemas were tested with the footers, not again here.
-  finalize: fold pass 1's and the checkpoint's records into per-partition
-      stats (a driver-side fold of mergeable sketches — one record per
-      input file, tiny), drift gate vs a reference profile
-      (checks/drift.py), report assembly (report.py).
+  finalize: pass 1's and the checkpoint's records, one per input file,
+      give the per-partition stats; one in-memory fold of those mergeable
+      sketches gives the run's profile (checks/drift.py), and the report
+      is assembled from both.
 
 Resumability: with ``out_dir`` set, per-partition violations are written as
 they stream out and a commit record is appended per finished partition;
@@ -81,18 +81,13 @@ def collect_table(refs: list, schema: pa.Schema) -> pa.Table:
 def _split_sentinel(
     records: list[tuple[str, PartStats, dict | None]],
 ) -> tuple[dict[str, PartStats], dict[str, dict]]:
-    """Fold ``(part, PartStats, drift_metrics)`` records — pass 1's and the
-    checkpoint's alike — into per-partition stats (a repeated part's
-    stats merge) and drift metrics."""
-    stats_by_part: dict[str, PartStats] = {}
-    drift_by_part: dict[str, dict] = {}
-    for part, ps, drift in records:
-        if part in stats_by_part:
-            stats_by_part[part].merge(ps)
-        else:
-            stats_by_part[part] = ps
-        if drift is not None:
-            drift_by_part[part] = drift
+    """Split ``(part, PartStats, drift_metrics)`` records — pass 1's and
+    the checkpoint's alike — into per-partition stats and drift metrics.
+    No part repeats: parts are the file stems of one directory, pass 1
+    validates only the parts not committed when the run started, and the
+    checkpoint loads only those committed ones."""
+    stats_by_part = {part: ps for part, ps, _ in records}
+    drift_by_part = {part: d for part, _, d in records if d is not None}
     return stats_by_part, drift_by_part
 
 

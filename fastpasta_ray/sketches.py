@@ -3,8 +3,8 @@
 The reference pre-aggregates counters locally and flushes partials
 (alice_protocol_reader/src/stats.rs:42-119); the single StatsCollector merges
 them (fastpasta/src/stats/stats_collector.rs:34-56). Here every state is
-*mergeable* so partials combine in a tree (groupby().aggregate() or driver
-fold) — strictly better than a single-consumer channel at cluster scale.
+*mergeable*: the driver folds the per-partition partials it holds into one
+profile (checks/drift.py ``build_profile``).
 
 All hashing is deterministic across processes: polars' seeded xxhash for
 in-job string keys, a segmented FNV-polynomial + splitmix64 finisher over
@@ -20,7 +20,6 @@ import math
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -475,15 +474,6 @@ class Counter:
 
     def __init__(self, counts: dict[str, int] | None = None):
         self.counts: dict[str, int] = dict(counts or {})
-
-    def add_array(self, arr) -> None:
-        a = np.asarray(arr, dtype=object)
-        if len(a) == 0:
-            return
-        a = np.where(pd.isna(a), "", a)  # nulls count under ""
-        v, c = np.unique(a.astype(str), return_counts=True)
-        for vi, ci in zip(v.tolist(), c.tolist()):
-            self.counts[vi] = self.counts.get(vi, 0) + int(ci)
 
     def add_arrow(self, arr) -> None:
         """Arrow fast path: pc.value_counts (C kernel, ~40× np.unique on

@@ -175,3 +175,33 @@ def test_resume_with_key_checks_matches_uninterrupted_run(tmp_path, monkeypatch)
     assert sorted(spy.paths) == ["part-0000.parquet", "part-0003.parquet"]
     assert r2.violations.equals(clean.violations)
     assert r2.report == clean.report
+
+
+def test_non_default_vocab_fresh_run_and_resume(tmp_path):
+    """A run at a vocab other than the default folds its profile at that
+    vocab: the fresh run and a resume that loads committed stats back both
+    count the distinct in-range token ids (ids past the vocab are E70s,
+    not vocab coverage)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from fastpasta_ray.sources.parquet import sequence_files
+    from fastpasta_ray.stages.validate import CheckConfig
+
+    d = str(tmp_path / "fix")
+    out = str(tmp_path / "out")
+    write_fixture(d, SynthSpec(n_rows=150, n_parts=3))
+    flat = pc.list_flatten(
+        pq.read_table(sequence_files(d), columns=["tokens"])["tokens"]
+    )
+    in_range = pc.and_(pc.greater_equal(flat, 0), pc.less(flat, 1000))
+    seen = pc.count_distinct(flat.filter(in_range)).as_py()
+    assert 0 < seen < pc.count_distinct(flat).as_py()
+
+    cfg = CheckConfig(vocab=1000)
+    r1 = run_check(d, cfg, with_key_checks=False, out_dir=out)
+    assert r1.report["vocab_seen_count"] == seen
+    os.remove(os.path.join(out, "commits", "part-0001.json"))
+    r2 = run_check(d, cfg, with_key_checks=False, out_dir=out, resume=True)
+    assert r2.report["vocab_seen_count"] == seen
+    assert r2.report == r1.report

@@ -48,14 +48,15 @@ seq_strategy = st.lists(
     unique_by=lambda r: r[1],
 )
 # manifest rows: (hash, expected_n_tok); a small hash domain repeats keys
-# with conflicting expectations
-man_strategy = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3)), max_size=15)
+# with conflicting expectations, and a negative expectation is a value
+# like any other (never "no expectation")
+man_strategy = st.lists(st.tuples(st.integers(0, 7), st.integers(-3, 3)), max_size=15)
 
 
 def naive_candidates(seq, man, with_manifest):
     """Per-key reference: the sorted candidate multiset
     ``(h, loc, n_tok, exp_n_tok, cand)``, riders included. Per hash, rows in
-    loc order: exp = the MIN manifest expectation (-1: none); E80 = every
+    loc order: exp = the MIN manifest expectation (-1 if no row); E80 = every
     sequence row after the first, whose row is the DUPREF rider; E72 =
     sequence rows whose n_tok != exp, with the first manifest row as the
     MANREF rider; E701 = the first manifest row of a hash without sequence

@@ -4,6 +4,7 @@ the analog of the reference's stats serde tests (stats_collector.rs:230-268)."""
 import json
 
 import numpy as np
+import pyarrow as pa
 
 from fastpasta_ray.checks.drift import ks, psi
 from fastpasta_ray.sketches import (
@@ -64,8 +65,8 @@ def test_int_histogram_exact_quantiles_match_numpy():
 
 def test_counter_and_minmax_merge():
     c1, c2 = Counter(), Counter()
-    c1.add_array(np.array(["a", "b", "a", None], dtype=object))
-    c2.add_array(np.array(["b", "c"], dtype=object))
+    c1.add_arrow(pa.array(["a", "b", "a", None]))
+    c2.add_arrow(pa.array(["b", "c"]))
     c1.merge(c2)
     assert c1.to_json() == {"": 1, "a": 2, "b": 2, "c": 1}
     m1, m2 = MinMax(), MinMax()
@@ -141,20 +142,18 @@ def test_tdigest_accuracy_merge_serde():
     assert TDigest().quantile(0.5) is None
 
 
-def test_tree_merge_stats_matches_driver_fold():
-    """Associativity contract: the Ray-task tree merge over many partials
-    equals the serial driver fold (forced through the task path with a low
-    threshold)."""
-    import numpy as np
-
-    from fastpasta_ray.checks.drift import tree_merge_stats
-    from fastpasta_ray.sketches import PartStats, hash_strings
+def test_build_profile_fold():
+    """Associativity contract: ``build_profile`` folds the partials in
+    memory into the same profile as a serial ``PartStats.merge`` fold, at
+    the parts' own vocab size, without touching the parts; one scalar-only
+    part makes the profile scalar-only; no parts give the empty profile."""
+    from fastpasta_ray.checks.drift import build_profile
 
     rng = np.random.default_rng(7)
-    blobs = []
-    serial = PartStats()
+    parts = {}
+    serial = PartStats(vocab=5000)
     for i in range(40):
-        ps = PartStats()
+        ps = PartStats(vocab=5000, has_payload=i != 17)
         ps.row_count = int(rng.integers(1, 100))
         ps.token_count = int(rng.integers(1, 10_000))
         vals = rng.integers(0, 5000, size=200)
@@ -162,16 +161,38 @@ def test_tree_merge_stats_matches_driver_fold():
         ps.vocab_bitmap.add(vals)
         ps.n_tok_hist.add(rng.integers(1, 300, size=50))
         ps.hll.add_hashes(hash_strings([f"d{i}-{j}" for j in range(50)]))
-        blobs.append(ps.to_json())
+        ps.source_hist.add(f"s{i % 3}", i)
+        parts[f"part-{i:04d}"] = ps
         serial.merge(PartStats.from_json(ps.to_json()))
-    merged = tree_merge_stats(blobs, fanout=8, task_threshold=4)
-    assert merged.row_count == serial.row_count
-    assert merged.token_count == serial.token_count
-    assert merged.token_mm.lo == serial.token_mm.lo
-    assert merged.token_mm.hi == serial.token_mm.hi
-    assert merged.vocab_bitmap.count == serial.vocab_bitmap.count
-    assert abs(merged.hll.estimate() - serial.hll.estimate()) < 1e-9
-    assert merged.n_tok_hist.quantiles() == serial.n_tok_hist.quantiles()
+    before = {k: ps.to_json() for k, ps in parts.items()}
+    profile = build_profile(parts, {"E80": 2, "E10": 1})
+    assert {k: ps.to_json() for k, ps in parts.items()} == before
+    assert profile == {
+        "row_count": serial.row_count,
+        "token_count": serial.token_count,
+        "has_payload": False,
+        "doc_id_hll_estimate": round(serial.hll.estimate(), 2),
+        "n_tok_quantiles": serial.n_tok_hist.quantiles(),
+        "n_tok_min": serial.n_tok_hist.min(),
+        "n_tok_max": serial.n_tok_hist.max(),
+        "token_min": serial.token_mm.lo,
+        "token_max": serial.token_mm.hi,
+        "vocab_seen_count": serial.vocab_bitmap.count,
+        "source_histogram": serial.source_hist.to_json(),
+        "n_tok_hist": serial.n_tok_hist.to_json(),
+        "violation_count_by_code": {"E10": 1, "E80": 2},
+        "parts": sorted(parts),
+    }
+    del parts["part-0017"]
+    assert build_profile(parts)["has_payload"] is True
+    assert build_profile({}) == {
+        "row_count": 0, "token_count": 0, "has_payload": True,
+        "doc_id_hll_estimate": 0.0,
+        "n_tok_quantiles": {"p1": None, "p25": None, "p50": None, "p75": None, "p99": None},
+        "n_tok_min": None, "n_tok_max": None, "token_min": None, "token_max": None,
+        "vocab_seen_count": 0, "source_histogram": {}, "n_tok_hist": {},
+        "violation_count_by_code": {}, "parts": [],
+    }
 
 
 def test_scan_token_values_matches_unfused():
@@ -290,3 +311,25 @@ def test_hash_byte_rows_layout_independent():
     for ln in (1, 7, 8, 9, 63, 64, 65, 127, 128):
         u = "w" * ln
         assert h([u])[0] == h(["pad" * 60, u, None])[1], ln
+
+
+def test_check_path_imports_no_pandas():
+    """Pass 1, the key-check exchange and the pipeline driver import no
+    pandas: every Ray worker of a check run imports these modules, so a
+    pandas import there costs each worker's start-up. (The query layer
+    still gets pandas through Ray Data.)"""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import fastpasta_ray.stages.validate, fastpasta_ray.checks.key_checks,"
+        " fastpasta_ray.pipelines.check\n"
+        "print('pandas' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False", out.stderr
