@@ -79,7 +79,7 @@ import ray
 from fastpasta_ray import schema as S
 from fastpasta_ray.exchange import _reduce_task_count, shard
 from fastpasta_ray.sketches import hash_strings
-from fastpasta_ray.sources.parquet import auto_batch_rows, cluster_cpus, groups, part_of
+from fastpasta_ray.sources.parquet import cluster_cpus, groups, iter_unit_batches, part_of
 from fastpasta_ray.sources.parquet import read_footers
 
 logger = logging.getLogger(__name__)
@@ -349,26 +349,14 @@ def _cut(path: str, part_idx: int | None, batch_rows=None, filter_sources=None,
     manifest never turns a filtered-out source into E701), then
     :func:`_key_rows` drops the NULL-exempt rows and hashes the rest, and
     :func:`_loc` encodes the surviving positions. ``batch_rows`` None reads
-    the unit as one batch; "auto" sizes batches from the footer."""
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    rgs = range(md.num_row_groups) if row_groups is None else row_groups
-    sizes = [md.row_group(i).num_rows for i in range(rgs.stop)]
-    row = sum(sizes[: rgs.start])
+    the unit as one batch; "auto" sizes batches from the footer by the
+    columns read (both :func:`iter_unit_batches`)."""
     n_tok = "n_tok" if part_idx is not None else "expected_n_tok"
     cols = ["doc_id", n_tok]
     if filter_sources is not None:
         src_set = S.source_set(filter_sources)
         cols.append("source")
-    if batch_rows == "auto":
-        batch_rows = auto_batch_rows(path)
-    # use_threads=False: a map task owns one core
-    for rb in pf.iter_batches(
-        batch_size=batch_rows or max(1, sum(sizes[rgs.start:])),
-        row_groups=list(rgs), columns=cols, use_threads=False,
-    ):
-        pos = np.arange(row, row + rb.num_rows, dtype=np.int64)
-        row += rb.num_rows
+    for rb, pos in iter_unit_batches(path, cols, batch_rows, row_groups):
         doc_id, ntok = rb["doc_id"], rb[n_tok]
         if filter_sources is not None:
             keep = S.source_mask(rb["source"], src_set)

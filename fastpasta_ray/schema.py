@@ -245,7 +245,17 @@ class DocIds(NamedTuple):
 _TAIL = 14
 _SLASHES = np.array([0, 5])
 _DIGITS = np.r_[1:5, 6:14]
-_TENS = 10 ** np.arange(7, -1, -1)
+
+
+def _decimal(digit: np.ndarray) -> np.ndarray:
+    """The numbers whose decimal digits are the rows of ``digit`` (at most
+    8 columns, most significant first), built column by column in int32:
+    no copy of the digit block."""
+    v = digit[:, 0].astype(np.int32)
+    for k in range(1, digit.shape[1]):
+        v *= 10
+        v += digit[:, k]
+    return v.astype(np.int64)
 
 
 def doc_id_fields(doc_id: pa.Array) -> DocIds:
@@ -285,29 +295,34 @@ def doc_id_fields(doc_id: pa.Array) -> DocIds:
     tail = np.lib.stride_tricks.sliding_window_view(buf, _TAIL)[ends[rows] - _TAIL]
     digit = tail[:, _DIGITS] - np.uint8(ord("0"))  # a non-digit wraps to >= 10
     good = (tail[:, _SLASHES] == ord("/")).all(axis=1) & (digit < 10).all(axis=1)
-    rows, digit = rows[good], digit[good].astype(np.int64)
+    ordinal, index = _decimal(digit[:, :4]), _decimal(digit[:, 4:])
+    if not good.all():
+        rows, ordinal, index = rows[good], ordinal[good], index[good]
     # the prefix is one [a-z] byte, then [a-z0-9_-] bytes; a tail holds two
     # bytes outside that class, its slashes, so a row with a tail is well
-    # formed iff its first byte is [a-z] and its string holds two such bytes
-    # (counted per row in one pass over the data; the rows that hold bytes
-    # tile it, null rows included)
+    # formed iff its first byte is [a-z] and its string holds two such bytes.
+    # The bytes of all rows (null rows included) tile the data, and each
+    # row with a tail holds at least two, so a total of exactly two per such
+    # row settles every row at once; otherwise count them per row
     data = buf[offs[0] : offs[-1]]
     outside = ~(
         (data - np.uint8(ord("a")) < 26) | (data - np.uint8(ord("0")) < 10)
         | (data == ord("_")) | (data == ord("-"))
     )
-    spans = np.flatnonzero(ends > starts)
-    n_out = np.zeros(n, dtype=off_type)  # a count never exceeds its string's length
-    n_out[spans] = np.add.reduceat(outside, starts[spans] - offs[0], dtype=off_type)
-    ok = (n_out[rows] == 2) & (buf[starts[rows]] - np.uint8(ord("a")) < 26)
+    ok = buf[starts[rows]] - np.uint8(ord("a")) < 26
+    if np.count_nonzero(outside) != 2 * len(rows):
+        spans = np.flatnonzero(ends > starts)
+        n_out = np.zeros(n, dtype=off_type)  # a count never exceeds its string's length
+        n_out[spans] = np.add.reduceat(outside, starts[spans] - offs[0], dtype=off_type)
+        ok &= n_out[rows] == 2
     well_formed = np.zeros(n, dtype=bool)
     well_formed[rows[ok]] = True
     return DocIds(
         np.flatnonzero(~present),
         np.flatnonzero(present & ~well_formed),
         rows,
-        digit[:, :4] @ _TENS[4:],
-        digit[:, 4:] @ _TENS,
+        ordinal,
+        index,
     )
 
 

@@ -167,3 +167,18 @@ def test_capped_run_check_is_layout_invariant(layouts, monkeypatch):
     # part 5's pass-1 rows (the key checks of pass 2 are not capped)
     assert [k for k in kept("part-0005") if k[1] not in ("E71", "E72")] == [
         (95, "E100"), (96, "E12"), (97, "E13")]
+
+
+def test_scalar_run_check_is_layout_invariant(layouts, monkeypatch):
+    """``read_payload=False``: pass 1 reads doc_id, n_tok and source
+    through ``ParquetFile``, whose batches span row groups (97-row batches
+    over 37-row groups). All eight layouts give equal violations and
+    byte-identical report JSON; every scalar defect is found and no token
+    code is emitted (part 5's n_tok one too high has no tokens to differ
+    from, so no E10)."""
+    v0, _ = _layout_runs(layouts, monkeypatch, read_payload=False)
+    codes = set(v0["code"].to_pylist())
+    assert {"E14", "E11", "E12", "E13", "E80", "E71", "E72", "E701"} <= codes, codes
+    token_codes = {"E10", "E30", "E50", "E60", "E70", "E73", "E74", "E75", "E76", "E77",
+                   "E78", "E100"}
+    assert not codes & token_codes, codes

@@ -280,7 +280,7 @@ def test_loc_codec_and_unit_reads_have_one_home():
     def row_read(node):
         return isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in {
             "read_row_groups", "read_row_group", "iter_batches", "iter_file_batches",
-            "read_table",
+            "iter_unit_batches", "read_table",
         }
 
     pkg = os.path.dirname(os.path.dirname(K.__file__))
@@ -294,8 +294,10 @@ def test_loc_codec_and_unit_reads_have_one_home():
 def test_footers_are_read_in_one_place():
     """Source guard: on the driver, only ``read_footers`` reads a parquet
     footer (``read_metadata``, ``read_schema``, ``ParquetFile``); inside
-    tasks, only the readers of one file's unit do (``auto_batch_rows``,
-    the keyed-row cut ``_cut`` and ``_read_rows_by_index``)."""
+    tasks, only the readers of one file's unit do (``iter_unit_batches``,
+    the scanner read of ``iter_file_batches`` and ``_read_rows_by_index``),
+    and ``auto_batch_rows`` sizes batches from the footer its caller
+    read."""
     import ast
     import glob
 
@@ -308,7 +310,39 @@ def test_footers_are_read_in_one_place():
     owners = set()
     for path in glob.glob(os.path.join(pkg, "**", "*.py"), recursive=True):
         owners |= _calls_by_function(path, footer_read)
-    assert owners == {"read_footers", "auto_batch_rows", "_cut", "_read_rows_by_index"}
+    assert owners == {
+        "read_footers", "iter_unit_batches", "iter_file_batches", "_read_rows_by_index",
+    }
+
+
+def test_scalar_read_is_sized_by_its_own_columns(tmp_path):
+    """A 3,000-row file of 8,192-token rows: "auto" sizes a read of every
+    column to fewer rows than the file holds, but the scalar read of
+    pass 1 (doc_id, n_tok, source) from the bytes of those three columns,
+    so the whole file arrives as one batch, across its row groups."""
+    from fastpasta_ray.sources.parquet import auto_batch_rows, iter_file_batches
+
+    rows, width, per_group = 3_000, 8_192, 100
+    path = str(tmp_path / "part-0000.parquet")
+    tokens = pa.ListArray.from_arrays(
+        pa.array(np.arange(per_group + 1, dtype=np.int32) * width),
+        pa.array(np.arange(per_group * width, dtype=np.int32) % 50_000),
+    )
+    # plain-encoded tokens: 32 KiB per row before compression
+    with pq.ParquetWriter(path, S.SEQUENCES_SCHEMA, use_dictionary=["doc_id", "source"],
+                          compression="zstd") as w:
+        for g in range(rows // per_group):
+            w.write_table(pa.table({
+                "doc_id": [f"web/0000/{g * per_group + i:08d}" for i in range(per_group)],
+                "tokens": tokens,
+                "n_tok": pa.array([width] * per_group, pa.int32()),
+                "source": ["web"] * per_group,
+            }, schema=S.SEQUENCES_SCHEMA))
+    md = pq.read_metadata(path)
+    assert md.num_row_groups == 30 and auto_batch_rows(md) < rows
+    batches = list(iter_file_batches(path, ["doc_id", "n_tok", "source"], "auto"))
+    assert [b.num_rows for b in batches] == [rows]
+    assert batches[0]["row_index"].to_pylist() == list(range(rows))
 
 
 @pytest.mark.parametrize("read_payload", [True, False])

@@ -9,8 +9,11 @@ Targets the trickiest run-length / offset arithmetic:
 - RunningState (cross-batch monotonic scan)
 """
 
+import re
+
 import numpy as np
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,18 +340,27 @@ def test_doc_id_fields_match_regex(ids, pad, typ, masked):
     ``match_substring_regex(DOC_ID_RE)`` (RE2), and the tail fields are
     what ``extract_regex`` reads, on sliced arrays whose null slots may
     still span bytes."""
-    import pyarrow.compute as pc
+    _assert_doc_id_fields_match_regex(_masked_slice(pad + ids + pad, len(pad), len(ids),
+                                                    typ, masked))
 
-    from fastpasta_ray import schema as S
 
-    full = pa.array(pad + ids + pad, type=typ)
-    # null slots that still hold bytes (a null's offsets may span data)
+def _masked_slice(values, start, n, typ, masked):
+    """``values[start:start + n]`` as a slice of a larger array (offsets
+    start past zero) whose ``masked`` slots are nulls that still hold their
+    string's bytes."""
+    full = pa.array(values, type=typ)
     valid = [v is not None and not m for v, m in zip(full.to_pylist(), masked)]
     full = pa.Array.from_buffers(
         typ, len(full), [pa.array(valid, pa.bool_()).buffers()[1], *full.buffers()[1:]]
     )
-    # a slice of a larger array: offsets start past zero
-    arr = full.slice(len(pad), len(ids))
+    return full.slice(start, n)
+
+
+def _assert_doc_id_fields_match_regex(arr):
+    import pyarrow.compute as pc
+
+    from fastpasta_ray import schema as S
+
     got = S.doc_id_fields(arr)
     values = arr.to_pylist()
     matched = pc.match_substring_regex(arr, S.DOC_ID_RE).to_pylist()
@@ -363,6 +375,47 @@ def test_doc_id_fields_match_regex(ids, pad, typ, masked):
         if g is not None
     ]
     assert list(zip(got.rows.tolist(), got.ordinal.tolist(), got.index.tolist())) == want
+
+
+_GOOD = ["web/0000/00000001", "a-b_9/0012/00000002", "z/9999/99999999"]
+
+
+@pytest.mark.parametrize("values, masked, shortcut", [
+    # every row well formed: two outside bytes per tailed row, no count per row
+    (_GOOD, [], True),
+    # one prefix with a single outside byte: the total is one too many
+    (_GOOD + ["we.b/0000/00000004"], [], False),
+    # a bad tail among good rows: the 1-D filter, with the total still
+    # exact (no slash in it) and without (its slashes count)
+    (_GOOD + ["abcdefghijklmnopq"], [], True),
+    (_GOOD + ["web/0000/0000000x", "web/0000-00000006"], [], False),
+    # null slots that span bytes: in-class bytes, then a slash, then a
+    # well-formed id whose slashes are not a tailed row's
+    (_GOOD + ["abcdefghijklmnop"], [3], True),
+    (_GOOD + ["ab/cd"], [3], False),
+    (_GOOD + ["web/0000/00000005"], [3], False),
+    # no row is present: nothing to parse
+    ([None, ""], [], True),
+], ids=["all-good", "one-outside-byte", "bad-tail-in-class", "bad-tails",
+        "null-in-class", "null-slash", "null-well-formed", "none-present"])
+def test_doc_id_fields_crafted_cases(values, masked, shortcut):
+    """``doc_id_fields`` against RE2 on both sides of its shortcut (a batch
+    whose bytes outside ``[a-z0-9_-]`` are exactly two per row that ends in
+    a tail settles every row without a per-row count), as ``string`` and
+    ``large_string``, whole and sliced. ``shortcut`` says which side the
+    case is on, by that same count."""
+    def outside(v):
+        return sum(not (c.isascii() and (c.islower() or c.isdigit() or c in "_-")) for c in v)
+
+    tailed = [v for i, v in enumerate(values)
+              if v and i not in masked and re.search(r"/\d{4}/\d{8}\Z", v)]
+    assert (sum(outside(v or "") for v in values) == 2 * len(tailed)) == shortcut
+    for typ in (pa.string(), pa.large_string()):
+        mask = [i in masked for i in range(len(values))]
+        _assert_doc_id_fields_match_regex(_masked_slice(values, 0, len(values), typ, mask))
+        pad = ["Pad/0000/00000000"]
+        _assert_doc_id_fields_match_regex(
+            _masked_slice(pad + values + pad, 1, len(values), typ, [False] + mask + [False]))
 
 
 # ---------------------------------------------------------------------------
