@@ -17,8 +17,9 @@ gathers via the row starts, and the pad rule via the pad→non-pad steps
 of the flat token array (one bool compare, then work on the pad
 positions only), each mapped to its row with one searchsorted over the
 row starts — never a Python loop over rows, never a per-token Python FSM
-step. Only the rows that break a rule are visited one by one, to build
-their messages.
+step. The checks return the rows that break each rule
+(``schema.Hits``); only the rows ``schema.materialize`` keeps are
+visited one by one, to format their messages.
 """
 
 from __future__ import annotations
@@ -38,14 +39,15 @@ class GrammarConfig:
     pad_id: int | None = None
 
 
-def run_grammar_checks(batch: pa.Table, toks: S.TokenRows, g: GrammarConfig) -> pa.Table:
+def run_grammar_checks(batch: pa.Table, toks: S.TokenRows, g: GrammarConfig) -> S.Hits:
     """Vectorized grammar pass over one batch, whose ``schema.token_rows``
-    is ``toks``; returns VIOLATIONS_SCHEMA rows."""
-    if g.bos_id is None and g.eos_id is None and g.pad_id is None:
-        return S.VIOLATIONS_SCHEMA.empty_table()
+    is ``toks``; returns its hits, rule by rule (``schema.Hits``)."""
+    hits = S.Hits()
     flat, starts, lens, _ = toks
     nonempty = lens > 0  # a null row has length 0
-    hits: list[tuple] = []  # (rows, code, column, details) per rule
+
+    def excerpt(r, at):
+        return S.token_excerpt(flat, starts[r], starts[r] + lens[r], at)
 
     # clipped gather indices: rows masked out by `nonempty` (null/empty,
     # possibly trailing) may have start == len(flat); the clip keeps the
@@ -53,26 +55,20 @@ def run_grammar_checks(batch: pa.Table, toks: S.TokenRows, g: GrammarConfig) -> 
     safe_hi = max(len(flat) - 1, 0)
     if g.bos_id is not None and nonempty.any():
         first = np.where(nonempty, flat[np.minimum(starts, safe_hi)], g.bos_id)
-        bad = np.flatnonzero(first != g.bos_id)
+        bos = np.flatnonzero(first != g.bos_id)
         hits.append((
-            bad, S.E_GRAMMAR_BOS, "tokens",
-            [
-                f"first token {int(first[r])} != BOS {g.bos_id}"
-                f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r])}]"
-                for r in bad
-            ],
+            bos, S.E_GRAMMAR_BOS, "tokens",
+            lambda k: [f"first token {int(first[r])} != BOS {g.bos_id}"
+                       f" ctx [{excerpt(r, starts[r])}]" for r in bos[k]],
         ))
     if g.eos_id is not None and nonempty.any():
         last_idx = np.clip(starts + lens - 1, 0, safe_hi)
         last = np.where(nonempty, flat[last_idx], g.eos_id)
-        bad = np.flatnonzero(last != g.eos_id)
+        eos = np.flatnonzero(last != g.eos_id)
         hits.append((
-            bad, S.E_GRAMMAR_EOS, "tokens",
-            [
-                f"last token {int(last[r])} != EOS {g.eos_id}"
-                f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r] + lens[r] - 1)}]"
-                for r in bad
-            ],
+            eos, S.E_GRAMMAR_EOS, "tokens",
+            lambda k: [f"last token {int(last[r])} != EOS {g.eos_id}"
+                       f" ctx [{excerpt(r, starts[r] + lens[r] - 1)}]" for r in eos[k]],
         ))
     if g.pad_id is not None and len(flat):
         pads = np.flatnonzero(flat == g.pad_id)
@@ -86,14 +82,12 @@ def run_grammar_checks(batch: pa.Table, toks: S.TokenRows, g: GrammarConfig) -> 
             owner = vrows[np.searchsorted(starts[vrows], step, side="right") - 1]
             inside = step + 1 < starts[owner] + lens[owner]
             bad = np.unique(owner[inside])
-            # each bad row's first pad (pads is sorted), for the message
-            fp = pads[np.searchsorted(pads, starts[bad])] - starts[bad]
-            hits.append((
-                bad, S.E_GRAMMAR_PAD, "tokens",
-                [
-                    f"pad token {g.pad_id} at interior index {int(i)}"
-                    f" ctx [{S.token_excerpt(flat, starts[r], starts[r] + lens[r], starts[r] + i)}]"
-                    for r, i in zip(bad, fp)
-                ],
-            ))
-    return S.batch_violations(batch, *S.rule_rows(hits))
+
+            def e60(k):
+                # each bad row's first pad (pads is sorted), for the message
+                fp = pads[np.searchsorted(pads, starts[bad[k]])]
+                return [f"pad token {g.pad_id} at interior index {int(p - starts[r])}"
+                        f" ctx [{excerpt(r, p)}]" for r, p in zip(bad[k], fp)]
+
+            hits.append((bad, S.E_GRAMMAR_PAD, "tokens", e60))
+    return hits

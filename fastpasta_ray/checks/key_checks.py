@@ -323,15 +323,13 @@ def _keyed(doc_id) -> pa.Array:
     return pc.and_kleene(pc.is_valid(doc_id), pc.not_equal(doc_id, pa.scalar("")))
 
 
-def _key_rows(doc_id: pa.Array, row: np.ndarray, n_tok: pa.Array, h=None):
+def _key_rows(doc_id: pa.Array, row: np.ndarray, n_tok: pa.Array, h: np.ndarray):
     """The rows of one batch that enter the exchange, as ``(h, row, n_tok)``
-    arrays: the rows :func:`_keyed` admits, hashed after the exemption,
-    with a null ``n_tok`` as :data:`NULL_N_TOK`. Pass 1, which already
-    hashed every row for its HLL, passes those hashes as ``h``;
-    :func:`_cut` hashes only the admitted doc_ids."""
-    mask = _keyed(doc_id)
-    keyed = mask.to_numpy(zero_copy_only=False)
-    h = hash_strings(doc_id.filter(mask)) if h is None else h[keyed]
+    arrays: the rows :func:`_keyed` admits, with their hashes taken from
+    ``h`` (``hash_strings`` of the whole batch, which pass 1 already has
+    for its HLL) and a null ``n_tok`` as :data:`NULL_N_TOK`."""
+    keyed = _keyed(doc_id).to_numpy(zero_copy_only=False)
+    h = h[keyed]
     if n_tok.null_count:
         n_tok = n_tok.cast(pa.int64()).fill_null(NULL_N_TOK)
     return h, row[keyed], n_tok.to_numpy(zero_copy_only=False)[keyed].astype(np.int64)
@@ -347,7 +345,7 @@ def _cut(path: str, part_idx: int | None, batch_rows=None, filter_sources=None,
     first; then ``filter_sources`` scopes it (the global --filter-link
     analog, config.rs:75-103, with the mask pass 1 uses, so an unfiltered
     manifest never turns a filtered-out source into E701), then
-    :func:`_key_rows` drops the NULL-exempt rows and hashes the rest, and
+    the batch is hashed, :func:`_key_rows` drops the NULL-exempt rows, and
     :func:`_loc` encodes the surviving positions. ``batch_rows`` None reads
     the unit as one batch; "auto" sizes batches from the footer by the
     columns read (both :func:`iter_unit_batches`)."""
@@ -362,7 +360,7 @@ def _cut(path: str, part_idx: int | None, batch_rows=None, filter_sources=None,
             keep = S.source_mask(rb["source"], src_set)
             doc_id, ntok = doc_id.filter(keep), ntok.filter(keep)
             pos = pos[keep.to_numpy(zero_copy_only=False)]
-        h, rows, ntok = _key_rows(doc_id, pos, ntok)
+        h, rows, ntok = _key_rows(doc_id, pos, ntok, hash_strings(doc_id))
         yield h, _loc(part_idx, rows), ntok
 
 

@@ -61,8 +61,8 @@ def run_custom_checks(batch: pa.Table, cfg: CheckConfig) -> pa.Table:
 
     for mod in cfg.extra.get("custom_check_modules", ()):
         importlib.import_module(mod)
-    # a user check's table is the one violation source not built by
-    # schema.violations: it is cast to VIOLATIONS_SCHEMA here, once
+    # a user check keeps its table contract: cast to VIOLATIONS_SCHEMA here,
+    # once, and capped with the built-in checks' hit rows by schema.materialize
     return pa.concat_tables(
         [
             get_check(name)(batch, cfg).cast(S.VIOLATIONS_SCHEMA)

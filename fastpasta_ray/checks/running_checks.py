@@ -92,35 +92,31 @@ class RunningState:
         # set-once partition ordinal (E444): first valid row's value
         self.first_ordinal: int | None = None
 
-    def check_batch(self, batch: pa.Table, ids: S.DocIds) -> pa.Table:
+    def check_batch(self, batch: pa.Table, ids: S.DocIds) -> S.Hits:
         """Vectorized order/stride/ordinal checks over one ordered batch,
         whose ``schema.doc_id_fields`` is ``ids``; carries the last seen doc
         index, the last interval's verdict and the set-once partition
-        ordinal across batches. Returns violation rows."""
+        ordinal across batches. Returns the batch's hits, rule by rule
+        (``schema.Hits``)."""
+        hits = S.Hits()
         # the partition ordinal + trailing index of the rows that have them
         vrows, ords, seq = ids.rows, ids.ordinal, ids.index
         if len(vrows) == 0:
-            return S.VIOLATIONS_SCHEMA.empty_table()
+            return hits
         prev = np.empty_like(seq)
         prev[1:] = seq[:-1]
         have_prev = self.last_idx is not None
         prev[0] = self.last_idx if have_prev else np.iinfo(np.int64).min
 
-        hits: list[tuple] = []  # (rows, code, column, details) per rule
-
         # --- E444: set-once partition ordinal (orbit analog) ---------------
         if self.first_ordinal is None:
             self.first_ordinal = int(ords[0])
-        bad_ord = ords != self.first_ordinal
-        if bad_ord.any():
-            w = np.flatnonzero(bad_ord)
-            hits.append((
-                vrows[w], S.E_PART_ORDINAL, "doc_id",
-                [
-                    f"doc_id partition ordinal {int(o)} != partition's first {self.first_ordinal}"
-                    for o in ords[w]
-                ],
-            ))
+        w444 = np.flatnonzero(ords != self.first_ordinal)
+        hits.append((
+            vrows[w444], S.E_PART_ORDINAL, "doc_id",
+            lambda k: [f"doc_id partition ordinal {int(o)} != partition's first {self.first_ordinal}"
+                       for o in ords[w444[k]]],
+        ))
 
         if self.expected_stride is not None:
             # exact-period mode: (cur - prev) mod wrap == stride; the first
@@ -186,7 +182,8 @@ class RunningState:
                 w = np.flatnonzero(mask)
                 hits.append((
                     vrows[w], code, "doc_id",
-                    [fmt(int(c), int(p), int(d)) for c, p, d in zip(seq[w], prev[w], delta[w])],
+                    lambda k, w=w, fmt=fmt: [fmt(int(c), int(p), int(d)) for c, p, d in
+                                             zip(seq[w[k]], prev[w[k]], delta[w[k]])],
                 ))
             # --- E445: doc-index advance vs row_index advance (filtered
             # mode only — see module docstring). Gated on intervals the
@@ -205,31 +202,27 @@ class RunningState:
                 row_gap = row_np - prev_row
                 exp_delta = np.mod(row_gap * stride, self.index_wrap)
                 desync = ~bad & ~no_interval & (delta != exp_delta)
-                w = np.flatnonzero(desync)
+                w445 = np.flatnonzero(desync)
                 hits.append((
-                    vrows[w], S.E_INDEX_ROW_DESYNC, "doc_id",
-                    [
+                    vrows[w445], S.E_INDEX_ROW_DESYNC, "doc_id",
+                    lambda k: [
                         f"doc index {int(c)} after {int(p)}: stride "
                         f"{int(d)} != row gap {int(g)} x expected stride {stride}"
-                        for c, p, d, g in zip(seq[w], prev[w], delta[w], row_gap[w])
+                        for c, p, d, g in zip(seq[w445[k]], prev[w445[k]],
+                                              delta[w445[k]], row_gap[w445[k]])
                     ],
                 ))
                 self.last_row_index = int(row_np[-1])
         else:
-            bad = seq <= prev
-            w = np.flatnonzero(bad)
+            w11 = np.flatnonzero(seq <= prev)
             hits.append((
-                vrows[w], S.E_ORDER, "doc_id",
-                [f"doc index not increasing: {int(c)} after {int(p)}" for c, p in zip(seq[w], prev[w])],
+                vrows[w11], S.E_ORDER, "doc_id",
+                lambda k: [f"doc index not increasing: {int(c)} after {int(p)}"
+                           for c, p in zip(seq[w11[k]], prev[w11[k]])],
             ))
         # carry the IMMEDIATE predecessor (last valid index), not the max:
         # the in-batch comparison is each-row-vs-previous-row, and the
         # cross-batch carry must match or results would depend on where
         # batch boundaries fall (caught by hypothesis)
         self.last_idx = int(seq[-1])
-        pos, codes, _, msgs = S.rule_rows(hits)
-        # emit in row order (stable across the rules)
-        order = np.argsort(pos, kind="stable")
-        return S.batch_violations(
-            batch, pos[order], [codes[i] for i in order], "doc_id", [msgs[i] for i in order]
-        )
+        return hits

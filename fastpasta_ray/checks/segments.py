@@ -22,7 +22,9 @@ lanes/chips, delimited by a configurable ``segment_delim_id`` token:
 
 Fully vectorized across the batch: one delimiter scan and one
 segment-start derivation over the token layout the validate stage derives
-once per batch (``schema.token_rows``) — no per-row Python. Row-local
+once per batch (``schema.token_rows``) — no per-row Python. The checks
+return their rows per rule (``schema.Hits``); messages are formatted
+only for the rows ``schema.materialize`` keeps. Row-local
 (fits map_batches, like the reference's per-frame analysis inside one
 validator thread).
 
@@ -55,10 +57,10 @@ def run_segment_checks(
     warning_sentinels: tuple | None = None,
     fatal_sentinels: tuple | None = None,
     fatal_heads: frozenset | None = None,
-) -> tuple[pa.Table, list[int]]:
+) -> tuple[S.Hits, list[int]]:
     """Segment-structure checks over one SEQUENCES_POS batch, whose
     ``schema.token_rows`` is ``toks``. Returns
-    ``(violations, newly_fatal_headers)``, the new headers in onset order
+    ``(hits, newly_fatal_headers)``, the new headers in onset order
     — the caller carries the fatal headers across batches of the same
     partition (the reference's per-validator ``fatal_lanes`` list,
     readout_frame.rs:40-50).
@@ -111,7 +113,7 @@ def run_segment_checks(
     empty_seg = is_delim & (prev_is_delim | at_row_start | at_row_end)
     empty_per_row = np.bincount(row_of[empty_seg], minlength=n)
 
-    hits: list[tuple] = []  # (rows, code, column, details) per rule
+    hits = S.Hits()
 
     # --- per-segment header + status (APE ladder) --------------------------
     heads, hrow = vals[seg_start], row_of[seg_start]  # hrow is sorted
@@ -162,23 +164,18 @@ def run_segment_checks(
         rows77 = np.flatnonzero(warn_per_row > 0)
         hits.append((
             rows77, S.E_SEG_WARN, "tokens",
-            [
-                f"{int(warn_per_row[r])} segment(s) in WARNING status "
-                "(warning sentinel seen)"
-                for r in rows77
-            ],
+            lambda k: [f"{int(warn_per_row[r])} segment(s) in WARNING status "
+                       "(warning sentinel seen)" for r in rows77[k]],
         ))
     if len(fh):
         # fr is sorted, so each reporting row's fatal headers are one slice
         rows78, lo, cnt = np.unique(fr, return_index=True, return_counts=True)
         hits.append((
             rows78, S.E_SEG_FATAL, "tokens",
-            [
-                f"{int(c)} segment(s) in FATAL status; "
-                f"headers {sorted(set(fh[a : a + c].tolist()))} "
-                "excluded from lane checks from this row on"
-                for a, c in zip(lo, cnt)
-            ],
+            lambda k: [f"{int(c)} segment(s) in FATAL status; "
+                       f"headers {sorted(set(fh[a : a + c].tolist()))} "
+                       "excluded from lane checks from this row on"
+                       for a, c in zip(lo[k], cnt[k])],
         ))
 
     # E73: segment count outside the configured band (rows with tokens
@@ -195,18 +192,16 @@ def run_segment_checks(
     rows73 = np.flatnonzero(bad_count)
     hits.append((
         rows73, S.E_SEG_COUNT, "tokens",
-        [
-            f"segment count {int(seg_per_row[r])} outside [{min_segments}, {max_segments}]"
-            + (f" less {int(nf_per_row[r])} fatal segment(s)" if nf_per_row[r] else "")
-            for r in rows73
-        ],
+        lambda k: [f"segment count {int(seg_per_row[r])} outside [{min_segments}, {max_segments}]"
+                   + (f" less {int(nf_per_row[r])} fatal segment(s)" if nf_per_row[r] else "")
+                   for r in rows73[k]],
     ))
 
     # E75: empty segments
     rows75 = np.flatnonzero(empty_per_row > 0)
     hits.append((
         rows75, S.E_SEG_EMPTY, "tokens",
-        [f"{int(empty_per_row[r])} empty segment(s)" for r in rows75],
+        lambda k: [f"{int(empty_per_row[r])} empty segment(s)" for r in rows75[k]],
     ))
 
     # fatal-headed segments drop out of E74/E76 (a fatal lane never reaches
@@ -227,10 +222,8 @@ def run_segment_checks(
         rows74 = np.flatnonzero((live_per_row > 1) & (hmin != hmax))
         hits.append((
             rows74, S.E_SEG_HEADER, "tokens",
-            [
-                f"segment headers differ: min {int(hmin[r])} != max {int(hmax[r])}"
-                for r in rows74
-            ],
+            lambda k: [f"segment headers differ: min {int(hmin[r])} != max {int(hmax[r])}"
+                       for r in rows74[k]],
         ))
 
     # E76: the NON-fatal header sequence must be one of the allowed
@@ -273,12 +266,9 @@ def run_segment_checks(
         rows76 = np.flatnonzero(candidate & ~matched)
         hits.append((
             rows76, S.E_SEG_ORDER, "tokens",
-            [
-                "segment header order "
-                + str([int(h) for h in heads_nf[hoff[r] : hoff[r + 1]]])
-                + " not in allowed orderings"
-                for r in rows76
-            ],
+            lambda k: ["segment header order "
+                       + str([int(h) for h in heads_nf[hoff[r] : hoff[r + 1]]])
+                       + " not in allowed orderings" for r in rows76[k]],
         ))
 
-    return S.batch_violations(batch, *S.rule_rows(hits)), new_fatal
+    return hits, new_fatal

@@ -8,7 +8,9 @@ the analog of a GBT link) plus row index within the file.
 
 Message strings are FROZEN: tests assert them byte-exactly, mirroring the
 reference's exact-string asserts (fastpasta/src/analyze/validators/its/
-cdp_running.rs:520-531).
+cdp_running.rs:520-531). Pass 1's checks return hit rows (:class:`Hits`);
+:func:`materialize` is the one place they become violation rows, and it
+formats only the rows it keeps.
 """
 
 from __future__ import annotations
@@ -162,8 +164,9 @@ def violations(part, row_index, doc_id, code, column, detail) -> pa.Table:
     """The one violation-record builder: a VIOLATIONS_SCHEMA table, one row
     per detail. Each argument is an array (or list) with one value per row,
     or a scalar broadcast to every row; with only scalars it is one row.
-    ``message`` is :func:`format_message` of each row's code and detail. No
-    row gives the typed empty table."""
+    ``message`` is :func:`format_message` of each row's code and detail, so
+    a caller hands it only the rows it keeps. No row gives the typed empty
+    table."""
     cols = (part, row_index, doc_id, code, column, detail)
     n = next((len(c) for c in cols if not _is_scalar(c)), 1)
     if n == 0:
@@ -182,7 +185,7 @@ def violations(part, row_index, doc_id, code, column, detail) -> pa.Table:
 def batch_violations(batch: pa.Table, rows, code, column, detail) -> pa.Table:
     """:func:`violations` at positions ``rows`` of a SEQUENCES_POS batch:
     ``part``, ``row_index`` and ``doc_id`` are gathered with one ``take``
-    per column."""
+    per column. Pass 1's own checks reach it through :func:`materialize`."""
     if not len(rows):
         return VIOLATIONS_SCHEMA.empty_table()
     idx = pa.array(rows, type=pa.int64())
@@ -190,17 +193,67 @@ def batch_violations(batch: pa.Table, rows, code, column, detail) -> pa.Table:
     return violations(part, row_index, doc_id, code, column, detail)
 
 
-def rule_rows(hits: list) -> tuple:
-    """One check function's per-rule hits, each ``(rows, code, column,
-    details)``, as the row-aligned ``(rows, code, column, detail)`` that
-    :func:`batch_violations` takes, rule after rule."""
-    rows, code, column, detail = [np.empty(0, np.int64)], [], [], []
-    for r, c, col, d in hits:
-        rows.append(np.asarray(r, dtype=np.int64))
-        code += [c] * len(r)
-        column += [col] * len(r)
-        detail += d
-    return np.concatenate(rows), code, column, detail
+class Hits(list):
+    """One pass-1 check's hits on one batch, rule by rule, each
+    ``(rows, code, column, detail)``: ``rows`` are batch positions, and
+    ``detail`` is the rule's message detail, one string for every row or a
+    function from positions into ``rows`` to their details. Nothing is
+    formatted until :func:`materialize` keeps a row."""
+
+    # fpbench/tracing.py reads this name on every benchmark run and may not change with the engine
+    @property
+    def num_rows(self) -> int:
+        """The hit count over every rule, before any filter or cap."""
+        return sum(len(rule[0]) for rule in self)
+
+
+def code_enabled(code: str, enabled: tuple | None) -> bool:
+    """The error-code filter with PREFIX semantics (err_printer.rs:52-90):
+    None enables every code; otherwise an entry enables the codes it is a
+    prefix of ("E9" enables every E9xxx; an exact code is its own prefix).
+    An empty entry (a trailing comma in --codes) enables nothing, and so
+    does ``()``."""
+    return enabled is None or any(p and code.startswith(p) for p in map(str, enabled))
+
+
+def materialize(batch: pa.Table, checks: list, enabled: tuple | None = None,
+                room: int | None = None) -> pa.Table:
+    """The one place pass-1 hits become violation rows. ``checks`` holds,
+    in order, each check's :class:`Hits` on ``batch``, or a table a
+    registered custom check built (code-filtered already). The rules whose
+    code ``enabled`` does not enable (:func:`code_enabled`) are dropped;
+    the rest are stably sorted by ``row_index``, ties in ``checks`` order,
+    then rule order; the first ``room`` (None: all) are kept, and only
+    those are formatted, through :func:`batch_violations`."""
+    if room is not None and room <= 0:
+        return VIOLATIONS_SCHEMA.empty_table()
+    srcs = []  # the enabled rules, and the custom tables
+    for c in checks:
+        srcs += [c] if isinstance(c, pa.Table) else [r for r in c if code_enabled(r[1], enabled)]
+    row_index = batch["row_index"].to_numpy()
+    keys = [s["row_index"].to_numpy() if isinstance(s, pa.Table) else row_index[s[0]]
+            for s in srcs]
+    lens = [len(k) for k in keys]
+    if not sum(lens):
+        return VIOLATIONS_SCHEMA.empty_table()
+    ends = np.cumsum(lens)
+    order = np.argsort(np.concatenate(keys), kind="stable")[:room]
+    src = np.searchsorted(ends, order, side="right")  # each kept hit's source
+    at = order - (ends - lens)[src]  # and its position there
+    tables, placed = [], []
+    for s in np.unique(src):
+        placed.append(np.flatnonzero(src == s))
+        k = at[placed[-1]]
+        if isinstance(srcs[s], pa.Table):
+            tables.append(srcs[s].take(pa.array(k)))
+        else:
+            rows, code, column, detail = srcs[s]
+            tables.append(batch_violations(
+                batch, rows[k], code, column, detail(k) if callable(detail) else detail
+            ))
+    # one table per source; put their rows back in sorted order
+    out = pa.concat_tables(tables)
+    return out if len(tables) == 1 else out.take(pa.array(np.argsort(np.concatenate(placed))))
 
 
 def _is_scalar(v) -> bool:

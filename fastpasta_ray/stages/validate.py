@@ -25,6 +25,9 @@ and the key-check shards, each as its own task return.
 Violations per partition are capped (``max_errors_per_part``) — the
 documented divergence from the reference's global ``max_tolerate_errors``
 early-stop (SURVEY.md G8: no clean global counter in a streaming dataset).
+The checks return hit rows; ``schema.materialize`` drops disabled codes,
+keeps the partition's first violations by ``row_index`` up to the cap and
+formats only those: past its cap a partition pays for no message.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -107,22 +109,12 @@ class CheckConfig:
 
 
 def _filter_codes(v: pa.Table, enabled: tuple | None) -> pa.Table:
-    """Error-code filter with PREFIX semantics (err_printer.rs:52-90):
-    an entry matches codes it is a prefix of — "E9" enables every E9xxx;
-    an exact code is trivially its own prefix."""
+    """The rows of ``v`` whose code ``enabled`` enables, by the predicate
+    pass 1's rules are skipped by (``schema.code_enabled``)."""
     if enabled is None or v.num_rows == 0:
         return v
-    # empty-string prefixes (e.g. a trailing comma in --codes) would match
-    # EVERYTHING — drop them; an empty prefix set matches nothing, like
-    # the exact is_in semantics this replaced
-    prefixes = [str(p) for p in enabled if str(p)]
-    if not prefixes:
-        return v.slice(0, 0)
-    mask = None
-    for p in prefixes:
-        m = pc.starts_with(v["code"], pattern=p)
-        mask = m if mask is None else pc.or_(mask, m)
-    return v.filter(mask)
+    keep = [c for c in pc.unique(v["code"]).drop_null().to_pylist() if S.code_enabled(c, enabled)]
+    return v.filter(pc.is_in(v["code"], value_set=pa.array(keep, pa.string())))
 
 
 @ray.remote(num_cpus=0)
@@ -274,26 +266,23 @@ class ValidateFiles:
             stats.hll.add_hashes(h)
             if keys is not None:
                 keys.append(kc._key_rows(doc_id, one_chunk(batch["row_index"]).to_numpy(), ntok, h))
-            # --- checks: every check's table, concatenated once ------------
-            # past the per-partition cap only the carried state advances:
-            # the running checks and the segment checks' fatal set
-            room = cfg.max_errors_per_part - emitted
-            checks = []
-            if room > 0:
-                checks.append(run_row_checks(
-                    batch, ids, toks, minmax,
-                    vocab=cfg.vocab, source_domain=cfg.source_domain,
-                ))
-                if cfg.read_payload and (
-                    cfg.bos_id is not None or cfg.eos_id is not None or cfg.pad_id is not None
-                ):
-                    from fastpasta_ray.checks.grammar import run_grammar_checks
+            # --- checks: all run on every batch (the running and segment
+            # checks carry state); materialize keeps the partition's first
+            # violations in row order, whatever the batch cuts, up to the cap
+            checks = [run_row_checks(
+                batch, ids, toks, minmax,
+                vocab=cfg.vocab, source_domain=cfg.source_domain,
+            )]
+            if cfg.read_payload and (
+                cfg.bos_id is not None or cfg.eos_id is not None or cfg.pad_id is not None
+            ):
+                from fastpasta_ray.checks.grammar import run_grammar_checks
 
-                    checks.append(run_grammar_checks(batch, toks, cfg.grammar))
+                checks.append(run_grammar_checks(batch, toks, cfg.grammar))
             if cfg.read_payload and cfg.segment_delim_id is not None:
                 from fastpasta_ray.checks.segments import run_segment_checks
 
-                sv, new_fatal = run_segment_checks(
+                hits, new_fatal = run_segment_checks(
                     batch, toks,
                     delim_id=cfg.segment_delim_id,
                     min_segments=cfg.min_segments,
@@ -306,21 +295,15 @@ class ValidateFiles:
                 # the reference's add_fatal_lanes (readout_frame.rs:40-50);
                 # surfaced in the report via PartStats
                 stats.fatal_segments.update(new_fatal)
-                checks.append(sv)
-            if room > 0 and cfg.extra.get("custom_checks"):
+                checks.append(hits)
+            if cfg.extra.get("custom_checks"):
                 from fastpasta_ray.checks.registry import run_custom_checks
 
-                checks.append(run_custom_checks(batch, cfg))
+                checks.append(_filter_codes(run_custom_checks(batch, cfg), cfg.enabled_codes))
             if running is not None:
                 checks.append(running.check_batch(batch, ids))
-            if room <= 0:
-                continue
-            v = _filter_codes(pa.concat_tables(checks), cfg.enabled_codes)
-            if v.num_rows > room:
-                # the cap keeps the partition's first violations in row
-                # order, however the rows are cut into batches
-                order = np.argsort(v["row_index"].to_numpy(), kind="stable")
-                v = v.take(pa.array(order[:room]))
+            v = S.materialize(batch, checks, cfg.enabled_codes,
+                              cfg.max_errors_per_part - emitted)
             if v.num_rows:
                 emitted += v.num_rows
                 if self.checkpoint_dir is not None:

@@ -139,6 +139,11 @@ def _layout_runs(layouts, monkeypatch, **cfg_kw):
     return v0, json.loads(r0)
 
 
+def _kept(v, part):
+    """``(row_index, code)`` of ``part``'s violations, in order."""
+    return [(r["row_index"], r["code"]) for r in v.to_pylist() if r["part"] == part]
+
+
 def test_run_check_is_layout_invariant(layouts, monkeypatch):
     """All eight layouts give equal violations and byte-identical report
     JSON, and every planted defect is found."""
@@ -160,13 +165,27 @@ def test_capped_run_check_is_layout_invariant(layouts, monkeypatch):
     the fatal header into the report."""
     v0, report = _layout_runs(layouts, monkeypatch, max_errors_per_part=3)
     assert report["fatal_segments"] == {"part-0001": [9]}
-    kept = lambda p: [  # noqa: E731
-        (r["row_index"], r["code"]) for r in v0.to_pylist() if r["part"] == p
-    ]
-    assert kept("part-0001") == [(10, "E74"), (50, "E74"), (60, "E73")]
+    assert _kept(v0, "part-0001") == [(10, "E74"), (50, "E74"), (60, "E73")]
     # part 5's pass-1 rows (the key checks of pass 2 are not capped)
-    assert [k for k in kept("part-0005") if k[1] not in ("E71", "E72")] == [
+    assert [k for k in _kept(v0, "part-0005") if k[1] not in ("E71", "E72")] == [
         (95, "E100"), (96, "E12"), (97, "E13")]
+
+
+def test_capped_filtered_run_check_is_layout_invariant(layouts, monkeypatch):
+    """With ``max_errors_per_part`` 3 and ``enabled_codes`` E73, E77, E78,
+    the prefix E1 and an empty entry (which enables nothing), the cap
+    counts only enabled codes: part 1 passes over its E74 rows 10 and 50
+    and keeps E73 at 60, E77 at 80 and, from the second 97-row batch, the
+    fatal onset's E78 at 120, at every layout."""
+    enabled = ("E73", "E77", "E78", "E1", "")
+    v0, report = _layout_runs(layouts, monkeypatch, max_errors_per_part=3,
+                              enabled_codes=enabled)
+    assert report["fatal_segments"] == {"part-0001": [9]}
+    assert _kept(v0, "part-0001") == [(60, "E73"), (80, "E77"), (120, "E78")]
+    assert _kept(v0, "part-0005") == [(95, "E100"), (96, "E12"), (97, "E13")]
+    codes = set(v0["code"].to_pylist())
+    assert {"E11", "E14"} <= codes <= {"E73", "E77", "E78", "E10", "E11", "E12", "E13",
+                                       "E14", "E100"}, codes
 
 
 def test_scalar_run_check_is_layout_invariant(layouts, monkeypatch):

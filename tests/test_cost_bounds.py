@@ -10,11 +10,13 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks.key_checks import _C_DUP, _C_DUPREF, _bucket_candidates
 from fastpasta_ray.checks.segments import run_segment_checks
+from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
 
 N = 200_000
 RATIO_BOUND = 3.0
@@ -103,8 +105,9 @@ def test_segment_fatal_onset_every_row():
 
     def run(side):
         t, toks, order = side
-        return run_segment_checks(t, toks, delim_id=D, max_segments=2,
-                                  allowed_orders=(order,), fatal_sentinels=(FATAL,))
+        hits, new_fatal = run_segment_checks(t, toks, delim_id=D, max_segments=2,
+                                             allowed_orders=(order,), fatal_sentinels=(FATAL,))
+        return S.materialize(t, [hits]), new_fatal
 
     crafted, benign = batch(range(1_000, 1_000 + n)), batch([7] * n)
     for side, n_new in ((crafted, n), (benign, 1)):
@@ -115,3 +118,52 @@ def test_segment_fatal_onset_every_row():
         assert all((codes == c).sum() == n for c in ("E73", "E74", "E78"))
     ratio = _best_wall_ratio(run, crafted, benign)
     assert ratio <= RATIO_BOUND, f"onset-every-row / one-onset wall ratio {ratio:.2f}"
+
+
+STORM_ROWS = 100_000
+
+
+def _partition(path, index, tokens):
+    """A partition file of ``web/0000/{i}`` doc_ids in ``index`` order,
+    every row holding ``tokens``."""
+    n = len(index)
+    pq.write_table(pa.table({
+        "doc_id": [f"web/0000/{i:08d}" for i in index],
+        "tokens": pa.array([tokens] * n, pa.list_(pa.int32())),
+        "n_tok": pa.array([len(tokens)] * n, pa.int32()),
+        "source": ["web"] * n,
+    }, schema=S.SEQUENCES_SCHEMA), path)
+    return path
+
+
+@pytest.mark.parametrize("case", ["scalar", "payload", "segments"])
+def test_violation_storm_past_cap(case, tmp_path):
+    """Pass 1 over a partition that flags every row, past the per-part cap
+    (the default 10,000), against its clean twin of the same size: only
+    the kept rows may cost messages. ``scalar`` and ``payload`` reverse the
+    doc indices, so every row but the first is an E11, without and with an
+    8-token payload; ``segments`` gives every row two segments with
+    unequal headers against ``max_segments=1`` (E73 and E74), and its twin
+    one segment of the same length."""
+    D = 3
+    order = np.arange(STORM_ROWS)
+    if case == "segments":
+        cfg = CheckConfig(segment_delim_id=D, max_segments=1)
+        storm = _partition(str(tmp_path / "storm.parquet"), order, [4, 1, D, 5, 1])
+        clean = _partition(str(tmp_path / "clean.parquet"), order, [4, 1, 1, 1, 1])
+    else:
+        cfg = CheckConfig(read_payload=case == "payload")
+        toks = [1, 5, 6, 7, 8, 9, 10, 2]
+        storm = _partition(str(tmp_path / "storm.parquet"), order[::-1], toks)
+        clean = _partition(str(tmp_path / "clean.parquet"), order, toks)
+
+    def validate(path):
+        return pa.concat_tables([S.VIOLATIONS_SCHEMA.empty_table(),
+                                 *ValidateFiles(cfg).validate_file(path)])
+
+    v = validate(storm)
+    assert v.num_rows == cfg.max_errors_per_part
+    assert set(v["code"].to_pylist()) == ({"E73", "E74"} if case == "segments" else {"E11"})
+    assert validate(clean).num_rows == 0
+    ratio = _best_wall_ratio(validate, storm, clean)
+    assert ratio <= RATIO_BOUND, f"storm / clean wall ratio {ratio:.2f}"

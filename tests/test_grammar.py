@@ -20,13 +20,16 @@ G = GrammarConfig(bos_id=BOS_ID, eos_id=EOS_ID, pad_id=PAD_ID)
 
 
 def grammar(batch, g):
-    """``run_grammar_checks`` with the batch's token-row layout."""
-    return run_grammar_checks(batch, toks_of(batch), g)
+    """``run_grammar_checks`` with the batch's token-row layout, its hits
+    materialized as the validate stage does."""
+    return S.materialize(batch, [run_grammar_checks(batch, toks_of(batch), g)])
 
 
 def segments(batch, **kw):
-    """``run_segment_checks`` with the batch's token-row layout."""
-    return run_segment_checks(batch, toks_of(batch), **kw)
+    """``run_segment_checks`` with the batch's token-row layout, its hits
+    materialized as the validate stage does; with the new fatal headers."""
+    hits, new_fatal = run_segment_checks(batch, toks_of(batch), **kw)
+    return S.materialize(batch, [hits]), new_fatal
 
 
 def drop_code(v, code):

@@ -27,12 +27,13 @@ import os as _os
 
 settings.load_profile(_os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
-from fastpasta_ray.checks.grammar import GrammarConfig, run_grammar_checks
+from fastpasta_ray.checks.grammar import GrammarConfig
 from fastpasta_ray.checks.key_checks import CANDIDATE_SCHEMA, MANIFEST_BASE, _bucket_candidates
 from fastpasta_ray.checks.running_checks import RunningState
 from fastpasta_ray.functions.dedup import _shingle_hashes_flat
 from fastpasta_ray.sketches import IntHistogram
-from tests.test_row_checks import ids_of, row_checks, toks_of
+from tests.test_grammar import grammar, segments
+from tests.test_row_checks import row_checks, running
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def test_grammar_matches_naive(token_rows):
             "tokens": pa.array(token_rows, type=pa.list_(pa.int32())),
         }
     )
-    out = run_grammar_checks(batch, toks_of(batch), GrammarConfig(BOS, EOS, PAD))
+    out = grammar(batch, GrammarConfig(BOS, EOS, PAD))
     got = {(r, c) for r, c in zip(out["row_index"].to_pylist(), out["code"].to_pylist())}
     expect = set()
     for i, toks in enumerate(token_rows):
@@ -248,7 +249,7 @@ def test_interior_pad_rule_matches_reduceat(token_rows, skip):
             "tokens": pa.array(token_rows, type=pa.list_(pa.int32())),
         }
     ).slice(min(skip, n - 1))
-    out = run_grammar_checks(batch, toks_of(batch), GrammarConfig(pad_id=0))
+    out = grammar(batch, GrammarConfig(pad_id=0))
     got = list(zip(out["row_index"].to_pylist(), out["message"].to_pylist()))
     assert got == _interior_pad_messages_reduceat(batch, 0)
 
@@ -279,7 +280,7 @@ def test_running_state_matches_naive(indices, split):
                 "doc_id": pa.array(chunk),
             }
         )
-        v = st_.check_batch(b, ids_of(b))
+        v = running(st_, b)
         got.update(v["row_index"].to_pylist())
     assert got == naive
 
@@ -777,8 +778,6 @@ def test_segment_fatal_carry_batch_split_invariant(
     the batch. The violations and the new fatal headers equal the naive
     model's, whether the rows are checked in one batch or split at
     arbitrary boundaries with the fatal set carried between calls."""
-    from fastpasta_ray.checks.segments import run_segment_checks
-
     status = {"ok": [], "warn": [SEG_WARN], "fatal": [SEG_FATAL], "both": [SEG_WARN, SEG_FATAL]}
 
     def build_row(specs):
@@ -819,7 +818,7 @@ def test_segment_fatal_carry_batch_split_invariant(
     want, want_fatal = naive_segment_checks(rows, prior, min_segments, max_segments,
                                             allowed_orders)
     b = batch_of(rows, 0)
-    v_one, nf_one = run_segment_checks(b, toks_of(b), fatal_heads=prior, **kw)
+    v_one, nf_one = segments(b, fatal_heads=prior, **kw)
     assert sorted(triples(v_one)) == want
     assert nf_one == want_fatal
 
@@ -829,7 +828,7 @@ def test_segment_fatal_carry_batch_split_invariant(
     for start in range(0, len(rows), split):
         chunk = rows[start : start + split]
         b = batch_of(chunk, start)
-        v, nf = run_segment_checks(b, toks_of(b), fatal_heads=heads, **kw)
+        v, nf = segments(b, fatal_heads=heads, **kw)
         # row_index column already carries the global position
         got.extend(triples(v))
         heads |= set(nf)

@@ -38,15 +38,16 @@ def toks_of(batch):
 
 def row_checks(batch, **kw):
     """``run_row_checks`` with the parse, layout and token min/max the
-    validate stage hands it."""
+    validate stage hands it, its hits materialized as the stage does."""
     toks = toks_of(batch)
     minmax = (int(toks.flat.min()), int(toks.flat.max())) if len(toks.flat) else None
-    return run_row_checks(batch, ids_of(batch), toks, minmax, **kw)
+    return S.materialize(batch, [run_row_checks(batch, ids_of(batch), toks, minmax, **kw)])
 
 
 def running(st, batch):
-    """``st.check_batch`` with the batch's doc_id parse."""
-    return st.check_batch(batch, ids_of(batch))
+    """``st.check_batch`` with the batch's doc_id parse, its hits
+    materialized as the validate stage does."""
+    return S.materialize(batch, [st.check_batch(batch, ids_of(batch))])
 
 
 CLEAN = ("web/0000/00000001", [1, 2, 3], 3, "web")

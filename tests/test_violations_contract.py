@@ -1,9 +1,12 @@
 """The violation record contract: every producer of violation rows returns
 exactly ``VIOLATIONS_SCHEMA`` (typed even when it flags nothing) with
 messages ``[{code}] detail``, because every one of them builds its table
-through ``schema.violations``. A source guard keeps it that way, and keeps
-pass 1's stats out of the violations table."""
+through ``schema.violations``; pass 1's checks return hit rows, and
+``schema.materialize`` is the one place they become violations. Source
+guards keep it that way, and keep pass 1's stats out of the violations
+table."""
 
+import ast
 import os
 import re
 
@@ -16,14 +19,14 @@ import fastpasta_ray
 from fastpasta_ray import schema as S
 from fastpasta_ray.checks import key_checks as K
 from fastpasta_ray.checks.drift import build_profile, drift_check
-from fastpasta_ray.checks.grammar import GrammarConfig, run_grammar_checks
+from fastpasta_ray.checks.grammar import GrammarConfig
 from fastpasta_ray.checks.registry import check_max_len, run_custom_checks
 from fastpasta_ray.checks.running_checks import RunningState
-from fastpasta_ray.checks.segments import run_segment_checks
 from fastpasta_ray.pipelines.check import schema_violation
 from fastpasta_ray.sketches import PartStats, hash_strings
 from fastpasta_ray.sources.parquet import read_footers
 from fastpasta_ray.stages.validate import CheckConfig, ValidateFiles
+from tests import test_grammar as gc
 from tests import test_row_checks as rc
 
 
@@ -52,24 +55,21 @@ def row_checks(trip, tmp_path):
 
 def grammar(trip, tmp_path):
     toks = [[9, 5, 0, 6], [1, 7, 2]] if trip else CLEAN
-    b = _batch([1, 2], toks)
-    return run_grammar_checks(b, rc.toks_of(b), GrammarConfig(1, 2, 0))
+    return gc.grammar(_batch([1, 2], toks), GrammarConfig(1, 2, 0))
 
 
 def segments(trip, tmp_path):
     # delimiter 3; headers must match, 2..3 segments; 90 warns, 91 is fatal
     toks = [[4, 5, 3, 6, 90], [4, 3, 3, 4, 91]] if trip else [[4, 5, 3, 4, 6], [4, 3, 4]]
-    b = _batch([1, 2], toks)
-    table, _ = run_segment_checks(
-        b, rc.toks_of(b), delim_id=3, min_segments=2, max_segments=3,
+    table, _ = gc.segments(
+        _batch([1, 2], toks), delim_id=3, min_segments=2, max_segments=3,
         warning_sentinels=(90,), fatal_sentinels=(91,),
     )
     return table
 
 
 def running_checks(trip, tmp_path):
-    b = _batch([5, 3] if trip else [3, 5], CLEAN)
-    return RunningState(None).check_batch(b, rc.ids_of(b))
+    return rc.running(RunningState(None), _batch([5, 3] if trip else [3, 5], CLEAN))
 
 
 def custom_max_len(trip, tmp_path):
@@ -182,3 +182,22 @@ def test_violation_tables_are_built_only_in_schema_module():
                 assert not typed.search(text), path
             assert "STATS_SENTINEL" not in text and "__STATS__" not in text, path
     assert seen > 20
+
+
+PASS1_CHECKS = ("row_checks.py", "grammar.py", "segments.py", "running_checks.py")
+
+
+@pytest.mark.parametrize("module", PASS1_CHECKS)
+def test_pass1_checks_format_no_message(module):
+    """The pass-1 check modules return hit rows and call none of the
+    violation builders or the message format: ``schema.materialize``
+    formats the rows it keeps."""
+    path = os.path.join(os.path.dirname(fastpasta_ray.__file__), "checks", module)
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"violations", "batch_violations", "format_message"}, path
